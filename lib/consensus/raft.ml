@@ -171,6 +171,11 @@ type server = {
       (** virtual time the current election timeout expires; the armed
           timer re-arms itself while the deadline keeps moving, so a
           reset is a field write instead of a cancel + reschedule *)
+  mutable commit_retry : Engine.timer option;
+  mutable commit_retry_at : int;
+      (** the one armed quorum-lease commit re-check and the virtual time
+          it was asked for; a blocked commit re-arms it only when it
+          needs an earlier one *)
   mutable down : bool;
   cpu : Cpu.t;
   rng : Rng.t;
@@ -495,11 +500,36 @@ and advance_commit t srv =
           (fun acc row -> Array.fold_left min_valid acc row)
           own srv.peer_grants
       in
-      if earliest < max_int then
-        Engine.schedule t.engine ~node:srv.id ~label:"commit-retry"
-          ~delay:(earliest - now + 1) (fun () ->
-            if srv.role = Leader && not srv.down then advance_commit t srv)
+      if earliest < max_int then arm_commit_retry t srv ~at:(earliest + 1)
   end
+
+(* Every ack that arrives while a holder lags lands in a blocked
+   [advance_commit] asking for the same re-check, and so does every
+   retry that fires before the lease expires.  One armed timer per
+   server serves them all: it is replaced only by a strictly earlier
+   request, and firing clears it before re-checking, so a still-blocked
+   commit arms the next one. *)
+and arm_commit_retry t srv ~at =
+  let delay = at - Engine.now t.engine in
+  if Engine.is_manual t.engine then
+    (* Model-checking mode: as with election-timer resets, each request
+       stays its own explicit choice, so the explored state space is
+       independent of this simulation-cost optimisation. *)
+    Engine.schedule t.engine ~node:srv.id ~label:"commit-retry" ~delay
+      (commit_recheck t srv)
+  else if srv.commit_retry = None || at < srv.commit_retry_at then begin
+    Option.iter Engine.cancel srv.commit_retry;
+    srv.commit_retry_at <- at;
+    srv.commit_retry <-
+      Some
+        (Engine.schedule_cancellable t.engine ~node:srv.id
+           ~label:"commit-retry" ~delay (fun () ->
+             srv.commit_retry <- None;
+             commit_recheck t srv ()))
+  end
+
+and commit_recheck t srv () =
+  if srv.role = Leader && not srv.down then advance_commit t srv
 
 (* ---- client operations ---- *)
 
@@ -1045,6 +1075,8 @@ let create ?(telemetry = Telemetry.disabled) config net =
           verified_to = -1;
           election_timer = None;
           election_deadline = 0;
+          commit_retry = None;
+          commit_retry_at = 0;
           down = false;
           cpu;
           rng = Rng.split (Engine.rng engine);

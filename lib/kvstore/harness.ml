@@ -212,20 +212,6 @@ let make_instance ?telemetry ?batch_size ?batch_delay_us protocol net ~leader =
   (make_wired ?telemetry ?batch_size ?batch_delay_us protocol net ~leader)
     .w_instance
 
-let retry_timeout_us = 20_000_000
-
-(* Closed-loop client state.  [gen] counts attempts so a completion
-   arriving after the watchdog abandoned the attempt is ignored. *)
-type client = {
-  region : int;
-  mutable cur_op : Types.op;
-  mutable started_us : int;
-  mutable gen : int;
-  mutable waiting : bool;
-  mutable wd_pending : bool;  (* a watchdog event is in the heap *)
-  mutable trace : int;  (* command id of the current attempt *)
-}
-
 let run cfg =
   let engine = Engine.create ~seed:cfg.seed () in
   let nodes =
@@ -255,57 +241,29 @@ let run cfg =
   let events = ref [] in
   let requests = ref [] in
   let end_us = cfg.duration_s * 1_000_000 in
-  (* Closed-loop clients: one outstanding op each, retry on timeout.
-
-     The retry deadline is enforced by a single lazily re-armed watchdog
-     per client rather than a cancellable timer per op: a per-op timer
-     leaves one dead 20 s entry in the event heap per completed op, which
-     grows the heap to the run's total op count and slows every heap
-     operation.  The watchdog is armed at the current op's deadline; if
-     the op at hand is younger when it fires, it re-arms at that op's
-     exact deadline, so a stuck op still retries at precisely
-     [started + retry_timeout_us] while a healthy client schedules only
-     one event per 20 s of virtual time. *)
+  (* Closed-loop clients: one outstanding op each, retry on timeout. *)
   let rec client_loop c () =
     if Engine.now engine < end_us then begin
-      let op = Workload.next_op wl ~region:c.region in
+      let op = Workload.next_op wl ~region:c.Client.region in
       attempt c op
     end
-  and arm_watchdog c =
-    c.wd_pending <- true;
-    let delay = c.started_us + retry_timeout_us - Engine.now engine in
-    Engine.schedule engine ~delay (fun () -> watchdog_fire c)
-  and watchdog_fire c =
-    c.wd_pending <- false;
-    if c.waiting then
-      if Engine.now engine >= c.started_us + retry_timeout_us then begin
-        (* Abandon the outstanding attempt (its late completion is
-           ignored via the generation counter) and retry the same op. *)
-        c.waiting <- false;
-        incr retries;
-        if Engine.now engine < end_us then attempt c c.cur_op
-      end
-      else arm_watchdog c
+  and on_timeout c =
+    incr retries;
+    if Engine.now engine < end_us then attempt c c.Client.cur_op
   and attempt c op =
-    c.cur_op <- op;
-    c.started_us <- Engine.now engine;
-    c.gen <- c.gen + 1;
-    c.waiting <- true;
-    if not c.wd_pending then arm_watchdog c;
-    let gen = c.gen in
-    let started = c.started_us in
+    let gen = Client.attempt engine c op ~on_timeout in
+    let started = c.Client.started_us in
     let trace =
-      inst.submit ~node:c.region op (fun reply ->
-        if c.waiting && c.gen = gen then begin
-          c.waiting <- false;
+      inst.submit ~node:c.Client.region op (fun reply ->
+        if Client.accept c ~gen then begin
           let now = Engine.now engine in
           let latency = now - started in
-          let at_leader = c.region = leader in
+          let at_leader = c.Client.region = leader in
           if cfg.tracing then
             requests :=
               {
-                trace = c.trace;
-                region = c.region;
+                trace = c.Client.trace;
+                region = c.Client.region;
                 is_read = (match op with Types.Get _ -> true | _ -> false);
                 started_us = started;
                 latency_us = latency;
@@ -332,21 +290,11 @@ let run cfg =
     in
     (* The completion callback only fires from scheduled events, after
        [submit] has returned the command id into the client record. *)
-    c.trace <- trace
+    c.Client.trace <- trace
   in
   for region = 0 to regions - 1 do
     for _ = 1 to cfg.workload.Workload.clients_per_region do
-      let c =
-        {
-          region;
-          cur_op = Types.Get { key = 0 };
-          started_us = 0;
-          gen = 0;
-          waiting = false;
-          wd_pending = false;
-          trace = -1;
-        }
-      in
+      let c = Client.create ~region in
       (* Stagger client start to avoid a synchronized burst. *)
       let jitter = Sim.Rng.int (Engine.rng engine) 100_000 in
       Engine.schedule engine ~delay:jitter (client_loop c)

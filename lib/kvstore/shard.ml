@@ -98,8 +98,6 @@ type group_run = {
   mutable retries : int;
 }
 
-let retry_timeout_us = 20_000_000
-
 let run cfg =
   let engine = Engine.create ~seed:cfg.seed () in
   let regions = List.length Topology.sites in
@@ -139,31 +137,27 @@ let run cfg =
   let wl = Workload.create ~seed:cfg.seed ~regions cfg.workload in
   let events = ref [] in
   let end_us = cfg.duration_s * 1_000_000 in
-  (* Closed-loop clients, one outstanding op each.  Every op is routed to
-     its key's owning group and submitted at that group's replica in the
-     client's own region; the protocol forwards to the group's leader. *)
-  let rec client_loop region () =
+  (* Closed-loop clients, one outstanding op each, retry on timeout.
+     Every op is routed to its key's owning group and submitted at that
+     group's replica in the client's own region; the protocol forwards to
+     the group's leader. *)
+  let group_of_op op = groups.(group_of_key (Types.key_of op)) in
+  let rec client_loop c () =
     if Engine.now engine < end_us then begin
-      let op = Workload.next_op wl ~region in
-      attempt region op
+      let op = Workload.next_op wl ~region:c.Client.region in
+      attempt c op
     end
-  and attempt region op =
-    let g = groups.(group_of_key (Types.key_of op)) in
-    let started = Engine.now engine in
-    let finished = ref false in
-    let timeout =
-      Engine.schedule_cancellable engine ~delay:retry_timeout_us (fun () ->
-          if not !finished then begin
-            finished := true;
-            g.retries <- g.retries + 1;
-            if Engine.now engine < end_us then attempt region op
-          end)
-    in
+  and on_timeout c =
+    let g = group_of_op c.Client.cur_op in
+    g.retries <- g.retries + 1;
+    if Engine.now engine < end_us then attempt c c.Client.cur_op
+  and attempt c op =
+    let g = group_of_op op in
+    let gen = Client.attempt engine c op ~on_timeout in
+    let started = c.Client.started_us in
     ignore
-      (g.inst.Harness.submit ~node:region op (fun reply ->
-           if not !finished then begin
-             finished := true;
-             Engine.cancel timeout;
+      (g.inst.Harness.submit ~node:c.Client.region op (fun reply ->
+           if Client.accept c ~gen then begin
              let now = Engine.now engine in
              let latency = now - started in
              g.ops <- g.ops + 1;
@@ -179,13 +173,14 @@ let run cfg =
                  events :=
                    Lin_check.Write_complete { write_id; key; at_us = now }
                    :: !events);
-             client_loop region ()
+             client_loop c ()
            end))
   in
   for region = 0 to regions - 1 do
     for _ = 1 to cfg.workload.Workload.clients_per_region do
+      let c = Client.create ~region in
       let jitter = Sim.Rng.int (Engine.rng engine) 100_000 in
-      Engine.schedule engine ~delay:jitter (client_loop region)
+      Engine.schedule engine ~delay:jitter (client_loop c)
     done
   done;
   Engine.run engine ~until:end_us;

@@ -264,6 +264,78 @@ let test_pql_lease_expiry_unblocks_writes () =
     true
     (!done_at > 500_000)
 
+(* Every ack that reaches a leader while a lease holder lags finds commit
+   blocked; the leader must keep one armed re-check for that, not one per
+   ack, or the event queue grows with the run. *)
+let test_pql_pending_events_bounded () =
+  let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
+  let rng = Sim.Rng.create 7L in
+  let end_us = 10_000_000 in
+  let writes = ref 0 in
+  let rec client node () =
+    if Engine.now engine < end_us then begin
+      let key = Sim.Rng.int rng 1000 in
+      let op =
+        if Sim.Rng.int rng 10 = 0 then begin
+          incr writes;
+          put ~key !writes
+        end
+        else Types.Get { key }
+      in
+      Raft.submit t ~node op (fun _ -> client node ())
+    end
+  in
+  for node = 0 to 4 do
+    for _ = 1 to 20 do
+      client node ()
+    done
+  done;
+  let peak = ref 0 in
+  let rec sample () =
+    peak := max !peak (Engine.pending engine);
+    if Engine.now engine < end_us then Engine.schedule engine ~delay:10_000 sample
+  in
+  sample ();
+  Engine.run engine ~until:end_us;
+  Alcotest.(check bool) "writes were issued" true (!writes > 100);
+  Alcotest.(check bool)
+    (Fmt.str "pending peak %d below 2000" !peak)
+    true (!peak < 2000)
+
+let test_pql_holder_crash_commit_liveness () =
+  let params = Types.default_params in
+  let lease_us = params.Types.lease_duration_us
+  and renew_us = params.Types.lease_renew_us in
+  let engine, net, t = mk (Raft.raft_pql ~leader:0 ()) in
+  run_and_wait engine ~ms:1000;
+  let crashed_at = Engine.now engine in
+  Raft.crash t ~node:4;
+  (* One renewal period: every grantor has sent its last grant to the
+     dead holder, so no lease it holds outlives [t0 + lease_us]. *)
+  Engine.run engine ~until:(crashed_at + renew_us);
+  let t0 = Engine.now engine in
+  let done_at = ref (-1) in
+  Raft.submit t ~node:0 (put 1) (fun _ -> done_at := Engine.now engine);
+  run_and_wait engine ~ms:500;
+  Alcotest.(check int) "blocked on the dead holder" (-1) !done_at;
+  (* The write's majority acks are in.  Cut the leader off so no later
+     ack re-runs the commit check: only the armed retry can unblock it. *)
+  Net.set_partition net (Some (fun a b -> a <> b && (a = 0 || b = 0)));
+  run_and_wait engine ~ms:5000;
+  Alcotest.(check bool) "write commits" true (!done_at > 0);
+  (* The last grant the holder confirmed is at most one renewal period
+     older than the crash. *)
+  Alcotest.(check bool)
+    (Fmt.str "blocked until the holder's lease expired (%dms after crash)"
+       ((!done_at - crashed_at) / 1000))
+    true
+    (!done_at > crashed_at + lease_us - renew_us);
+  Alcotest.(check bool)
+    (Fmt.str "committed within a lease plus a heartbeat (%dms)"
+       ((!done_at - t0) / 1000))
+    true
+    (!done_at - t0 <= lease_us + params.Types.heartbeat_interval_us)
+
 (* ---- consistency across random schedules (property) ---- *)
 
 let prop_no_stale_reads =
@@ -313,6 +385,10 @@ let () =
           Alcotest.test_case "PQL read waits" `Quick test_pql_read_waits_for_conflicting_write;
           Alcotest.test_case "PQL write waits" `Quick test_pql_write_waits_for_all_holders;
           Alcotest.test_case "PQL lease expiry" `Quick test_pql_lease_expiry_unblocks_writes;
+          Alcotest.test_case "PQL pending events bounded" `Quick
+            test_pql_pending_events_bounded;
+          Alcotest.test_case "PQL holder crash liveness" `Quick
+            test_pql_holder_crash_commit_liveness;
         ] );
       ( "consistency",
         List.map QCheck_alcotest.to_alcotest [ prop_no_stale_reads ] );
