@@ -508,28 +508,20 @@ and advance_commit t srv =
    retry that fires before the lease expires.  One armed timer per
    server serves them all: it is replaced only by a strictly earlier
    request, and firing clears it before re-checking, so a still-blocked
-   commit arms the next one. *)
+   commit arms the next one.  The model checker sees the same single
+   timer: its fingerprint lists each held timer with its time, which is
+   [commit_retry_at]. *)
 and arm_commit_retry t srv ~at =
-  let delay = at - Engine.now t.engine in
-  if Engine.is_manual t.engine then
-    (* Model-checking mode: as with election-timer resets, each request
-       stays its own explicit choice, so the explored state space is
-       independent of this simulation-cost optimisation. *)
-    Engine.schedule t.engine ~node:srv.id ~label:"commit-retry" ~delay
-      (commit_recheck t srv)
-  else if srv.commit_retry = None || at < srv.commit_retry_at then begin
+  if srv.commit_retry = None || at < srv.commit_retry_at then begin
     Option.iter Engine.cancel srv.commit_retry;
     srv.commit_retry_at <- at;
     srv.commit_retry <-
       Some
         (Engine.schedule_cancellable t.engine ~node:srv.id
-           ~label:"commit-retry" ~delay (fun () ->
+           ~label:"commit-retry" ~delay:(at - Engine.now t.engine) (fun () ->
              srv.commit_retry <- None;
-             commit_recheck t srv ()))
+             if srv.role = Leader && not srv.down then advance_commit t srv))
   end
-
-and commit_recheck t srv () =
-  if srv.role = Leader && not srv.down then advance_commit t srv
 
 (* ---- client operations ---- *)
 

@@ -24,6 +24,12 @@ let create ~region =
     trace = -1;
   }
 
+let region c = c.region
+let cur_op c = c.cur_op
+let started_us c = c.started_us
+let trace c = c.trace
+let set_trace c id = c.trace <- id
+
 (* The retry deadline is enforced by a single lazily re-armed watchdog
    per client rather than a cancellable timer per op: a per-op timer
    leaves one dead 20 s entry in the event heap per completed op, which

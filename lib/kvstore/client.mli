@@ -3,19 +3,23 @@
     {!Shard}; the retry deadline is kept by one lazily re-armed watchdog
     event per client, never a timer per op. *)
 
-type t = {
-  region : int;  (** the client's region, which is also its entry replica *)
-  mutable cur_op : Raftpax_consensus.Types.op;
-  mutable started_us : int;  (** submission time of the current attempt *)
-  mutable gen : int;
-      (** attempt counter: a completion carrying an older generation
-          arrived after the watchdog abandoned its attempt *)
-  mutable waiting : bool;  (** the current attempt is unanswered *)
-  mutable wd_pending : bool;  (** a watchdog event is scheduled *)
-  mutable trace : int;  (** command id of the current attempt *)
-}
+type t
 
 val create : region:int -> t
+
+val region : t -> int
+(** The client's region, which is also its entry replica. *)
+
+val cur_op : t -> Raftpax_consensus.Types.op
+(** The op of the latest attempt. *)
+
+val started_us : t -> int
+(** Submission time of the latest attempt. *)
+
+val trace : t -> int
+(** Command id of the latest attempt, as recorded by {!set_trace}. *)
+
+val set_trace : t -> int -> unit
 
 val attempt :
   Raftpax_sim.Engine.t ->

@@ -244,26 +244,27 @@ let run cfg =
   (* Closed-loop clients: one outstanding op each, retry on timeout. *)
   let rec client_loop c () =
     if Engine.now engine < end_us then begin
-      let op = Workload.next_op wl ~region:c.Client.region in
+      let op = Workload.next_op wl ~region:(Client.region c) in
       attempt c op
     end
   and on_timeout c =
     incr retries;
-    if Engine.now engine < end_us then attempt c c.Client.cur_op
+    if Engine.now engine < end_us then attempt c (Client.cur_op c)
   and attempt c op =
     let gen = Client.attempt engine c op ~on_timeout in
-    let started = c.Client.started_us in
+    let started = Client.started_us c in
+    let region = Client.region c in
     let trace =
-      inst.submit ~node:c.Client.region op (fun reply ->
+      inst.submit ~node:region op (fun reply ->
         if Client.accept c ~gen then begin
           let now = Engine.now engine in
           let latency = now - started in
-          let at_leader = c.Client.region = leader in
+          let at_leader = region = leader in
           if cfg.tracing then
             requests :=
               {
-                trace = c.Client.trace;
-                region = c.Client.region;
+                trace = Client.trace c;
+                region;
                 is_read = (match op with Types.Get _ -> true | _ -> false);
                 started_us = started;
                 latency_us = latency;
@@ -290,7 +291,7 @@ let run cfg =
     in
     (* The completion callback only fires from scheduled events, after
        [submit] has returned the command id into the client record. *)
-    c.Client.trace <- trace
+    Client.set_trace c trace
   in
   for region = 0 to regions - 1 do
     for _ = 1 to cfg.workload.Workload.clients_per_region do

@@ -144,19 +144,20 @@ let run cfg =
   let group_of_op op = groups.(group_of_key (Types.key_of op)) in
   let rec client_loop c () =
     if Engine.now engine < end_us then begin
-      let op = Workload.next_op wl ~region:c.Client.region in
+      let op = Workload.next_op wl ~region:(Client.region c) in
       attempt c op
     end
   and on_timeout c =
-    let g = group_of_op c.Client.cur_op in
+    let op = Client.cur_op c in
+    let g = group_of_op op in
     g.retries <- g.retries + 1;
-    if Engine.now engine < end_us then attempt c c.Client.cur_op
+    if Engine.now engine < end_us then attempt c op
   and attempt c op =
     let g = group_of_op op in
     let gen = Client.attempt engine c op ~on_timeout in
-    let started = c.Client.started_us in
+    let started = Client.started_us c in
     ignore
-      (g.inst.Harness.submit ~node:c.Client.region op (fun reply ->
+      (g.inst.Harness.submit ~node:(Client.region c) op (fun reply ->
            if Client.accept c ~gen then begin
              let now = Engine.now engine in
              let latency = now - started in
