@@ -751,11 +751,11 @@ let create ?(telemetry = Telemetry.disabled) config net =
           next_own = id;
           known_frontier = 0;
           commit_frontier = 0;
-          acks = Hashtbl.create 1024;
+          acks = Hashtbl.create 16;
           revocations = Hashtbl.create 8;
           promised = Hashtbl.create 8;
-          store = Hashtbl.create 1024;
-          key_writes = Hashtbl.create 1024;
+          store = Hashtbl.create 16;
+          key_writes = Hashtbl.create 16;
           applied = 0;
           waiting = [];
           recovering = false;
@@ -775,7 +775,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
     engine;
     n;
     servers;
-    completions = Hashtbl.create 4096;
+    completions = Hashtbl.create 16;
     next_cmd_id = 0;
     cmd_id_stride = 1;
     wire = None;

@@ -599,12 +599,12 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           insts = Vec.create ();
           next_inst = 0;
           executed = 0;
-          store = Hashtbl.create 1024;
+          store = Hashtbl.create 16;
           prepare_oks = Hashtbl.create 8;
           gathered = Vec.create ();
-          accept_oks = Hashtbl.create 1024;
-          waiters = Hashtbl.create 1024;
-          proposed_cmds = Hashtbl.create 1024;
+          accept_oks = Hashtbl.create 16;
+          waiters = Hashtbl.create 16;
+          proposed_cmds = Hashtbl.create 16;
           pending_batch = [];
           pending_count = 0;
           flush_pending = false;
@@ -622,7 +622,7 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
       engine;
       n;
       servers;
-      completions = Hashtbl.create 4096;
+      completions = Hashtbl.create 16;
       next_cmd_id = 0;
       cmd_id_stride = 1;
       wire = None;

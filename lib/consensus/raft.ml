@@ -1044,9 +1044,9 @@ let create ?(telemetry = Telemetry.disabled) config net =
           log = Vec.create ();
           commit_index = -1;
           last_applied = -1;
-          store = Hashtbl.create 1024;
-          key_last_write = Hashtbl.create 1024;
-          appended_cmds = Hashtbl.create 1024;
+          store = Hashtbl.create 16;
+          key_last_write = Hashtbl.create 16;
+          appended_cmds = Hashtbl.create 16;
           next_index = Array.make n 0;
           match_index = Array.make n (-1);
           inflight = Array.make n 0;
@@ -1082,7 +1082,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
       engine;
       n;
       servers;
-      completions = Hashtbl.create 4096;
+      completions = Hashtbl.create 16;
       next_cmd_id = 0;
       cmd_id_stride = 1;
       wire = None;

@@ -9,7 +9,19 @@ type event = {
   label : string;
 }
 
-(* Binary min-heap on (time, seq).
+(* 4-ary min-heap on (time, seq), keys unboxed beside the events.
+
+   The keys live in two [int] arrays next to the [event] array
+   (structure of arrays), so a sift compares plain ints in cache lines
+   of its own instead of dereferencing two event records scattered
+   across the major heap.  Four children per node halve the depth of a
+   binary heap; the four keys a level compares sit side by side.  Sifts
+   carry the moving entry in locals and shift the others into the
+   hole it leaves, writing each slot once instead of swapping.
+
+   Keys are unique ([seq] is a global counter), so the pop order is the
+   strict (time, seq) order whatever the arity or layout: no run depends
+   on how the heap is arranged.
 
    Cancelled events are removed lazily — normally when their time comes —
    but a far-future cancelled timer (a client retry deadline, an election
@@ -17,36 +29,82 @@ type event = {
    whole nominal delay.  At fig9 rates that grows the heap to the total
    op count and every push/pop sifts through a cold multi-thousand-entry
    array.  [maybe_sweep] compacts the dead entries away with an amortized
-   O(1)-per-push bound, keeping the heap at live size. *)
+   O(1)-per-push bound, keeping the heap at live size.  Its trigger
+   counts pushes and its threshold counts entries, neither depends on
+   the layout, so [pending] reads the same at every point of a run. *)
 module Heap = struct
   type t = {
-    mutable a : event array;
+    mutable time : int array;
+    mutable seq : int array;
+    mutable ev : event array;
     mutable len : int;
     mutable pushes_since_sweep : int;
   }
 
   let dummy =
     { time = 0; seq = 0; run = ignore; dead = true; node = -1; label = "" }
-  let create () = { a = Array.make 256 dummy; len = 0; pushes_since_sweep = 0 }
 
-  let less x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
+  (* Small to start: an engine is built per cluster, and a few early
+     doublings cost less than three large arrays in every construction. *)
+  let create () =
+    {
+      time = Array.make 64 0;
+      seq = Array.make 64 0;
+      ev = Array.make 64 dummy;
+      len = 0;
+      pushes_since_sweep = 0;
+    }
 
-  let sift_down h i =
-    let i = ref i in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && less h.a.(l) h.a.(!smallest) then smallest := l;
-      if r < h.len && less h.a.(r) h.a.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !smallest
+  (* Fill the hole at [i] with (t, s, e), moving it towards the root past
+     every larger parent. *)
+  let[@perf.hot] sift_up h i t s e =
+    let i = ref i and moving = ref true in
+    while !moving && !i > 0 do
+      let p = (!i - 1) lsr 2 in
+      let pt = h.time.(p) in
+      if t < pt || (t = pt && s < h.seq.(p)) then begin
+        h.time.(!i) <- pt;
+        h.seq.(!i) <- h.seq.(p);
+        h.ev.(!i) <- h.ev.(p);
+        i := p
       end
-      else continue := false
-    done
+      else moving := false
+    done;
+    h.time.(!i) <- t;
+    h.seq.(!i) <- s;
+    h.ev.(!i) <- e
+
+  (* Fill the hole at [i] with (t, s, e), moving it towards the leaves
+     past every smaller child. *)
+  let[@perf.hot] sift_down h i t s e =
+    let i = ref i and moving = ref true in
+    while !moving do
+      let c = (4 * !i) + 1 in
+      if c >= h.len then moving := false
+      else begin
+        let last = if c + 3 < h.len then c + 3 else h.len - 1 in
+        let m = ref c in
+        let mt = ref h.time.(c) and ms = ref h.seq.(c) in
+        for j = c + 1 to last do
+          let jt = h.time.(j) in
+          if jt < !mt || (jt = !mt && h.seq.(j) < !ms) then begin
+            m := j;
+            mt := jt;
+            ms := h.seq.(j)
+          end
+        done;
+        if !mt < t || (!mt = t && !ms < s) then begin
+          h.time.(!i) <- !mt;
+          h.seq.(!i) <- !ms;
+          h.ev.(!i) <- h.ev.(!m);
+          i := !m
+        end
+        else moving := false
+      end
+    done;
+    h.time.(!i) <- t;
+    h.seq.(!i) <- s;
+    h.ev.(!i) <- e
 
   (* Every [max 1024 len] pushes, count the dead entries; if they are at
      least a quarter of the heap, drop them and re-heapify (bottom-up,
@@ -55,63 +113,57 @@ module Heap = struct
      depends only on the heap contents — determinism is untouched. *)
   let maybe_sweep h =
     h.pushes_since_sweep <- h.pushes_since_sweep + 1;
-    if h.pushes_since_sweep >= max 1024 h.len then begin
+    if h.pushes_since_sweep >= Int.max 1024 h.len then begin
       h.pushes_since_sweep <- 0;
       let dead = ref 0 in
       for i = 0 to h.len - 1 do
-        if h.a.(i).dead then incr dead
+        if h.ev.(i).dead then incr dead
       done;
       if !dead * 4 >= h.len then begin
         let live = ref 0 in
         for i = 0 to h.len - 1 do
-          if not h.a.(i).dead then begin
-            h.a.(!live) <- h.a.(i);
+          if not h.ev.(i).dead then begin
+            h.time.(!live) <- h.time.(i);
+            h.seq.(!live) <- h.seq.(i);
+            h.ev.(!live) <- h.ev.(i);
             incr live
           end
         done;
-        for i = !live to h.len - 1 do
-          h.a.(i) <- dummy
-        done;
+        Array.fill h.ev !live (h.len - !live) dummy;
         h.len <- !live;
-        for i = (h.len / 2) - 1 downto 0 do
-          sift_down h i
+        for i = (h.len - 2) / 4 downto 0 do
+          sift_down h i h.time.(i) h.seq.(i) h.ev.(i)
         done
       end
     end
 
-  let push h e =
+  let[@perf.hot] push h (e : event) =
     maybe_sweep h;
-    if h.len = Array.length h.a then begin
-      let a' = Array.make (2 * h.len) dummy in
-      Array.blit h.a 0 a' 0 h.len;
-      h.a <- a'
+    if h.len = Array.length h.ev then begin
+      (* Doubling growth: the copies amortise to O(1) per push. *)
+      let cap = 2 * h.len in
+      let time = (Array.make cap 0 [@perf.allow "alloc-in-handler"])
+      and seq = (Array.make cap 0 [@perf.allow "alloc-in-handler"])
+      and ev = (Array.make cap dummy [@perf.allow "alloc-in-handler"]) in
+      Array.blit h.time 0 time 0 h.len;
+      Array.blit h.seq 0 seq 0 h.len;
+      Array.blit h.ev 0 ev 0 h.len;
+      h.time <- time;
+      h.seq <- seq;
+      h.ev <- ev
     end;
-    h.a.(h.len) <- e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      less h.a.(!i) h.a.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
+    sift_up h (h.len - 1) e.time e.seq e
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.len <- h.len - 1;
-      h.a.(0) <- h.a.(h.len);
-      h.a.(h.len) <- dummy;
-      sift_down h 0;
-      Some top
-    end
+  (* The earliest event; the heap must be non-empty. *)
+  let[@perf.hot] pop_min h =
+    let top = h.ev.(0) in
+    let n = h.len - 1 in
+    h.len <- n;
+    let e = h.ev.(n) in
+    h.ev.(n) <- dummy;
+    if n > 0 then sift_down h 0 h.time.(n) h.seq.(n) e;
+    top
 end
 
 type t = {
@@ -209,41 +261,34 @@ let event_node e = e.node
 let event_label e = e.label
 let event_time e = e.time
 
+(* Run one popped event.  A cancelled one still moves the clock to its
+   time. *)
+let fire t e =
+  t.clock <- e.time;
+  if not e.dead then begin
+    t.executed <- t.executed + 1;
+    e.run ()
+  end
+
+(* The root's key is read in place: a late event is never popped, so
+   stopping at [until] leaves the heap untouched. *)
 let[@perf.hot] run t ~until =
-  let continue = ref true in
-  while !continue do
-    match Heap.pop t.heap with
-    | None -> continue := false
-    | Some e when e.time > until ->
-        (* Put it back conceptually: since we popped it, re-push. *)
-        Heap.push t.heap e;
-        continue := false
-    | Some e ->
-        t.clock <- e.time;
-        if not e.dead then begin
-          t.executed <- t.executed + 1;
-          e.run ()
-        end
+  let h = t.heap in
+  while h.Heap.len > 0 && h.Heap.time.(0) <= until do
+    fire t (Heap.pop_min h)
   done;
   if t.clock < until then t.clock <- until
 
 let run_all t =
-  let continue = ref true in
-  while !continue do
-    match Heap.pop t.heap with
-    | None -> continue := false
-    | Some e ->
-        t.clock <- e.time;
-        if not e.dead then begin
-          t.executed <- t.executed + 1;
-          e.run ()
-        end
+  let h = t.heap in
+  while h.Heap.len > 0 do
+    fire t (Heap.pop_min h)
   done
 
 let pending t = t.heap.Heap.len
 let events_executed t = t.executed
 
 let next_deadline t =
-  if t.heap.Heap.len = 0 then None else Some t.heap.Heap.a.(0).time
+  if t.heap.Heap.len = 0 then None else Some t.heap.Heap.time.(0)
 let ms x = x * 1000
 let us_to_ms us = float_of_int us /. 1000.0

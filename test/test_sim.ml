@@ -55,6 +55,206 @@ let test_nested_scheduling () =
   Engine.run_all e;
   Alcotest.(check (list int)) "nested times" [ 10; 15 ] (List.rev !log)
 
+(* ---- engine against a reference model ---- *)
+
+(* The reference queue: a list kept stably sorted by time, so in
+   (time, seq) order since seq is insertion order.  Cancelled entries
+   stay queued until popped, and a push first drops them by the
+   engine's documented sweep rule (every [max 1024 len] pushes, when at
+   least a quarter are cancelled), so [pending] is compared exactly. *)
+module Model = struct
+  type entry = { time : int; id : int; fire : unit -> unit }
+
+  type t = {
+    mutable clock : int;
+    mutable queue : entry list;
+    mutable pushes : int;
+    mutable sweeps : int;  (* sweeps that dropped at least one entry *)
+    mutable peak : int;  (* most entries queued at once *)
+    cancelled : (int, unit) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      clock = 0;
+      queue = [];
+      pushes = 0;
+      sweeps = 0;
+      peak = 0;
+      cancelled = Hashtbl.create 64;
+    }
+
+  let live m e = not (Hashtbl.mem m.cancelled e.id)
+
+  let schedule m ~delay id fire =
+    m.pushes <- m.pushes + 1;
+    let len = List.length m.queue in
+    if m.pushes >= max 1024 len then begin
+      m.pushes <- 0;
+      let live_q = List.filter (live m) m.queue in
+      let dead = len - List.length live_q in
+      if dead * 4 >= len then begin
+        m.queue <- live_q;
+        if dead > 0 then m.sweeps <- m.sweeps + 1
+      end
+    end;
+    let e = { time = m.clock + delay; id; fire } in
+    let rec insert = function
+      | x :: rest when x.time <= e.time -> x :: insert rest
+      | rest -> e :: rest
+    in
+    m.queue <- insert m.queue;
+    m.peak <- max m.peak (List.length m.queue)
+
+  let rec run m ~until =
+    match m.queue with
+    | e :: rest when e.time <= until ->
+        m.queue <- rest;
+        m.clock <- e.time;
+        if live m e then e.fire ();
+        run m ~until
+    | _ -> if m.clock < until then m.clock <- until
+end
+
+(* One interface over both queues, so a single script drives each. *)
+type world = {
+  schedule : delay:int -> int -> (unit -> unit) -> unit;
+  cancel : int -> unit;
+  run : until:int -> unit;
+  now : unit -> int;
+  pending : unit -> int;
+  next_deadline : unit -> int option;
+}
+
+let engine_world () =
+  let e = Engine.create () in
+  let timers = Hashtbl.create 64 in
+  {
+    schedule =
+      (fun ~delay id f ->
+        Hashtbl.replace timers id (Engine.schedule_cancellable e ~delay f));
+    cancel = (fun id -> Option.iter Engine.cancel (Hashtbl.find_opt timers id));
+    run = (fun ~until -> Engine.run e ~until);
+    now = (fun () -> Engine.now e);
+    pending = (fun () -> Engine.pending e);
+    next_deadline = (fun () -> Engine.next_deadline e);
+  }
+
+let model_world () =
+  let m = Model.create () in
+  ( {
+      schedule = (fun ~delay id f -> Model.schedule m ~delay id f);
+      cancel = (fun id -> Hashtbl.replace m.Model.cancelled id ());
+      run = (fun ~until -> Model.run m ~until);
+      now = (fun () -> m.Model.clock);
+      pending = (fun () -> List.length m.Model.queue);
+      next_deadline =
+        (fun () ->
+          match m.Model.queue with [] -> None | e :: _ -> Some e.Model.time);
+    },
+    m )
+
+(* A seeded script of at least [min_pushes] schedules: bursts from
+   outside (hundreds at once, so the engine outgrows its initial
+   capacity), delays drawn to collide often at one instant or to sit
+   far in the future, events that schedule children (0.8 on average, so
+   the drain ends) and cancel earlier ids when they fire, and
+   [run ~until] at random boundaries, a third of them exactly on the
+   earliest queued time.  Returns what it observed: [pending]
+   after every push, each firing with its clock, and after every run
+   the clock, [pending] and [next_deadline]. *)
+let script ~seed ~min_pushes w =
+  let obs = ref [] in
+  let note x = obs := x :: !obs in
+  let outside = Random.State.make [| seed |] in
+  let next_id = ref 0 in
+  let delay r =
+    match Random.State.int r 4 with
+    | 0 -> 0
+    | 1 -> Random.State.int r 3
+    | 2 -> Random.State.int r 1_000
+    | _ -> 10_000 + Random.State.int r 100_000
+  in
+  let rec spawn r =
+    let id = !next_id in
+    incr next_id;
+    w.schedule ~delay:(delay r) id (fire id);
+    note (w.pending ())
+  and fire id () =
+    note id;
+    note (w.now ());
+    let r = Random.State.make [| seed; id |] in
+    let children =
+      match Random.State.int r 5 with 0 | 1 -> 0 | 2 | 3 -> 1 | _ -> 2
+    in
+    for _ = 1 to children do
+      spawn r
+    done;
+    if Random.State.int r 3 = 0 then w.cancel (Random.State.int r !next_id)
+  in
+  while !next_id < min_pushes do
+    for _ = 1 to Random.State.int outside 400 do
+      spawn outside
+    done;
+    for _ = 1 to Random.State.int outside 200 do
+      w.cancel (Random.State.int outside (max 1 !next_id))
+    done;
+    let until =
+      match (Random.State.int outside 3, w.next_deadline ()) with
+      | 0, Some d -> d (* stop exactly on a queued event's time *)
+      | _ -> w.now () + Random.State.int outside 50_000
+    in
+    w.run ~until;
+    note (w.now ());
+    note (w.pending ());
+    note (Option.value ~default:(-1) (w.next_deadline ()))
+  done;
+  w.run ~until:max_int;
+  note (w.pending ());
+  List.rev !obs
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine matches a sorted-list model" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let got = script ~seed ~min_pushes:3000 (engine_world ()) in
+      let want = script ~seed ~min_pushes:3000 (fst (model_world ())) in
+      let rec check i = function
+        | a :: x, b :: y -> if a = b then check (i + 1) (x, y) else Some (i, a, b)
+        | [], b :: _ -> Some (i, min_int, b)
+        | a :: _, [] -> Some (i, a, min_int)
+        | [], [] -> None
+      in
+      match check 0 (got, want) with
+      | None -> true
+      | Some (i, a, b) ->
+          QCheck.Test.fail_reportf "observation %d: engine %d, model %d" i a b)
+
+let test_model_covers_sweep () =
+  (* The property proves only what its scripts reach: check they reach
+     growth well past the initial 64 slots and a sweep that drops
+     entries. *)
+  let w, m = model_world () in
+  ignore (script ~seed:1 ~min_pushes:3000 w);
+  Alcotest.(check bool) "grows past 256 pending" true (m.Model.peak > 256);
+  Alcotest.(check bool) "a sweep drops cancelled entries" true (m.Model.sweeps > 0)
+
+let test_sweep_to_live_count () =
+  let e = Engine.create () in
+  let timers =
+    List.init 1000 (fun _ -> Engine.schedule_cancellable e ~delay:1_000_000 ignore)
+  in
+  List.iteri (fun i t -> if i < 600 then Engine.cancel t) timers;
+  for _ = 1 to 23 do
+    Engine.schedule e ~delay:5 ignore
+  done;
+  Alcotest.(check int) "cancelled entries still queued" 1023 (Engine.pending e);
+  (* the 1024th push sweeps: 600 of 1023 are dead, more than a quarter *)
+  Engine.schedule e ~delay:5 ignore;
+  Alcotest.(check int) "pending is the live count" 424 (Engine.pending e);
+  Alcotest.(check (option int)) "earliest live deadline" (Some 5)
+    (Engine.next_deadline e)
+
 (* ---- rng ---- *)
 
 let test_rng_deterministic () =
@@ -290,6 +490,10 @@ let () =
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "cancellation" `Quick test_cancellation;
           Alcotest.test_case "nested" `Quick test_nested_scheduling;
+          Alcotest.test_case "sweep to live count" `Quick test_sweep_to_live_count;
+          Alcotest.test_case "model scripts reach sweep" `Quick
+            test_model_covers_sweep;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
