@@ -31,6 +31,22 @@ type revocation = { seen : bool array; mutable found : Types.cmd option }
 (* per-sender, so duplicate deliveries under fault injection cannot
    double-count toward the majority *)
 
+(* A replica's own ops awaiting their reply, in ascending slot order: the
+   live entries are [[head, tail)] of two parallel arrays.  Own turns are
+   claimed in increasing order, so pushing at the tail keeps the order.
+   Every entry still holds its slot: a revoked op is evicted where its
+   slot is overwritten with a skip. *)
+type waiting = {
+  mutable w_inst : int array;
+  mutable w_cmd : Types.cmd array;
+  mutable head : int;
+  mutable tail : int;
+}
+
+(* Filler for the unused cells of [w_cmd]; never read. *)
+let no_cmd =
+  { Types.id = -1; op = Types.Get { key = 0 }; origin = -1; submitted_us = 0 }
+
 type msg =
   | MAppend of { from : int; inst : int; cmd : Types.cmd }
   | MAck of { from : int; inst : int }
@@ -112,7 +128,7 @@ type server = {
       (** slots known to carry a write of each key — what a commutative
           read must see applied before replying early *)
   mutable applied : int;  (** slots < this applied to [store] *)
-  mutable waiting : (int * Types.cmd) list;  (** (slot, cmd) awaiting reply *)
+  waiting : waiting;  (** own ops awaiting their reply, by slot *)
   mutable recovering : bool;
   mutable buffered : Types.cmd list;  (** submissions queued during recovery *)
   (* command batching (batch_size > 1 only): own turns claimed but whose
@@ -225,6 +241,68 @@ let owner t inst = inst mod t.n
 
 let conflicting (cmd : Types.cmd) = Types.key_of cmd.op = hot_key
 
+(* ---- the reply-pending queue ---- *)
+
+let[@perf.hot] push_waiting q inst cmd =
+  if q.tail = Array.length q.w_inst then begin
+    let live = q.tail - q.head in
+    if q.tail = 0 || 2 * live > q.tail then begin
+      (* Doubling growth, only once live entries fill more than half the
+         array: the copy amortises to O(1) per push. *)
+      let cap = max 16 (2 * q.tail) in
+      let w_inst = (Array.make cap 0 [@perf.allow "alloc-in-handler"])
+      and w_cmd = (Array.make cap no_cmd [@perf.allow "alloc-in-handler"]) in
+      Array.blit q.w_inst q.head w_inst 0 live;
+      Array.blit q.w_cmd q.head w_cmd 0 live;
+      q.w_inst <- w_inst;
+      q.w_cmd <- w_cmd
+    end
+    else begin
+      (* Otherwise slide the live entries down to the front in place. *)
+      Array.blit q.w_inst q.head q.w_inst 0 live;
+      Array.blit q.w_cmd q.head q.w_cmd 0 live
+    end;
+    q.head <- 0;
+    q.tail <- live
+  end;
+  q.w_inst.(q.tail) <- inst;
+  q.w_cmd.(q.tail) <- cmd;
+  q.tail <- q.tail + 1
+
+(* Drop the op waiting on own slot [inst], if any: its slot was just
+   overwritten with a skip, so it must never be acknowledged — the client
+   retries it as a fresh op. *)
+let evict_waiting q inst =
+  let lo = ref q.head and hi = ref q.tail in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if q.w_inst.(mid) < inst then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo in
+  if i < q.tail && q.w_inst.(i) = inst then begin
+    Array.blit q.w_inst q.head q.w_inst (q.head + 1) (i - q.head);
+    Array.blit q.w_cmd q.head q.w_cmd (q.head + 1) (i - q.head);
+    q.head <- q.head + 1
+  end
+
+(* A revocation's final decision: slot [inst] is a committed skip. *)
+let force_skip srv inst =
+  Vec.set srv.slots inst Skip;
+  Vec.set srv.committed inst true;
+  evict_waiting srv.waiting inst
+
+(* Whether the op waiting on slot [inst] may reply.  Either branch needs
+   [inst < known_frontier] ([commit_frontier <= known_frontier]). *)
+let entry_ready srv inst (cmd : Types.cmd) =
+  if conflicting cmd then srv.commit_frontier > inst
+  else
+    is_committed srv inst
+    && srv.known_frontier > inst
+    &&
+    match cmd.op with
+    | Types.Get { key } -> commutative_read_safe srv ~key ~inst
+    | Types.Put _ -> true
+
 (* [rename] is the checker's symmetry renaming.  Note Mencius slot
    ownership is positional ([owner t inst = inst mod n]), so node ids are
    load-bearing in slot numbers themselves; symmetry scopes therefore
@@ -322,38 +400,24 @@ and advance_frontiers t srv =
   done;
   try_reply t srv
 
-and try_reply t srv =
-  (* A waiting op whose slot no longer holds it was revoked into a skip:
-     never acknowledge it — the client will retry as a fresh op. *)
-  let still_ours (inst, (cmd : Types.cmd)) =
-    match slot srv inst with
-    | Value held -> held.Types.id = cmd.Types.id
-    | Skip | Unknown -> false
-  in
-  let entry_ready (inst, (cmd : Types.cmd)) =
-    if conflicting cmd then srv.commit_frontier > inst
-    else
-      is_committed srv inst
-      && srv.known_frontier > inst
-      &&
-      match cmd.op with
-      | Types.Get { key } -> commutative_read_safe srv ~key ~inst
-      | Types.Put _ -> true
-  in
-  (* This runs after every message; most deliveries ready nothing, so
-     check without allocating before rebuilding the waiting list. *)
-  if
-    srv.waiting <> []
-    && List.exists
-         (fun e -> (not (still_ours e)) || entry_ready e)
-         srv.waiting
-  then begin
-    let ready, waiting =
-      List.partition entry_ready (List.filter still_ours srv.waiting)
-    in
-    srv.waiting <- waiting;
-    List.iter
-      (fun (inst, (cmd : Types.cmd)) ->
+and[@perf.hot] try_reply t srv =
+  (* This runs after every message.  Only an op below [known_frontier]
+     can be ready, so most deliveries stop at the head; otherwise walk
+     that prefix newest-first, reply to each ready op and slide the rest
+     up against the untouched suffix.  Replies leave in descending slot
+     order, and [entry_ready] (which prunes [key_writes]) runs on every op
+     in the prefix.  Replying mid-walk is safe: [send] never delivers
+     synchronously, and readiness reads nothing a send writes. *)
+  let q = srv.waiting in
+  if q.head < q.tail && q.w_inst.(q.head) < srv.known_frontier then begin
+    let stop = ref q.head in
+    while !stop < q.tail && q.w_inst.(!stop) < srv.known_frontier do
+      incr stop
+    done;
+    let keep = ref !stop in
+    for i = !stop - 1 downto q.head do
+      let inst = q.w_inst.(i) and cmd = q.w_cmd.(i) in
+      if entry_ready srv inst cmd then begin
         Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id
           ~phase:"quorum_commit" ~now:(Engine.now t.engine);
         let value =
@@ -363,12 +427,24 @@ and try_reply t srv =
                  slot order see the applied store; commutative reads see
                  their key's applied state, untouched by concurrent
                  ops. *)
-              ignore inst;
               Hashtbl.find_opt srv.store key
           | Types.Put _ -> None
         in
-        complete_at_origin t srv cmd { Types.value })
-      ready
+        complete_at_origin t srv cmd { Types.value }
+      end
+      else begin
+        decr keep;
+        if !keep <> i then begin
+          q.w_inst.(!keep) <- inst;
+          q.w_cmd.(!keep) <- cmd
+        end
+      end
+    done;
+    q.head <- !keep;
+    if q.head = q.tail then begin
+      q.head <- 0;
+      q.tail <- 0
+    end
   end
 
 (* Mark [who]'s unused turns in [[start, upto)] as skips.  Skips by the
@@ -514,8 +590,7 @@ and handle t srv msg =
                   Metrics.inc srv.pr.pr_slots_skipped;
                   Span.mark t.spans ~trace:(revoke_trace inst) ~node:srv.id
                     ~phase:"revoke_skip" ~now:(Engine.now t.engine);
-                  Vec.set srv.slots inst Skip;
-                  Vec.set srv.committed inst true;
+                  force_skip srv inst;
                   broadcast t srv (MSkipForce { inst });
                   advance_frontiers t srv
             end)
@@ -524,8 +599,7 @@ and handle t srv msg =
         (* The revocation's decision is final (see MRevStatus): even a
            slot we hold as Value becomes a skip — the promise quorum
            proves that value never reached a majority. *)
-        Vec.set srv.slots inst Skip;
-        Vec.set srv.committed inst true;
+        force_skip srv inst;
         advance_frontiers t srv
     | MCatchup { from } ->
         let slots = ref [] in
@@ -549,7 +623,7 @@ and handle t srv msg =
                we missed the deciding broadcast (force-skip or append). *)
             | Value _, true, _ when committed && not (is_committed srv inst)
               ->
-                Vec.set srv.slots inst Skip
+                force_skip srv inst
             | Skip, false, Some cmd when committed && not (is_committed srv inst)
               ->
                 set_value srv inst cmd
@@ -710,7 +784,7 @@ and claim_own_slot t srv (cmd : Types.cmd) =
   ensure srv inst;
   set_value srv inst cmd;
   Hashtbl.replace srv.acks inst (Array.make t.n false);
-  srv.waiting <- (inst, cmd) :: srv.waiting;
+  push_waiting srv.waiting inst cmd;
   Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id ~phase:"append"
     ~now:(Engine.now t.engine);
   inst
@@ -757,7 +831,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           store = Hashtbl.create 16;
           key_writes = Hashtbl.create 16;
           applied = 0;
-          waiting = [];
+          waiting = { w_inst = [||]; w_cmd = [||]; head = 0; tail = 0 };
           recovering = false;
           buffered = [];
           pending_batch = [];
@@ -915,10 +989,10 @@ let dump_state ?(rename = Fun.id) t ~node =
   add "|wt:%s"
     (String.concat ";"
        (List.sort String.compare
-          (List.map
-             (fun (i, c) ->
-               Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c))
-             srv.waiting)));
+          (List.init (srv.waiting.tail - srv.waiting.head) (fun k ->
+               let i = srv.waiting.head + k in
+               Printf.sprintf "%d:%s" srv.waiting.w_inst.(i)
+                 (Types.render_cmd ~rename srv.waiting.w_cmd.(i))))));
   add "|bf:%s"
     (String.concat ","
        (List.map (fun (c : Types.cmd) -> string_of_int c.id) srv.buffered));

@@ -118,6 +118,81 @@ let test_crash_revocation () =
   run_ms engine 30_000;
   Alcotest.(check int) "conflicting writes complete despite the dead owner" 8 !ok
 
+(* A replica claims its first turn (slot 4) while cut off, so its append
+   reaches nobody; the lowest live replica revokes the stalled slot into a
+   skip.  After the heal the owner learns the skip from a peer's state
+   transfer and must drop the op unacknowledged — it was never chosen —
+   while its next op completes normally. *)
+let test_revoked_own_op_never_acknowledged () =
+  let engine, net, t = mk () in
+  let cut a b = a <> b && (a = 4 || b = 4) in
+  Net.set_partition net (Some cut);
+  let revoked_fired = ref 0 in
+  Mencius.submit t ~node:4 (put ~key:80 800) (fun _ -> incr revoked_fired);
+  for i = 1 to 8 do
+    Mencius.submit t ~node:(i mod 4) (put ~key:(80 + i) (800 + i)) (fun _ -> ())
+  done;
+  let slot4_skipped node =
+    List.mem "4:S" (String.split_on_char ' ' (Mencius.dump_slots t ~node))
+  in
+  run_ms engine 15_000;
+  Alcotest.(check bool) "the live majority force-skipped slot 4" true
+    (slot4_skipped 0);
+  Net.set_partition net None;
+  run_ms engine 30_000;
+  Alcotest.(check bool) "the owner adopted the skip" true (slot4_skipped 4);
+  let next_fired = ref 0 in
+  Mencius.submit t ~node:4 (put ~key:89 809) (fun _ -> incr next_fired);
+  run_ms engine 30_000;
+  Alcotest.(check int) "revoked op never acknowledged" 0 !revoked_fired;
+  Alcotest.(check int) "next op completes once" 1 !next_fired;
+  Alcotest.(check (option int))
+    "next op applied" (Some 809)
+    (Mencius.applied_value t ~node:4 ~key:89)
+
+(* Many ops in flight at one replica, across reads, commutative writes
+   and the contended key: each callback fires exactly once, with the
+   waiting ops replying out of submission order as their slots ready.  A
+   first wave of 200 concurrent ops grows the reply-pending queue; a
+   second wave of 2000, kept at 16 in flight, slides it many times over. *)
+let test_concurrent_ops_reply_once ~batch_size () =
+  let engine = Engine.create ~seed:7L () in
+  let nodes = List.mapi (fun i site -> { Net.id = i; site }) Topology.sites in
+  let net = Net.create engine ~nodes in
+  let params =
+    { Types.default_params with batch_size; batch_delay_us = 2_000 }
+  in
+  let t = Mencius.create { Mencius.default_config with params } net in
+  Mencius.start t;
+  let wave = 200 and total = 2200 and window = 16 in
+  let fired = Array.make total 0 in
+  let rec submit i =
+    let op =
+      match i mod 3 with
+      | 0 -> Types.Get { key = 1 + (i mod 7) }
+      | 1 -> put ~key:(1 + (i mod 7)) (1000 + i)
+      | _ -> hot (1000 + i)
+    in
+    Mencius.submit t ~node:2 op (fun _ ->
+        fired.(i) <- fired.(i) + 1;
+        if i >= wave && i + window < total then submit (i + window))
+  in
+  for i = 0 to wave - 1 do
+    submit i
+  done;
+  (* background traffic at the other replicas keeps every frontier moving *)
+  for node = 0 to 4 do
+    if node <> 2 then
+      Mencius.submit t ~node (put ~key:(20 + node) (2000 + node)) (fun _ -> ())
+  done;
+  run_ms engine 10_000;
+  for i = wave to wave + window - 1 do
+    submit i
+  done;
+  run_ms engine 300_000;
+  let wrong = List.filter (fun i -> fired.(i) <> 1) (List.init total Fun.id) in
+  Alcotest.(check (list int)) "ops not fired exactly once" [] wrong
+
 let test_restart_rejoins () =
   let engine, _, t = mk () in
   Mencius.crash t ~node:2;
@@ -182,11 +257,17 @@ let () =
           Alcotest.test_case "conflict ordering" `Quick test_conflicting_slower_than_commutative;
           Alcotest.test_case "hot key order" `Quick test_hot_key_total_order;
           Alcotest.test_case "frontiers" `Quick test_frontiers_monotone_and_equal_eventually;
+          Alcotest.test_case "200 concurrent ops reply once" `Quick
+            (test_concurrent_ops_reply_once ~batch_size:1);
+          Alcotest.test_case "200 concurrent ops reply once, batched" `Quick
+            (test_concurrent_ops_reply_once ~batch_size:16);
         ] );
       ( "failures",
         [
           Alcotest.test_case "revocation" `Quick test_crash_revocation;
           Alcotest.test_case "restart" `Quick test_restart_rejoins;
+          Alcotest.test_case "revoked own op never acknowledged" `Quick
+            test_revoked_own_op_never_acknowledged;
         ] );
       ( "consistency",
         List.map QCheck_alcotest.to_alcotest [ prop_mencius_consistency ] );
