@@ -1,7 +1,6 @@
 module Net = Raftpax_sim.Net
 module Engine = Raftpax_sim.Engine
 module Cpu = Raftpax_sim.Cpu
-module Rng = Raftpax_sim.Rng
 module Telemetry = Raftpax_telemetry.Telemetry
 module Metrics = Raftpax_telemetry.Metrics
 module Span = Raftpax_telemetry.Span
@@ -81,33 +80,24 @@ type msg =
 
 type server_probes = {
   pr_appends : Metrics.counter;  (** MAppend messages sent *)
-  pr_acks : Metrics.counter;  (** MAck replies sent *)
   pr_skips_announced : Metrics.counter;  (** MSkip broadcasts *)
   pr_slots_skipped : Metrics.counter;  (** slots locally decided as Skip *)
-  pr_commits : Metrics.counter;  (** slots past the commit frontier *)
   pr_revocations_started : Metrics.counter;
   pr_revocations_value : Metrics.counter;  (** resolved by re-proposal *)
   pr_revocations_skip : Metrics.counter;  (** resolved by force-skip *)
   pr_catchups : Metrics.counter;  (** MCatchup requests sent *)
-  pr_retransmits : Metrics.counter;  (** own-append re-broadcasts *)
-  pr_batch_cmds : Metrics.histogram;
-      (** commands per flushed own-turn batch; batched path only *)
 }
 
 let make_probes m ~node =
   let c name = Metrics.counter m name ~node in
   {
     pr_appends = c "appends_sent";
-    pr_acks = c "acks_sent";
     pr_skips_announced = c "skips_announced";
     pr_slots_skipped = c "slots_skipped";
-    pr_commits = c "commits";
     pr_revocations_started = c "revocations_started";
     pr_revocations_value = c "revocations_value";
     pr_revocations_skip = c "revocations_skip";
     pr_catchups = c "catchups";
-    pr_retransmits = c "retransmits";
-    pr_batch_cmds = Metrics.histogram m "batch_flush_cmds" ~node;
   }
 
 type server = {
@@ -134,12 +124,9 @@ type server = {
   (* command batching (batch_size > 1 only): own turns claimed but whose
      MAppend broadcast is held for the current batch *)
   mutable pending_batch : (int * Types.cmd) list;  (** reversed *)
-  mutable pending_count : int;
-  mutable flush_pending : bool;  (** a flush timer is armed *)
   mutable down : bool;
-  cpu : Cpu.t;
-  rng : Rng.t;
   pr : server_probes;
+  node : Replica.node;
 }
 
 type t = {
@@ -148,12 +135,7 @@ type t = {
   engine : Engine.t;
   n : int;
   servers : server array;
-  completions : (int, Types.reply -> unit) Hashtbl.t;
-  mutable next_cmd_id : int;
-  mutable cmd_id_stride : int;
-  mutable wire : (src:int -> dst:int -> size:int -> msg -> unit) option;
-      (** network-shell hook: when set, cross-replica messages are handed
-          to the transport instead of the simulated {!Net} *)
+  base : msg Replica.t;
   spans : Span.t;
 }
 
@@ -348,34 +330,17 @@ let render_msg ?(rename = Fun.id) = function
   | MCommitMulti { insts } ->
       Printf.sprintf "MCommitMulti([%s])"
         (String.concat ";" (List.map string_of_int insts))
-  | Complete { cmd_id; reply } ->
-      Printf.sprintf "Complete(c%d v%s)" cmd_id
-        (match reply.Types.value with
-        | None -> "-"
-        | Some v -> string_of_int v)
+  | Complete { cmd_id; reply } -> Replica.render_complete cmd_id reply
 
 (* ---- dispatch ---- *)
 
-let rec send t ~src ~dst msg =
-  match t.wire with
-  | Some wire when src <> dst -> wire ~src ~dst ~size:(msg_size t msg) msg
-  | _ ->
-      Net.send t.net ~src ~dst ~size:(msg_size t msg)
-        ~info:(fun rename -> render_msg ~rename msg)
-        (fun () -> handle t t.servers.(dst) msg)
-
-and broadcast t srv msg =
-  Array.iter
-    (fun peer -> if peer.id <> srv.id then send t ~src:srv.id ~dst:peer.id msg)
-    t.servers
-
-and complete_at_origin t srv (cmd : Types.cmd) reply =
-  send t ~src:srv.id ~dst:cmd.Types.origin
-    (Complete { cmd_id = cmd.Types.id; reply })
+let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
+let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
+let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* ---- frontiers, application, replies ---- *)
 
-and advance_frontiers t srv =
+let rec advance_frontiers t srv =
   let len = Vec.length srv.slots in
   while
     srv.known_frontier < len && slot srv srv.known_frontier <> Unknown
@@ -387,7 +352,7 @@ and advance_frontiers t srv =
     && is_committed srv srv.commit_frontier
     && slot srv srv.commit_frontier <> Unknown
   do
-    Metrics.inc srv.pr.pr_commits;
+    Metrics.inc srv.node.commits;
     srv.commit_frontier <- srv.commit_frontier + 1
   done;
   (* Apply in slot order as the committed prefix grows. *)
@@ -493,16 +458,10 @@ and skip_own_turns t srv ~upto =
 and handle t srv msg =
   if not srv.down then
     match msg with
-    | Complete { cmd_id; reply } -> (
-        match Hashtbl.find_opt t.completions cmd_id with
-        | Some k ->
-            Hashtbl.remove t.completions cmd_id;
-            Span.mark t.spans ~trace:cmd_id ~node:srv.id ~phase:"reply"
-              ~now:(Engine.now t.engine);
-            k reply
-        | None -> ())
+    | Complete { cmd_id; reply } ->
+        Replica.complete t.base ~node:srv.id cmd_id reply
     | MAppend { from; inst; cmd } ->
-        Cpu.exec srv.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
+        Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
             if not srv.down then begin
               ensure srv inst;
               let refused =
@@ -518,7 +477,7 @@ and handle t srv msg =
                  concurrently decided to skip. *)
               (match slot srv inst with
               | Value held when held.Types.id = cmd.Types.id ->
-                  Metrics.inc srv.pr.pr_acks;
+                  Metrics.inc srv.node.acks_sent;
                   send t ~src:srv.id ~dst:from (MAck { from = srv.id; inst })
               | _ -> ());
               advance_frontiers t srv
@@ -649,7 +608,7 @@ and handle t srv msg =
         (* One CPU charge, one own-turn skip walk and one ack for the
            whole batch; bounded by the sender's batch_size. *)
         let k = (List.length items [@perf.allow "length-in-hot-path"]) in
-        Cpu.exec srv.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
+        Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
           (fun () ->
             if not srv.down then begin
               let held = ref [] in
@@ -671,7 +630,7 @@ and handle t srv msg =
                 items;
               if !max_inst >= 0 then skip_own_turns t srv ~upto:!max_inst;
               if !held <> [] then begin
-                Metrics.inc srv.pr.pr_acks;
+                Metrics.inc srv.node.acks_sent;
                 send t ~src:srv.id ~dst:from
                   (MAckMulti { from = srv.id; insts = List.rev !held })
               end;
@@ -733,7 +692,7 @@ and watchdog t srv =
                  [MAck] replies dedupe through the per-sender flag array. *)
               if not (Hashtbl.mem srv.acks stuck) then
                 Hashtbl.replace srv.acks stuck (Array.make t.n false);
-              Metrics.inc srv.pr.pr_retransmits;
+              Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_appends (t.n - 1);
               broadcast t srv (MAppend { from = srv.id; inst = stuck; cmd })
           | _ -> ());
@@ -796,28 +755,38 @@ and start_own_slot t srv (cmd : Types.cmd) =
   if t.n = 1 then Vec.set srv.committed inst true;
   advance_frontiers t srv
 
-(* Release the accumulated batch: one MAppendMulti broadcast carries
-   every held (turn, command) pair. *)
+(* Release the accumulated batch (the base's flush hook): one
+   MAppendMulti broadcast carries every held (turn, command) pair. *)
 and flush_appends t srv =
   let items = List.rev srv.pending_batch in
-  Metrics.observe srv.pr.pr_batch_cmds srv.pending_count;
   srv.pending_batch <- [];
-  srv.pending_count <- 0;
   Metrics.add srv.pr.pr_appends (t.n - 1);
   broadcast t srv (MAppendMulti { from = srv.id; items });
   if t.n = 1 then
     List.iter (fun (inst, _) -> Vec.set srv.committed inst true) items;
   advance_frontiers t srv
 
+let submit_cmd t srv (cmd : Types.cmd) =
+  Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
+      if not srv.down then
+        if srv.recovering then srv.buffered <- cmd :: srv.buffered
+        else if (p t).batch_size <= 1 then start_own_slot t srv cmd
+        else begin
+          (* Batched: the turn is claimed now; only its broadcast is held
+             back until the batch flushes. *)
+          let inst = claim_own_slot t srv cmd in
+          srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
+          Replica.hold t.base srv.node
+        end)
+
 (* ---- construction and client interface ---- *)
 
 let create ?(telemetry = Telemetry.disabled) config net =
   let engine = Net.engine net in
   let n = Net.size net in
+  let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
-        let cpu = Cpu.create engine in
-        Cpu.set_metrics cpu telemetry.Telemetry.metrics ~node:id;
         {
           id;
           slots = Vec.create ();
@@ -835,80 +804,37 @@ let create ?(telemetry = Telemetry.disabled) config net =
           recovering = false;
           buffered = [];
           pending_batch = [];
-          pending_count = 0;
-          flush_pending = false;
           down = false;
-          cpu;
-          rng = Rng.split (Engine.rng engine);
           pr = make_probes telemetry.Telemetry.metrics ~node:id;
+          node = Replica.node base id;
         })
   in
-  {
-    config;
-    net;
-    engine;
-    n;
-    servers;
-    completions = Hashtbl.create 16;
-    next_cmd_id = 0;
-    cmd_id_stride = 1;
-    wire = None;
-    spans = telemetry.Telemetry.spans;
-  }
+  let t =
+    { config; net; engine; n; servers; base; spans = telemetry.Telemetry.spans }
+  in
+  Replica.bind base
+    {
+      size = msg_size t;
+      render = (fun rename msg -> render_msg ~rename msg);
+      complete = (fun cmd_id reply -> Complete { cmd_id; reply });
+      handle = (fun dst msg -> handle t servers.(dst) msg);
+      client = (fun node cmd -> submit_cmd t servers.(node) cmd);
+      live =
+        (fun id -> (not servers.(id).down) && not servers.(id).recovering);
+      flush = (fun id -> flush_appends t servers.(id));
+    };
+  t
 
 let start t = Array.iter (fun srv -> watchdog t srv) t.servers
 
-let submit_cmd t srv (cmd : Types.cmd) =
-  Cpu.exec srv.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
-      if not srv.down then
-        if srv.recovering then srv.buffered <- cmd :: srv.buffered
-        else if (p t).batch_size <= 1 then start_own_slot t srv cmd
-        else begin
-          (* Batched: the turn is claimed now; only its broadcast is held
-             back until the batch flushes. *)
-          let inst = claim_own_slot t srv cmd in
-          srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
-          srv.pending_count <- srv.pending_count + 1;
-          if srv.pending_count >= (p t).batch_size then flush_appends t srv
-          else if not srv.flush_pending then begin
-            srv.flush_pending <- true;
-            Engine.schedule t.engine ~node:srv.id ~label:"flush"
-              ~delay:(max 1 (p t).batch_delay_us) (fun () ->
-                srv.flush_pending <- false;
-                if
-                  (not srv.down) && (not srv.recovering)
-                  && srv.pending_count > 0
-                then flush_appends t srv)
-          end
-        end)
-
-let submit_id t ~node op k =
-  let id = t.next_cmd_id in
-  t.next_cmd_id <- id + t.cmd_id_stride;
-  Hashtbl.replace t.completions id k;
-  let cmd =
-    { Types.id; op; origin = node; submitted_us = Engine.now t.engine }
-  in
-  Span.mark t.spans ~trace:id ~node ~phase:"submit" ~now:(Engine.now t.engine);
-  Net.send t.net ~src:node ~dst:node
-    ~size:((p t).msg_header_bytes + Types.op_size op)
-    ~info:(fun rename -> "Submit(" ^ Types.render_cmd ~rename cmd ^ ")")
-    (fun () ->
-      Span.mark t.spans ~trace:id ~node ~phase:"client_hop"
-        ~now:(Engine.now t.engine);
-      submit_cmd t t.servers.(node) cmd);
-  id
-
+let submit_id t ~node op k = Replica.submit_id t.base ~node op k
 let submit t ~node op k = ignore (submit_id t ~node op k)
 
 (* ---- network-shell hooks ---- *)
 
-let set_wire t f = t.wire <- f
+let set_wire t f = Replica.set_wire t.base f
 let deliver t ~node msg = handle t t.servers.(node) msg
-
-let set_cmd_ids t ~base ~stride =
-  t.next_cmd_id <- base;
-  t.cmd_id_stride <- stride
+let set_cmd_ids t ~base ~stride = Replica.set_cmd_ids t.base ~base ~stride
 
 let commit_frontier t ~node = t.servers.(node).commit_frontier
 
@@ -952,11 +878,6 @@ let dump_slots t ~node =
 
 let dump_state ?(rename = Fun.id) t ~node =
   let srv = t.servers.(node) in
-  let permuted a =
-    let b = Array.copy a in
-    Array.iteri (fun i v -> b.(rename i) <- v) a;
-    b
-  in
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "no%d kf%d cf%d ap%d %s%s|" srv.next_own srv.known_frontier
@@ -965,20 +886,15 @@ let dump_state ?(rename = Fun.id) t ~node =
     (if srv.recovering then "R" else "");
   add "%s" (dump_slots t ~node);
   let tbl name tbl render =
-    let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
     add "|%s:%s" name
-      (String.concat ";"
-         (List.map render
-            (List.sort (fun (a, _) (b, _) -> Int.compare a b) items)))
+      (String.concat ";" (List.map render (Replica.sorted_bindings tbl)))
   in
-  let mask a =
-    String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
-  in
+  let mask = Replica.mask ~rename in
   tbl "ak" srv.acks (fun (i, a) ->
-      Printf.sprintf "%d=%s" i (mask (permuted a)));
+      Printf.sprintf "%d=%s" i (mask a));
   tbl "rv" srv.revocations (fun (i, r) ->
       Printf.sprintf "%d=%s/%s" i
-        (mask (permuted r.seen))
+        (mask r.seen)
         (Types.render_cmd_opt ~rename r.found));
   tbl "pm" srv.promised (fun (i, ()) -> string_of_int i);
   tbl "st" srv.store (fun (k, v) -> Printf.sprintf "%d=%d" k v);
@@ -1081,7 +997,7 @@ let restart t ~node =
      locally Value-and-uncommitted, and the frontier watchdog's own-append
      retransmission (or a peer's revocation) decides them. *)
   srv.pending_batch <- [];
-  srv.pending_count <- 0;
+  Replica.drop_batch srv.node;
   (* Re-learn decided slots (and our dead turns) from the peers before
      proposing again. *)
   srv.recovering <- true;

@@ -1,7 +1,6 @@
 module Net = Raftpax_sim.Net
 module Engine = Raftpax_sim.Engine
 module Cpu = Raftpax_sim.Cpu
-module Rng = Raftpax_sim.Rng
 module Telemetry = Raftpax_telemetry.Telemetry
 module Metrics = Raftpax_telemetry.Metrics
 module Span = Raftpax_telemetry.Span
@@ -59,12 +58,7 @@ type server_probes = {
   pr_leader_wins : Metrics.counter;
   pr_ballot_changes : Metrics.counter;
   pr_accepts : Metrics.counter;  (** Accept broadcasts sent (per peer msg) *)
-  pr_acks : Metrics.counter;  (** AcceptOk replies sent *)
-  pr_retransmits : Metrics.counter;  (** watchdog re-broadcasts of unchosen *)
   pr_forwards : Metrics.counter;
-  pr_commits : Metrics.counter;  (** instances executed *)
-  pr_batch_cmds : Metrics.histogram;
-      (** commands per leader-side flush; batched path only *)
 }
 
 let make_probes m ~node =
@@ -74,11 +68,7 @@ let make_probes m ~node =
     pr_leader_wins = c "leader_wins";
     pr_ballot_changes = c "ballot_changes";
     pr_accepts = c "accepts_sent";
-    pr_acks = c "acks_sent";
-    pr_retransmits = c "retransmits";
     pr_forwards = c "forwards";
-    pr_commits = c "commits";
-    pr_batch_cmds = Metrics.histogram m "batch_flush_cmds" ~node;
   }
 
 type server = {
@@ -102,13 +92,10 @@ type server = {
   (* command batching (leader side, batch_size > 1 only): instances
      assigned but whose Accept broadcast is held for the current batch *)
   mutable pending_batch : (int * Types.cmd option) list;  (** reversed *)
-  mutable pending_count : int;
-  mutable flush_pending : bool;  (** a flush timer is armed *)
   mutable last_leader_sign : int;
   mutable down : bool;
-  cpu : Cpu.t;
-  rng : Rng.t;
   pr : server_probes;
+  node : Replica.node;
 }
 
 type t = {
@@ -117,12 +104,7 @@ type t = {
   engine : Engine.t;
   n : int;
   servers : server array;
-  completions : (int, Types.reply -> unit) Hashtbl.t;
-  mutable next_cmd_id : int;
-  mutable cmd_id_stride : int;
-  mutable wire : (src:int -> dst:int -> size:int -> msg -> unit) option;
-      (** network-shell hook: when set, cross-replica messages are handed
-          to the transport instead of the simulated {!Net} *)
+  base : msg Replica.t;
   spans : Span.t;
 }
 
@@ -220,37 +202,20 @@ let render_msg ?(rename = Fun.id) ~n = function
                 Printf.sprintf "%d:%s" i (Types.render_cmd_opt ~rename c))
               items))
   | Forward cmd -> "Forward(" ^ Types.render_cmd ~rename cmd ^ ")"
-  | Complete { cmd_id; reply } ->
-      Printf.sprintf "Complete(c%d v%s)" cmd_id
-        (match reply.Types.value with
-        | None -> "-"
-        | Some v -> string_of_int v)
+  | Complete { cmd_id; reply } -> Replica.render_complete cmd_id reply
 
-let rec send t ~src ~dst msg =
-  match t.wire with
-  | Some wire when src <> dst -> wire ~src ~dst ~size:(msg_size t msg) msg
-  | _ ->
-      Net.send t.net ~src ~dst ~size:(msg_size t msg)
-        ~info:(fun rename -> render_msg ~rename ~n:t.n msg)
-        (fun () -> handle t t.servers.(dst) msg)
-
-and broadcast t srv msg =
-  Array.iter
-    (fun peer -> if peer.id <> srv.id then send t ~src:srv.id ~dst:peer.id msg)
-    t.servers
-
-and complete_at_origin t srv (cmd : Types.cmd) reply =
-  send t ~src:srv.id ~dst:cmd.Types.origin
-    (Complete { cmd_id = cmd.Types.id; reply })
+let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
+let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
+let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* Execute the decided prefix in order. *)
-and execute t srv =
+let rec execute t srv =
   let len = Vec.length srv.insts in
   let continue = ref true in
   while !continue && srv.executed < len do
     let it = Vec.get srv.insts srv.executed in
     if it.chosen then begin
-      Metrics.inc srv.pr.pr_commits;
+      Metrics.inc srv.node.commits;
       (match it.accepted_cmd with
       | Some (Some ({ op = Types.Put { key; write_id; _ }; _ } as cmd)) ->
           Hashtbl.replace srv.store key write_id;
@@ -288,7 +253,7 @@ and mark_chosen t srv i cmd = if choose srv i cmd then execute t srv
 (* ---- phase 2 ---- *)
 
 and propose t srv (cmd : Types.cmd) =
-  Cpu.exec srv.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
+  Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
       if srv.is_leader && not srv.down && Hashtbl.mem srv.proposed_cmds cmd.id
       then () (* duplicate Forward: already has an instance *)
       else if srv.is_leader && not srv.down then begin
@@ -315,16 +280,7 @@ and propose t srv (cmd : Types.cmd) =
           (* Batched: the instance is fully set up above; only its Accept
              broadcast is held back until the batch flushes. *)
           srv.pending_batch <- (i, Some cmd) :: srv.pending_batch;
-          srv.pending_count <- srv.pending_count + 1;
-          if srv.pending_count >= (p t).batch_size then flush_accepts t srv
-          else if not srv.flush_pending then begin
-            srv.flush_pending <- true;
-            Engine.schedule t.engine ~node:srv.id ~label:"flush"
-              ~delay:(max 1 (p t).batch_delay_us) (fun () ->
-                srv.flush_pending <- false;
-                if srv.is_leader && (not srv.down) && srv.pending_count > 0
-                then flush_accepts t srv)
-          end
+          Replica.hold t.base srv.node
         end
       end
       else if not srv.down then begin
@@ -332,13 +288,11 @@ and propose t srv (cmd : Types.cmd) =
         send t ~src:srv.id ~dst:srv.leader_hint (Forward cmd)
       end)
 
-(* Release the accumulated batch: one AcceptMulti broadcast carries
-   every held (instance, value) pair. *)
+(* Release the accumulated batch (the base's flush hook): one
+   AcceptMulti broadcast carries every held (instance, value) pair. *)
 and flush_accepts t srv =
   let items = List.rev srv.pending_batch in
-  Metrics.observe srv.pr.pr_batch_cmds srv.pending_count;
   srv.pending_batch <- [];
-  srv.pending_count <- 0;
   Metrics.add srv.pr.pr_accepts (t.n - 1);
   broadcast t srv (AcceptMulti { bal = srv.ballot; from = srv.id; items });
   if t.n = 1 then begin
@@ -365,7 +319,7 @@ and become_leader t srv =
   (* A batch held when leadership was lost refers to instances of the old
      reign; drop it (the origin's retry resubmits the commands). *)
   srv.pending_batch <- [];
-  srv.pending_count <- 0;
+  Replica.drop_batch srv.node;
   (* Adopt the highest-ballot accepted value per instance; re-propose each
      adopted instance at our ballot so it can be chosen. *)
   let best = Hashtbl.create 64 in
@@ -412,14 +366,8 @@ and handle t srv msg =
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"forward"
           ~now:(Engine.now t.engine);
         propose t srv cmd
-    | Complete { cmd_id; reply } -> (
-        match Hashtbl.find_opt t.completions cmd_id with
-        | Some k ->
-            Hashtbl.remove t.completions cmd_id;
-            Span.mark t.spans ~trace:cmd_id ~node:srv.id ~phase:"reply"
-              ~now:(Engine.now t.engine);
-            k reply
-        | None -> ())
+    | Complete { cmd_id; reply } ->
+        Replica.complete t.base ~node:srv.id cmd_id reply
     | Prepare { bal; from } ->
         if bal > srv.ballot then begin
           Metrics.inc srv.pr.pr_ballot_changes;
@@ -452,12 +400,12 @@ and handle t srv msg =
           if from <> srv.id then srv.is_leader <- false;
           srv.leader_hint <- from;
           srv.last_leader_sign <- Engine.now t.engine;
-          Cpu.exec srv.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
+          Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
               if not srv.down then begin
                 let it = inst srv i in
                 it.accepted_bal <- bal;
                 it.accepted_cmd <- Some cmd;
-                Metrics.inc srv.pr.pr_acks;
+                Metrics.inc srv.node.acks_sent;
                 send t ~src:srv.id ~dst:from (AcceptOk { bal; from = srv.id; inst = i })
               end)
         end
@@ -489,7 +437,7 @@ and handle t srv msg =
           (* One CPU charge and one ack for the whole batch; the walk is
              bounded by the leader's batch_size. *)
           let k = (List.length items [@perf.allow "length-in-hot-path"]) in
-          Cpu.exec srv.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
+          Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
             (fun () ->
               if not srv.down then begin
                 List.iter
@@ -498,7 +446,7 @@ and handle t srv msg =
                     it.accepted_bal <- bal;
                     it.accepted_cmd <- Some cmd)
                   items;
-                Metrics.inc srv.pr.pr_acks;
+                Metrics.inc srv.node.acks_sent;
                 send t ~src:srv.id ~dst:from
                   (AcceptOkMulti
                      { bal; from = srv.id; insts = List.map fst items })
@@ -566,7 +514,7 @@ and watchdog t srv =
               it.accepted_cmd <- Some cmd;
               if not (Hashtbl.mem srv.accept_oks i) then
                 Hashtbl.replace srv.accept_oks i (Array.make t.n false);
-              Metrics.inc srv.pr.pr_retransmits;
+              Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_accepts (t.n - 1);
               broadcast t srv
                 (Accept { bal = srv.ballot; from = srv.id; inst = i; cmd })
@@ -587,10 +535,9 @@ and watchdog t srv =
 let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
   let engine = Net.engine net in
   let n = Net.size net in
+  let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
-        let cpu = Cpu.create engine in
-        Cpu.set_metrics cpu telemetry.Telemetry.metrics ~node:id;
         {
           id;
           ballot = 0;
@@ -606,29 +553,25 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           waiters = Hashtbl.create 16;
           proposed_cmds = Hashtbl.create 16;
           pending_batch = [];
-          pending_count = 0;
-          flush_pending = false;
           last_leader_sign = 0;
           down = false;
-          cpu;
-          rng = Rng.split (Engine.rng engine);
           pr = make_probes telemetry.Telemetry.metrics ~node:id;
+          node = Replica.node base id;
         })
   in
   let t =
-    {
-      config;
-      net;
-      engine;
-      n;
-      servers;
-      completions = Hashtbl.create 16;
-      next_cmd_id = 0;
-      cmd_id_stride = 1;
-      wire = None;
-      spans = telemetry.Telemetry.spans;
-    }
+    { config; net; engine; n; servers; base; spans = telemetry.Telemetry.spans }
   in
+  Replica.bind base
+    {
+      size = msg_size t;
+      render = (fun rename msg -> render_msg ~rename ~n msg);
+      complete = (fun cmd_id reply -> Complete { cmd_id; reply });
+      handle = (fun dst msg -> handle t servers.(dst) msg);
+      client = (fun node cmd -> propose t servers.(node) cmd);
+      live = (fun id -> servers.(id).is_leader && not servers.(id).down);
+      flush = (fun id -> flush_accepts t servers.(id));
+    };
   (* Bootstrap: the configured leader owns ballot [leader] (its own id in
      round 0 is unique) and is pre-elected, exactly as if Phase 1 ran. *)
   let l = t.servers.(leader) in
@@ -639,33 +582,14 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
 
 let start t = Array.iter (fun srv -> watchdog t srv) t.servers
 
-let submit_id t ~node op k =
-  let id = t.next_cmd_id in
-  t.next_cmd_id <- id + t.cmd_id_stride;
-  Hashtbl.replace t.completions id k;
-  let cmd =
-    { Types.id; op; origin = node; submitted_us = Engine.now t.engine }
-  in
-  Span.mark t.spans ~trace:id ~node ~phase:"submit" ~now:(Engine.now t.engine);
-  Net.send t.net ~src:node ~dst:node
-    ~size:((p t).msg_header_bytes + Types.op_size op)
-    ~info:(fun rename -> "Submit(" ^ Types.render_cmd ~rename cmd ^ ")")
-    (fun () ->
-      Span.mark t.spans ~trace:id ~node ~phase:"client_hop"
-        ~now:(Engine.now t.engine);
-      propose t t.servers.(node) cmd);
-  id
-
+let submit_id t ~node op k = Replica.submit_id t.base ~node op k
 let submit t ~node op k = ignore (submit_id t ~node op k)
 
 (* ---- network-shell hooks ---- *)
 
-let set_wire t f = t.wire <- f
+let set_wire t f = Replica.set_wire t.base f
 let deliver t ~node msg = handle t t.servers.(node) msg
-
-let set_cmd_ids t ~base ~stride =
-  t.next_cmd_id <- base;
-  t.cmd_id_stride <- stride
+let set_cmd_ids t ~base ~stride = Replica.set_cmd_ids t.base ~base ~stride
 
 let leader_of t =
   let best = ref 0 in
@@ -706,18 +630,13 @@ let restart t ~node =
   Net.set_node_down t.net node false;
   srv.is_leader <- false;
   srv.pending_batch <- [];
-  srv.pending_count <- 0
+  Replica.drop_batch srv.node
 
 (* ---- model-checker inspection hooks ---- *)
 
 let dump_state ?(rename = Fun.id) t ~node =
   let srv = t.servers.(node) in
   let rb = rename_ballot rename ~n:t.n in
-  let permuted a =
-    let b = Array.copy a in
-    Array.iteri (fun i v -> b.(rename i) <- v) a;
-    b
-  in
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "b%d %s h%d ni%d ex%d sg%d %s|" (rb srv.ballot)
@@ -733,16 +652,10 @@ let dump_state ?(rename = Fun.id) t ~node =
         (if it.chosen then "!" else ""))
     srv.insts;
   let tbl name tbl render =
-    let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
     add "|%s:%s" name
-      (String.concat ";"
-         (List.map render
-            (List.sort (fun (a, _) (b, _) -> Int.compare a b) items)))
+      (String.concat ";" (List.map render (Replica.sorted_bindings tbl)))
   in
-  let mask a =
-    String.concat ""
-      (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
-  in
+  let mask = Replica.mask ~rename in
   tbl "st" srv.store (fun (k, v) -> Printf.sprintf "%d=%d" k v);
   (* keyed by voter node id: sort after renaming, or two symmetric
      states would render their voter sets in different orders *)
@@ -761,7 +674,7 @@ let dump_state ?(rename = Fun.id) t ~node =
                  (Types.render_cmd_opt ~rename c))
              (Vec.to_list srv.gathered))));
   tbl "ao" srv.accept_oks (fun (i, a) ->
-      Printf.sprintf "%d=%s" i (mask (permuted a)));
+      Printf.sprintf "%d=%s" i (mask a));
   tbl "wt" srv.waiters (fun (i, c) ->
       Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c));
   tbl "pc" srv.proposed_cmds (fun (i, ()) -> string_of_int i);

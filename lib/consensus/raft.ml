@@ -43,18 +43,12 @@ type server_probes = {
   pr_term_changes : Metrics.counter;
   pr_heartbeats : Metrics.counter;
   pr_appends : Metrics.counter;
-  pr_acks : Metrics.counter;
-  pr_retransmits : Metrics.counter;
   pr_forwards : Metrics.counter;
-  pr_commits : Metrics.counter;
   pr_lease_grants : Metrics.counter;
   pr_lease_renewals : Metrics.counter;
   pr_lease_confirms : Metrics.counter;
   pr_local_reads : Metrics.counter;
   pr_lease_waits : Metrics.counter;
-  pr_batch_cmds : Metrics.histogram;
-      (** commands per leader-side flush; observed only on the batched
-          path, so batch_size=1 telemetry is unchanged *)
 }
 
 let make_probes m ~node =
@@ -65,16 +59,12 @@ let make_probes m ~node =
     pr_term_changes = c "term_changes";
     pr_heartbeats = c "heartbeats";
     pr_appends = c "appends_sent";
-    pr_acks = c "acks_sent";
-    pr_retransmits = c "retransmits";
     pr_forwards = c "forwards";
-    pr_commits = c "commits";
     pr_lease_grants = c "lease_grants";
     pr_lease_renewals = c "lease_renewals";
     pr_lease_confirms = c "lease_confirms";
     pr_local_reads = c "local_reads";
     pr_lease_waits = c "lease_waits";
-    pr_batch_cmds = Metrics.histogram m "batch_flush_cmds" ~node;
   }
 
 type msg =
@@ -164,8 +154,6 @@ type server = {
           {!send_batch}.  Entries above it are appended but still
           accumulating into the current batch; with batching off the tip
           is simply [last_index] and this field is ignored. *)
-  mutable unflushed : int;  (** commands appended since the last flush *)
-  mutable flush_pending : bool;  (** a flush timer is armed *)
   mutable election_timer : Engine.timer option;
   mutable election_deadline : int;
       (** virtual time the current election timeout expires; the armed
@@ -177,9 +165,8 @@ type server = {
           it was asked for; a blocked commit re-arms it only when it
           needs an earlier one *)
   mutable down : bool;
-  cpu : Cpu.t;
-  rng : Rng.t;
   pr : server_probes;
+  node : Replica.node;
 }
 
 type t = {
@@ -188,12 +175,7 @@ type t = {
   engine : Engine.t;
   n : int;
   servers : server array;
-  completions : (int, Types.reply -> unit) Hashtbl.t;
-  mutable next_cmd_id : int;
-  mutable cmd_id_stride : int;
-  mutable wire : (src:int -> dst:int -> size:int -> msg -> unit) option;
-      (** network-shell hook: when set, cross-replica messages are handed
-          to the transport instead of the simulated {!Net} *)
+  base : msg Replica.t;
   spans : Span.t;
 }
 
@@ -250,11 +232,7 @@ let render_msg ?(rename = Fun.id) = function
               (fun (h, d) -> Printf.sprintf "%d@%d" (rename h) d)
               holders))
   | Forward cmd -> "Forward(" ^ Types.render_cmd ~rename cmd ^ ")"
-  | Complete { cmd_id; reply } ->
-      Printf.sprintf "Complete(c%d v%s)" cmd_id
-        (match reply.Types.value with
-        | None -> "-"
-        | Some v -> string_of_int v)
+  | Complete { cmd_id; reply } -> Replica.render_complete cmd_id reply
   | Grant { from; deadline; grantor_last } ->
       Printf.sprintf "Grant(f%d d%d gl%d)" (rename from) deadline grantor_last
   | GrantConfirm { from; deadline } ->
@@ -280,28 +258,16 @@ let note_write srv idx (e : Types.entry) =
       if idx > prev then Hashtbl.replace srv.key_last_write key idx
   | _ -> ()
 
-(* ---- forward declarations through a mutable dispatcher ---- *)
-
-let rec send t ~src ~dst msg =
-  match t.wire with
-  | Some wire when src <> dst -> wire ~src ~dst ~size:(msg_size t msg) msg
-  | _ ->
-      Net.send t.net ~src ~dst ~size:(msg_size t msg)
-        ~info:(fun rename -> render_msg ~rename msg)
-        (fun () -> handle t t.servers.(dst) msg)
-
-and broadcast t srv msg =
-  Array.iter (fun peer -> if peer.id <> srv.id then send t ~src:srv.id ~dst:peer.id msg) t.servers
+let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
+let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
+let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* ---- applying committed entries ---- *)
 
-and complete_at_origin t srv (cmd : Types.cmd) reply =
-  send t ~src:srv.id ~dst:cmd.origin (Complete { cmd_id = cmd.id; reply })
-
-and apply_committed t srv =
+let rec apply_committed t srv =
   while srv.last_applied < srv.commit_index do
     srv.last_applied <- srv.last_applied + 1;
-    Metrics.inc srv.pr.pr_commits;
+    Metrics.inc srv.node.commits;
     let entry, _bal = Vec.get srv.log srv.last_applied in
     (match entry.Types.cmd with
     | Some ({ op = Put { key; write_id; _ }; _ } as cmd) ->
@@ -410,13 +376,11 @@ and maybe_replicate t srv =
       t.servers
   end
 
-(* Release the accumulated batch to replication.  One call replicates
-   every command appended since the previous flush as a single Append
-   per follower (one wire frame, one follower CPU charge, one
-   apply_committed walk and one Ack at the other end). *)
+(* Release the accumulated batch to replication: the base's flush hook.
+   One call replicates every command appended since the previous flush
+   as a single Append per follower (one wire frame, one follower CPU
+   charge, one apply_committed walk and one Ack at the other end). *)
 and flush_batch t srv =
-  Metrics.observe srv.pr.pr_batch_cmds srv.unflushed;
-  srv.unflushed <- 0;
   if srv.flush_to < last_index srv then begin
     srv.flush_to <- last_index srv;
     maybe_replicate t srv
@@ -527,7 +491,7 @@ and arm_commit_retry t srv ~at =
 
 and serve_local_read t srv (cmd : Types.cmd) =
   Metrics.inc srv.pr.pr_local_reads;
-  Cpu.exec srv.cpu ~cost_us:(p t).cpu_read_op_us (fun () ->
+  Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_read_op_us (fun () ->
       if not srv.down then begin
         let key = Types.key_of cmd.op in
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"local_read"
@@ -541,7 +505,7 @@ and append_cmd t srv (cmd : Types.cmd) =
     | Quorum_lease, Put _ -> (p t).cpu_pql_commit_extra_us
     | _ -> 0
   in
-  Cpu.exec srv.cpu ~cost_us:((p t).cpu_leader_op_us + extra) (fun () ->
+  Cpu.exec srv.node.cpu ~cost_us:((p t).cpu_leader_op_us + extra) (fun () ->
       if srv.role = Leader && not srv.down && Hashtbl.mem srv.appended_cmds cmd.id
       then () (* duplicate Forward: already in the log *)
       else if srv.role = Leader && not srv.down then begin
@@ -551,23 +515,8 @@ and append_cmd t srv (cmd : Types.cmd) =
         note_write srv (last_index srv) entry;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        (if (p t).batch_size <= 1 then maybe_replicate t srv
-         else begin
-           srv.unflushed <- srv.unflushed + 1;
-           if srv.unflushed >= (p t).batch_size then flush_batch t srv
-           else if not srv.flush_pending then begin
-             (* Time bound on the accumulator: the timer is armed by the
-                batch's first command and left to fire (never cancelled);
-                a size-triggered flush just empties it early and the
-                firing degenerates to a no-op. *)
-             srv.flush_pending <- true;
-             Engine.schedule t.engine ~node:srv.id ~label:"flush"
-               ~delay:(max 1 (p t).batch_delay_us) (fun () ->
-                 srv.flush_pending <- false;
-                 if srv.role = Leader && (not srv.down) && srv.unflushed > 0
-                 then flush_batch t srv)
-           end
-         end);
+        if (p t).batch_size <= 1 then maybe_replicate t srv
+        else Replica.hold t.base srv.node;
         if t.n = 1 then begin
           srv.match_index.(srv.id) <- last_index srv;
           srv.commit_index <- last_index srv;
@@ -633,7 +582,7 @@ and reset_election_timer t srv =
   else begin
     let span =
       (p t).election_timeout_min_us
-      + Rng.int srv.rng
+      + Rng.int srv.node.rng
           (max 1 ((p t).election_timeout_max_us - (p t).election_timeout_min_us))
     in
     if Engine.is_manual t.engine then begin
@@ -727,7 +676,7 @@ and become_leader t srv =
   (* The no-op (and any adopted extras) ship immediately: batching only
      holds back client commands between flushes. *)
   srv.flush_to <- last_index srv;
-  srv.unflushed <- 0;
+  Replica.drop_batch srv.node;
   Array.iter
     (fun peer -> if peer.id <> srv.id then send_batch t srv peer.id)
     t.servers;
@@ -749,7 +698,7 @@ and heartbeat_loop t srv term =
             < now - (5 * (p t).heartbeat_interval_us)
           then begin
             srv.inflight.(peer.id) <- 0;
-            Metrics.inc srv.pr.pr_retransmits;
+            Metrics.inc srv.node.retransmits;
             send_batch t srv peer.id
           end)
       t.servers;
@@ -773,14 +722,8 @@ and handle t srv msg =
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"forward"
           ~now:(Engine.now t.engine);
         handle_client t srv cmd
-    | Complete { cmd_id; reply } -> (
-        match Hashtbl.find_opt t.completions cmd_id with
-        | Some k ->
-            Hashtbl.remove t.completions cmd_id;
-            Span.mark t.spans ~trace:cmd_id ~node:srv.id ~phase:"reply"
-              ~now:(Engine.now t.engine);
-            k reply
-        | None -> () (* duplicate completion after leader change *))
+    | Complete { cmd_id; reply } ->
+        Replica.complete t.base ~node:srv.id cmd_id reply
     | Grant { from; deadline; grantor_last } ->
         if last_index srv >= grantor_last then begin
           srv.grant_from.(from) <- max srv.grant_from.(from) deadline;
@@ -824,7 +767,7 @@ and handle t srv msg =
         end
     | Append { term; leader; prev_idx; prev_term; entries; commit } ->
         if term < srv.term then begin
-          Metrics.inc srv.pr.pr_acks;
+          Metrics.inc srv.node.acks_sent;
           send t ~src:srv.id ~dst:leader
             (Ack
                {
@@ -846,7 +789,7 @@ and handle t srv msg =
           (* The consistency check runs in processing order (inside the CPU
              queue): an earlier batch's log write may still be queued, and
              checking against the stale log would reject valid batches. *)
-          Cpu.exec srv.cpu ~cost_us:cost (fun () ->
+          Cpu.exec srv.node.cpu ~cost_us:cost (fun () ->
               if not srv.down then begin
                 (* Raft*'s acceptor rules.  Vanilla needs only the
                    prev-term consistency check: truncation preserves log
@@ -885,7 +828,7 @@ and handle t srv msg =
                   stale || would_shorten || unverified_gap
                   || not (prev_idx < 0 || term_at srv prev_idx = prev_term)
                 then begin
-                  Metrics.inc srv.pr.pr_acks;
+                  Metrics.inc srv.node.acks_sent;
                   send t ~src:srv.id ~dst:leader
                     (Ack
                        {
@@ -907,7 +850,7 @@ and handle t srv msg =
                     max srv.commit_index (min commit match_idx);
                   apply_committed t srv;
                   activate_pending_grants t srv;
-                  Metrics.inc srv.pr.pr_acks;
+                  Metrics.inc srv.node.acks_sent;
                   send t ~src:srv.id ~dst:leader
                     (Ack
                        {
@@ -938,7 +881,7 @@ and handle t srv msg =
             advance_commit t srv
           end
           else begin
-            Metrics.inc srv.pr.pr_retransmits;
+            Metrics.inc srv.node.retransmits;
             srv.next_index.(from) <- max 0 (match_idx + 1)
           end;
           maybe_replicate t srv
@@ -1031,10 +974,9 @@ let rec lease_loop t srv =
 let create ?(telemetry = Telemetry.disabled) config net =
   let engine = Net.engine net in
   let n = Net.size net in
+  let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
-        let cpu = Cpu.create engine in
-        Cpu.set_metrics cpu telemetry.Telemetry.metrics ~node:id;
         {
           id;
           term = 0;
@@ -1061,8 +1003,6 @@ let create ?(telemetry = Telemetry.disabled) config net =
           peer_grants = Array.make_matrix n n min_int;
           pending_reads = [];
           flush_to = -1;
-          unflushed = 0;
-          flush_pending = false;
           verified_term = 0;
           verified_to = -1;
           election_timer = None;
@@ -1070,25 +1010,23 @@ let create ?(telemetry = Telemetry.disabled) config net =
           commit_retry = None;
           commit_retry_at = 0;
           down = false;
-          cpu;
-          rng = Rng.split (Engine.rng engine);
           pr = make_probes telemetry.Telemetry.metrics ~node:id;
+          node = Replica.node base id;
         })
   in
   let t =
-    {
-      config;
-      net;
-      engine;
-      n;
-      servers;
-      completions = Hashtbl.create 16;
-      next_cmd_id = 0;
-      cmd_id_stride = 1;
-      wire = None;
-      spans = telemetry.Telemetry.spans;
-    }
+    { config; net; engine; n; servers; base; spans = telemetry.Telemetry.spans }
   in
+  Replica.bind base
+    {
+      size = msg_size t;
+      render = (fun rename msg -> render_msg ~rename msg);
+      complete = (fun cmd_id reply -> Complete { cmd_id; reply });
+      handle = (fun dst msg -> handle t servers.(dst) msg);
+      client = (fun node cmd -> handle_client t servers.(node) cmd);
+      live = (fun id -> servers.(id).role = Leader && not servers.(id).down);
+      flush = (fun id -> flush_batch t servers.(id));
+    };
   (match config.initial_leader with
   | Some l ->
       Array.iter
@@ -1114,34 +1052,14 @@ let start t =
       if t.config.read_mode = Quorum_lease then lease_loop t srv)
     t.servers
 
-let submit_id t ~node op k =
-  let id = t.next_cmd_id in
-  t.next_cmd_id <- id + t.cmd_id_stride;
-  Hashtbl.replace t.completions id k;
-  let cmd =
-    { Types.id; op; origin = node; submitted_us = Engine.now t.engine }
-  in
-  Span.mark t.spans ~trace:id ~node ~phase:"submit" ~now:(Engine.now t.engine);
-  (* Client-to-colocated-replica hop. *)
-  Net.send t.net ~src:node ~dst:node
-    ~size:((p t).msg_header_bytes + Types.op_size op)
-    ~info:(fun rename -> "Submit(" ^ Types.render_cmd ~rename cmd ^ ")")
-    (fun () ->
-      Span.mark t.spans ~trace:id ~node ~phase:"client_hop"
-        ~now:(Engine.now t.engine);
-      handle_client t t.servers.(node) cmd);
-  id
-
+let submit_id t ~node op k = Replica.submit_id t.base ~node op k
 let submit t ~node op k = ignore (submit_id t ~node op k)
 
 (* ---- network-shell hooks ---- *)
 
-let set_wire t f = t.wire <- f
+let set_wire t f = Replica.set_wire t.base f
 let deliver t ~node msg = handle t t.servers.(node) msg
-
-let set_cmd_ids t ~base ~stride =
-  t.next_cmd_id <- base;
-  t.cmd_id_stride <- stride
+let set_cmd_ids t ~base ~stride = Replica.set_cmd_ids t.base ~base ~stride
 
 let leader_of t =
   let found = ref None in
@@ -1167,6 +1085,13 @@ let applied_value t ~node ~key =
 let log_entries t ~node =
   List.map fst (Vec.to_list t.servers.(node).log)
 
+let committed_ops t ~node =
+  let srv = t.servers.(node) in
+  List.filter_map
+    (fun i ->
+      Option.map (fun (c : Types.cmd) -> c.op) (fst (Vec.get srv.log i)).Types.cmd)
+    (List.init (min srv.commit_index (last_index srv) + 1) Fun.id)
+
 let lease_active t ~node = quorum_lease_active t t.servers.(node)
 
 let crash t ~node =
@@ -1182,7 +1107,7 @@ let restart t ~node =
   Net.set_node_down t.net node false;
   srv.role <- Follower;
   Array.fill srv.inflight 0 t.n 0;
-  srv.unflushed <- 0;
+  Replica.drop_batch srv.node;
   srv.pending_reads <- [];
   Array.fill srv.grant_from 0 t.n min_int;
   srv.pending_grants <- [];
@@ -1197,21 +1122,13 @@ let restart t ~node =
 let role_char = function Follower -> 'F' | Candidate -> 'C' | Leader -> 'L'
 
 let sorted_tbl tbl render =
-  let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  let items = List.sort (fun (a, _) (b, _) -> Int.compare a b) items in
-  String.concat "," (List.map render items)
+  String.concat "," (List.map render (Replica.sorted_bindings tbl))
 
 let sorted_ints l = List.sort Int.compare l
 
 let dump_state ?(rename = Fun.id) t ~node =
   let srv = t.servers.(node) in
-  (* Node-indexed arrays move to canonical positions: slot [rename i]
-     shows node [i]'s value. *)
-  let permuted a =
-    let b = Array.copy a in
-    Array.iteri (fun i v -> b.(rename i) <- v) a;
-    b
-  in
+  let permuted a = Replica.permuted ~rename a in
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "t%d v%s %c h%d ci%d la%d %s|" srv.term
@@ -1238,10 +1155,7 @@ let dump_state ?(rename = Fun.id) t ~node =
   ints "ni" (permuted srv.next_index);
   ints "mi" (permuted srv.match_index);
   ints "if" (permuted srv.inflight);
-  add "|vt:%s"
-    (String.concat ""
-       (Array.to_list
-          (Array.map (fun v -> if v then "1" else "0") (permuted srv.votes))));
+  add "|vt:%s" (Replica.mask ~rename srv.votes);
   add "|vx:%s"
     (String.concat ";"
        (List.sort String.compare
@@ -1268,7 +1182,7 @@ let dump_state ?(rename = Fun.id) t ~node =
   (* Batched runs only: the accumulator is real protocol state the
      checker must distinguish.  Unbatched fingerprints stay identical. *)
   if (p t).batch_size > 1 then
-    add "|fl:%d,%d,%b" srv.flush_to srv.unflushed srv.flush_pending;
+    add "|fl:%d,%d,%b" srv.flush_to srv.node.held srv.node.flush_armed;
   Buffer.contents buf
 
 type peek_entry = { pe_term : int; pe_ballot : int; pe_cmd : int option }

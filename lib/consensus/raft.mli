@@ -127,6 +127,11 @@ val applied_value : t -> node:int -> key:int -> int option
 (** The write_id the replica's state machine currently holds for a key. *)
 
 val log_entries : t -> node:int -> Types.entry list
+
+val committed_ops : t -> node:int -> Types.op list
+(** Operations in the committed prefix, in log order (no-ops omitted) —
+    the oracle for consistency checking. *)
+
 val lease_active : t -> node:int -> bool
 (** Quorum-lease mode: is the replica entitled to local reads right now? *)
 

@@ -1,0 +1,195 @@
+module Net = Raftpax_sim.Net
+module Engine = Raftpax_sim.Engine
+module Cpu = Raftpax_sim.Cpu
+module Rng = Raftpax_sim.Rng
+module Telemetry = Raftpax_telemetry.Telemetry
+module Metrics = Raftpax_telemetry.Metrics
+module Span = Raftpax_telemetry.Span
+
+type node = {
+  id : int;
+  cpu : Cpu.t;
+  rng : Rng.t;
+  commits : Metrics.counter;
+  acks_sent : Metrics.counter;
+  retransmits : Metrics.counter;
+  batch_cmds : Metrics.histogram;
+  mutable held : int;
+  mutable flush_armed : bool;
+  mutable flush_timer : unit -> unit;
+}
+
+type 'msg hooks = {
+  size : 'msg -> int;
+  render : (int -> int) -> 'msg -> string;
+  complete : int -> Types.reply -> 'msg;
+  handle : int -> 'msg -> unit;
+  client : int -> Types.cmd -> unit;
+  live : int -> bool;
+  flush : int -> unit;
+}
+
+type 'msg t = {
+  net : Net.t;
+  engine : Engine.t;
+  spans : Span.t;
+  params : Types.params;
+  nodes : node array;
+  completions : (int, Types.reply -> unit) Hashtbl.t;
+  mutable next_cmd_id : int;
+  mutable cmd_id_stride : int;
+  mutable wire : (src:int -> dst:int -> size:int -> 'msg -> unit) option;
+  mutable hooks : 'msg hooks;
+}
+
+(* Placeholder until the core binds: a core's hooks close over the core,
+   which holds the base, so the base exists first. *)
+let unbound () =
+  let fail _ = invalid_arg "Replica: used before bind" in
+  let fail2 _ = fail in
+  { size = fail; render = fail2; complete = fail2; handle = fail2;
+    client = fail2; live = fail; flush = fail }
+
+(* ---- command batching ---- *)
+
+let flush b nd =
+  Metrics.observe nd.batch_cmds nd.held;
+  nd.held <- 0;
+  b.hooks.flush nd.id
+
+let hold b nd =
+  nd.held <- nd.held + 1;
+  if nd.held >= b.params.batch_size then flush b nd
+  else if not nd.flush_armed then begin
+    nd.flush_armed <- true;
+    Engine.schedule b.engine ~node:nd.id ~label:"flush"
+      ~delay:(max 1 b.params.batch_delay_us) nd.flush_timer
+  end
+
+let drop_batch nd = nd.held <- 0
+
+(* ---- construction ---- *)
+
+let create ?(telemetry = Telemetry.disabled) ~params net =
+  let engine = Net.engine net in
+  let m = telemetry.Telemetry.metrics in
+  let nodes =
+    Array.init (Net.size net) (fun id ->
+        let cpu = Cpu.create engine in
+        Cpu.set_metrics cpu m ~node:id;
+        let c name = Metrics.counter m name ~node:id in
+        {
+          id;
+          cpu;
+          rng = Rng.split (Engine.rng engine);
+          commits = c "commits";
+          acks_sent = c "acks_sent";
+          retransmits = c "retransmits";
+          batch_cmds = Metrics.histogram m "batch_flush_cmds" ~node:id;
+          held = 0;
+          flush_armed = false;
+          flush_timer = ignore;
+        })
+  in
+  let b =
+    {
+      net;
+      engine;
+      spans = telemetry.Telemetry.spans;
+      params;
+      nodes;
+      completions = Hashtbl.create 16;
+      next_cmd_id = 0;
+      cmd_id_stride = 1;
+      wire = None;
+      hooks = unbound ();
+    }
+  in
+  Array.iter
+    (fun nd ->
+      nd.flush_timer <-
+        (fun () ->
+          nd.flush_armed <- false;
+          if b.hooks.live nd.id && nd.held > 0 then flush b nd))
+    nodes;
+  b
+
+let bind b hooks = b.hooks <- hooks
+let node b id = b.nodes.(id)
+
+(* ---- dispatch ---- *)
+
+let send b ~src ~dst msg =
+  match b.wire with
+  | Some wire when src <> dst -> wire ~src ~dst ~size:(b.hooks.size msg) msg
+  | _ ->
+      (* Defined together, the two closures share one block and one copy
+         of [b], [dst] and [msg]: a word less per message than two
+         separate closures. *)
+      let[@warning "-39"] rec info rename = b.hooks.render rename msg
+      and deliver () = b.hooks.handle dst msg in
+      Net.send b.net ~src ~dst ~size:(b.hooks.size msg) ~info deliver
+
+let broadcast b ~src msg =
+  for dst = 0 to Array.length b.nodes - 1 do
+    if dst <> src then send b ~src ~dst msg
+  done
+
+let set_wire b f = b.wire <- f
+
+(* ---- client commands ---- *)
+
+let set_cmd_ids b ~base ~stride =
+  b.next_cmd_id <- base;
+  b.cmd_id_stride <- stride
+
+let submit_id b ~node op k =
+  let id = b.next_cmd_id in
+  b.next_cmd_id <- id + b.cmd_id_stride;
+  Hashtbl.replace b.completions id k;
+  let cmd =
+    { Types.id; op; origin = node; submitted_us = Engine.now b.engine }
+  in
+  Span.mark b.spans ~trace:id ~node ~phase:"submit" ~now:(Engine.now b.engine);
+  (* Client-to-colocated-replica hop. *)
+  Net.send b.net ~src:node ~dst:node
+    ~size:(b.params.msg_header_bytes + Types.op_size op)
+    ~info:(fun rename -> "Submit(" ^ Types.render_cmd ~rename cmd ^ ")")
+    (fun () ->
+      Span.mark b.spans ~trace:id ~node ~phase:"client_hop"
+        ~now:(Engine.now b.engine);
+      b.hooks.client node cmd);
+  id
+
+let reply b ~src (cmd : Types.cmd) reply =
+  send b ~src ~dst:cmd.origin (b.hooks.complete cmd.id reply)
+
+let render_complete cmd_id (reply : Types.reply) =
+  Printf.sprintf "Complete(c%d v%s)" cmd_id
+    (match reply.value with None -> "-" | Some v -> string_of_int v)
+
+let complete b ~node cmd_id reply =
+  match Hashtbl.find_opt b.completions cmd_id with
+  | Some k ->
+      Hashtbl.remove b.completions cmd_id;
+      Span.mark b.spans ~trace:cmd_id ~node ~phase:"reply"
+        ~now:(Engine.now b.engine);
+      k reply
+  | None -> () (* duplicate completion after a leader change *)
+
+(* ---- model-checker fingerprints ---- *)
+
+let permuted ~rename a =
+  let b = Array.copy a in
+  Array.iteri (fun i v -> b.(rename i) <- v) a;
+  b
+
+let mask ~rename a =
+  String.concat ""
+    (Array.to_list
+       (Array.map (fun b -> if b then "1" else "0") (permuted ~rename a)))
+
+let sorted_bindings tbl =
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])

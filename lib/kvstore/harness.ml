@@ -106,6 +106,22 @@ type wired = {
   w_set_cmd_ids : base:int -> stride:int -> unit;
 }
 
+(* One runtime's transport hooks behind the {!Wire} envelope: [inj]
+   wraps an outgoing message; [deliver] injects a received envelope and
+   ignores another protocol's. *)
+let wire_hooks ~submit ~committed_ops ~set_wire ~deliver ~set_cmd_ids ~inj =
+  {
+    w_instance = { submit; committed_ops };
+    w_set_wire =
+      (fun hook ->
+        set_wire
+          (Option.map
+             (fun f ~src ~dst ~size m -> f ~src ~dst ~size (inj m))
+             hook));
+    w_deliver = deliver;
+    w_set_cmd_ids = set_cmd_ids;
+  }
+
 let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) protocol net
     ~leader =
   (* batch_size = 1 leaves [p] untouched, so the default configs reach the
@@ -126,59 +142,25 @@ let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) protocol net
       let cfg = { cfg with C.Raft.params = batched cfg.C.Raft.params } in
       let t = C.Raft.create ?telemetry cfg net in
       C.Raft.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Raft.submit_id t ~node op k);
-            committed_ops =
-              (fun ~node ->
-                let commit = C.Raft.commit_index t ~node in
-                C.Raft.log_entries t ~node
-                |> List.filteri (fun i _ -> i <= commit)
-                |> List.filter_map (fun (e : Types.entry) ->
-                       Option.map (fun (c : Types.cmd) -> c.op) e.cmd));
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Raft.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Raft_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Raft_msg m -> C.Raft.deliver t ~node m
-            | Wire.Mencius_msg _ | Wire.Multipaxos_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Raft.set_cmd_ids t ~base ~stride);
-      }
+      wire_hooks ~submit:(C.Raft.submit_id t)
+        ~committed_ops:(C.Raft.committed_ops t) ~set_wire:(C.Raft.set_wire t)
+        ~set_cmd_ids:(C.Raft.set_cmd_ids t)
+        ~inj:(fun m -> Wire.Raft_msg m)
+        ~deliver:(fun ~node -> function
+          | Wire.Raft_msg m -> C.Raft.deliver t ~node m
+          | Wire.Mencius_msg _ | Wire.Multipaxos_msg _ -> ())
   | Mencius ->
       let cfg = C.Mencius.default_config in
       let cfg = { cfg with C.Mencius.params = batched cfg.C.Mencius.params } in
       let t = C.Mencius.create ?telemetry cfg net in
       C.Mencius.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Mencius.submit_id t ~node op k);
-            committed_ops = (fun ~node -> C.Mencius.committed_ops t ~node);
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Mencius.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Mencius_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Mencius_msg m -> C.Mencius.deliver t ~node m
-            | Wire.Raft_msg _ | Wire.Multipaxos_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Mencius.set_cmd_ids t ~base ~stride);
-      }
+      wire_hooks ~submit:(C.Mencius.submit_id t)
+        ~committed_ops:(C.Mencius.committed_ops t)
+        ~set_wire:(C.Mencius.set_wire t) ~set_cmd_ids:(C.Mencius.set_cmd_ids t)
+        ~inj:(fun m -> Wire.Mencius_msg m)
+        ~deliver:(fun ~node -> function
+          | Wire.Mencius_msg m -> C.Mencius.deliver t ~node m
+          | Wire.Raft_msg _ | Wire.Multipaxos_msg _ -> ())
   | Multipaxos ->
       let cfg = C.Multipaxos.default_config in
       let cfg =
@@ -186,27 +168,14 @@ let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) protocol net
       in
       let t = C.Multipaxos.create ?telemetry ~leader cfg net in
       C.Multipaxos.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Multipaxos.submit_id t ~node op k);
-            committed_ops = (fun ~node -> C.Multipaxos.committed_ops t ~node);
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Multipaxos.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Multipaxos_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Multipaxos_msg m -> C.Multipaxos.deliver t ~node m
-            | Wire.Raft_msg _ | Wire.Mencius_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Multipaxos.set_cmd_ids t ~base ~stride);
-      }
+      wire_hooks ~submit:(C.Multipaxos.submit_id t)
+        ~committed_ops:(C.Multipaxos.committed_ops t)
+        ~set_wire:(C.Multipaxos.set_wire t)
+        ~set_cmd_ids:(C.Multipaxos.set_cmd_ids t)
+        ~inj:(fun m -> Wire.Multipaxos_msg m)
+        ~deliver:(fun ~node -> function
+          | Wire.Multipaxos_msg m -> C.Multipaxos.deliver t ~node m
+          | Wire.Raft_msg _ | Wire.Mencius_msg _ -> ())
 
 let make_instance ?telemetry ?batch_size ?batch_delay_us protocol net ~leader =
   (make_wired ?telemetry ?batch_size ?batch_delay_us protocol net ~leader)

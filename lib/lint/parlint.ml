@@ -559,7 +559,8 @@ let handler_findings facts out =
 (* probe-parity: make_probes string literals, diffed across the trio via
    shared event classes.  Protocol-structural exemptions are inline with
    their reasons; an unclassified probe name registered by exactly two
-   runtimes is flagged at the third (majority vote). *)
+   runtimes is flagged at the third (majority vote).  Probes the replica
+   base registers for all three (commits, acks_sent, ...) need no class. *)
 type probe_class = {
   pc_name : string;
   pc_aliases : string list; (* per-runtime spellings of the same event *)
@@ -589,18 +590,12 @@ let probe_classes =
     { pc_name = "replicate-sent";
       pc_aliases = [ "appends_sent"; "accepts_sent" ];
       pc_exempt = [] };
-    { pc_name = "ack-sent"; pc_aliases = [ "acks_sent" ]; pc_exempt = [] };
-    { pc_name = "commit"; pc_aliases = [ "commits" ]; pc_exempt = [] };
-    { pc_name = "retransmit"; pc_aliases = [ "retransmits" ]; pc_exempt = [] };
     { pc_name = "forward";
       pc_aliases = [ "forwards" ];
       pc_exempt =
         [ ("mencius",
            "every replica leads its own slots; there is no leader to \
             redirect to") ] };
-    { pc_name = "batch-flush";
-      pc_aliases = [ "batch_flush_cmds" ];
-      pc_exempt = [] };
   ]
 
 let probe_findings facts out =

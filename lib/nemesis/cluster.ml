@@ -78,13 +78,7 @@ let make ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) ?raft_config
         crash = (fun ~node -> C.Raft.crash r ~node);
         restart = (fun ~node -> C.Raft.restart r ~node);
         leader_hint = (fun () -> C.Raft.leader_of r);
-        committed_ops =
-          (fun ~node ->
-            let commit = C.Raft.commit_index r ~node in
-            C.Raft.log_entries r ~node
-            |> List.filteri (fun i _ -> i <= commit)
-            |> List.filter_map (fun (e : Types.entry) ->
-                   Option.map (fun (c : Types.cmd) -> c.Types.op) e.Types.cmd));
+        committed_ops = (fun ~node -> C.Raft.committed_ops r ~node);
         digest =
           (fun ~node ->
             Printf.sprintf "term=%d commit=%d log=%d%s"

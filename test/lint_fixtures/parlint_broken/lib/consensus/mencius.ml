@@ -20,9 +20,5 @@ let make_probes c =
   ignore (c "elections");
   ignore (c "revocations_value");
   ignore (c "appends_sent");
-  ignore (c "acks_sent");
-  ignore (c "commits");
   ignore (c "skips_announced");
-  ignore (c "retransmits");
-  ignore (c "forwards");
-  ignore (c "batch_flush_cmds")
+  ignore (c "forwards")

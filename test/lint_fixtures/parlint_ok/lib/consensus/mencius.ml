@@ -1,8 +1,8 @@
 (* The msg type carries a handler-parity allow: this miniature has no
    MCommitMulti (commit-batched rides MAppendMulti here), and the
    make_probes binding carries a probe-parity allow for the missing
-   commit counter — both are the suppressed-fixture half of those
-   rules. *)
+   revocation-outcome counter (leader-change-won) — both are the
+   suppressed-fixture half of those rules. *)
 type msg =
   | MAppend of { from : int }
   | MAck of { from : int }
@@ -21,10 +21,6 @@ let handle m =
 
 let make_probes c =
   ignore (c "revocations_started");
-  ignore (c "revocations_value");
   ignore (c "appends_sent");
-  ignore (c "acks_sent");
-  ignore (c "skips_announced");
-  ignore (c "retransmits");
-  ignore (c "batch_flush_cmds")
-[@@lint.allow "probe-parity" "no commit counter in the miniature runtime"]
+  ignore (c "skips_announced")
+[@@lint.allow "probe-parity" "no revocation-outcome counter in the miniature runtime"]

@@ -20,8 +20,4 @@ let make_probes c =
   ignore (c "leader_wins");
   ignore (c "ballot_changes");
   ignore (c "accepts_sent");
-  ignore (c "acks_sent");
-  ignore (c "commits");
-  ignore (c "retransmits");
-  ignore (c "forwards");
-  ignore (c "batch_flush_cmds")
+  ignore (c "forwards")

@@ -11,8 +11,4 @@ let make_probes c =
   ignore (c "term_changes");
   ignore (c "heartbeats");
   ignore (c "appends_sent");
-  ignore (c "acks_sent");
-  ignore (c "commits");
-  ignore (c "retransmits");
-  ignore (c "forwards");
-  ignore (c "batch_flush_cmds")
+  ignore (c "forwards")

@@ -15,8 +15,10 @@ let test_loopback_demo () =
   Alcotest.(check bool) "completed >= 60" true (r.Driver.d_completed >= 60);
   Alcotest.(check int) "three snapshots" 3 (Array.length r.Driver.d_snapshots)
 
-let test_crosscheck () =
-  let r = Driver.crosscheck ~protocol_name:"multipaxos" ~n:3 ~ops:30 ~seed:5 in
+(* The runtimes' wire hook is shared plumbing: every protocol's loopback
+   run must converge to the snapshot its simulated replay produces. *)
+let test_crosscheck protocol_name () =
+  let r = Driver.crosscheck ~protocol_name ~n:3 ~ops:30 ~seed:5 in
   Alcotest.(check bool)
     (Printf.sprintf "net %s = sim %s" r.Driver.c_net_digest r.Driver.c_sim_digest)
     true r.Driver.c_ok
@@ -72,9 +74,12 @@ let () =
       ( "loopback",
         [
           Alcotest.test_case "3-node raft demo" `Quick test_loopback_demo;
-          Alcotest.test_case "multipaxos sim-vs-net crosscheck" `Quick
-            test_crosscheck;
-        ] );
+        ]
+        @ List.map
+            (fun p ->
+              Alcotest.test_case (p ^ " sim-vs-net crosscheck") `Quick
+                (test_crosscheck p))
+            [ "raft"; "mencius"; "multipaxos" ] );
       ( "cli",
         [
           Alcotest.test_case "unknown subcommand fails loudly" `Quick
