@@ -113,11 +113,10 @@ type server = {
       (** slots whose revocation poll we answered: the poll is a Paxos
           phase 1, so afterwards the owner's own (ballot-0) append must
           be refused or the revocation's decision could lose the race *)
-  store : (int, int) Hashtbl.t;
   key_writes : (int, int list ref) Hashtbl.t;
-      (** slots known to carry a write of each key — what a commutative
-          read must see applied before replying early *)
-  mutable applied : int;  (** slots < this applied to [store] *)
+      (** the unapplied slots that hold a write of each key — what a
+          commutative read must see applied before replying early *)
+  mutable applied : int;  (** slots < this applied to the base's store *)
   waiting : waiting;  (** own ops awaiting their reply, by slot *)
   mutable recovering : bool;
   mutable buffered : Types.cmd list;  (** submissions queued during recovery *)
@@ -185,9 +184,9 @@ let slot srv inst =
 let is_committed srv inst =
   inst < Vec.length srv.committed && Vec.get srv.committed inst
 
-(* Record a slot's value, remembering write positions per key.  Only the
-   Unknown -> Value transition calls this, so each write slot is recorded
-   once. *)
+(* Record a slot's value, remembering write positions per key.  Only a
+   slot that is not a Value yet gets one, so each write slot is recorded
+   once while it holds the write. *)
 let set_value srv inst (cmd : Types.cmd) =
   Vec.set srv.slots inst (Value cmd);
   match cmd.op with
@@ -203,6 +202,17 @@ let set_value srv inst (cmd : Types.cmd) =
       cell := inst :: !cell
   | Types.Get _ -> ()
 
+(* Drop write slot [inst] of [key]: it was applied, or overwritten with a
+   skip.  A key with no unapplied write leaves the table, so the table
+   holds only writes in flight. *)
+let forget_write srv key inst =
+  match Hashtbl.find_opt srv.key_writes key with
+  | None -> ()
+  | Some cell -> (
+      match List.filter (fun j -> j <> inst) !cell with
+      | [] -> Hashtbl.remove srv.key_writes key
+      | rest -> cell := rest)
+
 (* A commutative read at [inst] may reply from the applied store only once
    every known earlier write of its key has been applied; otherwise it
    could return a value older than an already-acknowledged write (the
@@ -210,14 +220,7 @@ let set_value srv inst (cmd : Types.cmd) =
 let commutative_read_safe srv ~key ~inst =
   match Hashtbl.find_opt srv.key_writes key with
   | None -> true
-  | Some slots ->
-      (* A write below [applied] stays applied forever ([applied] is
-         monotone), so prune such slots instead of re-scanning the key's
-         full write history on every check: each write is dropped exactly
-         once and the live list holds only unapplied writes. *)
-      if List.exists (fun j -> j < srv.applied) !slots then
-        slots := List.filter (fun j -> j >= srv.applied) !slots;
-      List.for_all (fun j -> j >= inst) !slots
+  | Some slots -> List.for_all (fun j -> j >= inst) !slots
 
 let owner t inst = inst mod t.n
 
@@ -269,6 +272,9 @@ let evict_waiting q inst =
 
 (* A revocation's final decision: slot [inst] is a committed skip. *)
 let force_skip srv inst =
+  (match slot srv inst with
+  | Value { op = Types.Put { key; _ }; _ } -> forget_write srv key inst
+  | Value { op = Types.Get _; _ } | Skip | Unknown -> ());
   Vec.set srv.slots inst Skip;
   Vec.set srv.committed inst true;
   evict_waiting srv.waiting inst
@@ -359,7 +365,8 @@ let rec advance_frontiers t srv =
   while srv.applied < srv.commit_frontier do
     (match slot srv srv.applied with
     | Value { op = Put { key; write_id; _ }; _ } ->
-        Hashtbl.replace srv.store key write_id
+        Replica.apply srv.node ~key write_id;
+        forget_write srv key srv.applied
     | Value { op = Get _; _ } | Skip | Unknown -> ());
     srv.applied <- srv.applied + 1
   done;
@@ -370,9 +377,9 @@ and[@perf.hot] try_reply t srv =
      can be ready, so most deliveries stop at the head; otherwise walk
      that prefix newest-first, reply to each ready op and slide the rest
      up against the untouched suffix.  Replies leave in descending slot
-     order, and [entry_ready] (which prunes [key_writes]) runs on every op
-     in the prefix.  Replying mid-walk is safe: [send] never delivers
-     synchronously, and readiness reads nothing a send writes. *)
+     order, and [entry_ready] runs on every op in the prefix.  Replying
+     mid-walk is safe: [send] never delivers synchronously, and readiness
+     reads nothing a send writes. *)
   let q = srv.waiting in
   if q.head < q.tail && q.w_inst.(q.head) < srv.known_frontier then begin
     let stop = ref q.head in
@@ -392,7 +399,7 @@ and[@perf.hot] try_reply t srv =
                  slot order see the applied store; commutative reads see
                  their key's applied state, untouched by concurrent
                  ops. *)
-              Hashtbl.find_opt srv.store key
+              Replica.read srv.node ~key
           | Types.Put _ -> None
         in
         complete_at_origin t srv cmd { Types.value }
@@ -797,7 +804,6 @@ let create ?(telemetry = Telemetry.disabled) config net =
           acks = Hashtbl.create 16;
           revocations = Hashtbl.create 8;
           promised = Hashtbl.create 8;
-          store = Hashtbl.create 16;
           key_writes = Hashtbl.create 16;
           applied = 0;
           waiting = { w_inst = [||]; w_cmd = [||]; head = 0; tail = 0 };
@@ -847,7 +853,7 @@ let committed_ops t ~node =
       | Skip | Unknown -> None)
     (List.init srv.commit_frontier Fun.id)
 let known_frontier t ~node = t.servers.(node).known_frontier
-let applied_value t ~node ~key = Hashtbl.find_opt t.servers.(node).store key
+let applied_value t ~node ~key = Replica.applied_value t.base ~node ~key
 let slot_count t ~node = Vec.length t.servers.(node).slots
 
 let skipped_count t ~node =
@@ -897,7 +903,7 @@ let dump_state ?(rename = Fun.id) t ~node =
         (mask r.seen)
         (Types.render_cmd_opt ~rename r.found));
   tbl "pm" srv.promised (fun (i, ()) -> string_of_int i);
-  tbl "st" srv.store (fun (k, v) -> Printf.sprintf "%d=%d" k v);
+  add "%s" (Replica.render_store srv.node);
   tbl "kw" srv.key_writes (fun (k, cell) ->
       Printf.sprintf "%d=[%s]" k
         (String.concat ","

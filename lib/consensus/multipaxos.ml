@@ -78,8 +78,7 @@ type server = {
   mutable leader_hint : int;
   insts : inst Vec.t;
   mutable next_inst : int;  (** leader: next free instance *)
-  mutable executed : int;  (** prefix [0..executed) applied to store *)
-  store : (int, int) Hashtbl.t;
+  mutable executed : int;  (** prefix [0..executed) applied to the store *)
   prepare_oks : (int, int) Hashtbl.t;  (** voter -> 1 (set) *)
   gathered : (int * int * Types.cmd option) Vec.t;
   accept_oks : (int, bool array) Hashtbl.t;
@@ -218,7 +217,7 @@ let rec execute t srv =
       Metrics.inc srv.node.commits;
       (match it.accepted_cmd with
       | Some (Some ({ op = Types.Put { key; write_id; _ }; _ } as cmd)) ->
-          Hashtbl.replace srv.store key write_id;
+          Replica.apply srv.node ~key write_id;
           if srv.is_leader then begin
             Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
               ~now:(Engine.now t.engine);
@@ -229,7 +228,7 @@ let rec execute t srv =
             Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
               ~now:(Engine.now t.engine);
             complete_at_origin t srv cmd
-              { Types.value = Hashtbl.find_opt srv.store key }
+              { Types.value = Replica.read srv.node ~key }
           end
       | Some None | None -> ());
       srv.executed <- srv.executed + 1
@@ -546,7 +545,6 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           insts = Vec.create ();
           next_inst = 0;
           executed = 0;
-          store = Hashtbl.create 16;
           prepare_oks = Hashtbl.create 8;
           gathered = Vec.create ();
           accept_oks = Hashtbl.create 16;
@@ -618,7 +616,7 @@ let committed_ops t ~node =
       | Some (Some cmd) -> Some cmd.Types.op
       | Some None | None -> None)
     (List.init srv.executed Fun.id)
-let applied_value t ~node ~key = Hashtbl.find_opt t.servers.(node).store key
+let applied_value t ~node ~key = Replica.applied_value t.base ~node ~key
 
 let crash t ~node =
   t.servers.(node).down <- true;
@@ -656,7 +654,7 @@ let dump_state ?(rename = Fun.id) t ~node =
       (String.concat ";" (List.map render (Replica.sorted_bindings tbl)))
   in
   let mask = Replica.mask ~rename in
-  tbl "st" srv.store (fun (k, v) -> Printf.sprintf "%d=%d" k v);
+  add "%s" (Replica.render_store srv.node);
   (* keyed by voter node id: sort after renaming, or two symmetric
      states would render their voter sets in different orders *)
   add "|po:%s"

@@ -114,8 +114,7 @@ type server = {
   log : (Types.entry * int) Vec.t;
   mutable commit_index : int;
   mutable last_applied : int;
-  store : (int, int) Hashtbl.t;
-  key_last_write : (int, int) Hashtbl.t;
+  key_last_write : Itbl.t;
   appended_cmds : (int, unit) Hashtbl.t;
       (** cmd ids this leader already appended; a duplicated or re-routed
           [Forward] must not enter the log twice *)
@@ -254,8 +253,8 @@ let repl_tip t srv =
 let note_write srv idx (e : Types.entry) =
   match e.cmd with
   | Some { op = Put { key; _ }; _ } ->
-      let prev = Option.value ~default:(-1) (Hashtbl.find_opt srv.key_last_write key) in
-      if idx > prev then Hashtbl.replace srv.key_last_write key idx
+      if idx > Itbl.find_or srv.key_last_write key ~default:(-1) then
+        Itbl.replace srv.key_last_write key idx
   | _ -> ()
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
@@ -271,7 +270,7 @@ let rec apply_committed t srv =
     let entry, _bal = Vec.get srv.log srv.last_applied in
     (match entry.Types.cmd with
     | Some ({ op = Put { key; write_id; _ }; _ } as cmd) ->
-        Hashtbl.replace srv.store key write_id;
+        Replica.apply srv.node ~key write_id;
         if srv.role = Leader then begin
           Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
             ~now:(Engine.now t.engine);
@@ -281,8 +280,7 @@ let rec apply_committed t srv =
         if srv.role = Leader then begin
           Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
             ~now:(Engine.now t.engine);
-          complete_at_origin t srv cmd
-            { Types.value = Hashtbl.find_opt srv.store key }
+          complete_at_origin t srv cmd { Types.value = Replica.read srv.node ~key }
         end
     | None -> ())
   done;
@@ -496,7 +494,7 @@ and serve_local_read t srv (cmd : Types.cmd) =
         let key = Types.key_of cmd.op in
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"local_read"
           ~now:(Engine.now t.engine);
-        complete_at_origin t srv cmd { Types.value = Hashtbl.find_opt srv.store key }
+        complete_at_origin t srv cmd { Types.value = Replica.read srv.node ~key }
       end)
 
 and append_cmd t srv (cmd : Types.cmd) =
@@ -538,9 +536,7 @@ and handle_client t srv (cmd : Types.cmd) =
         | Quorum_lease when quorum_lease_active t srv ->
             (* Figure 13: wait until every log entry that writes the key is
                committed, then read locally. *)
-            let threshold =
-              Option.value ~default:(-1) (Hashtbl.find_opt srv.key_last_write key)
-            in
+            let threshold = Itbl.find_or srv.key_last_write key ~default:(-1) in
             if srv.commit_index >= threshold then serve_local_read t srv cmd
             else begin
               Metrics.inc srv.pr.pr_lease_waits;
@@ -986,8 +982,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           log = Vec.create ();
           commit_index = -1;
           last_applied = -1;
-          store = Hashtbl.create 16;
-          key_last_write = Hashtbl.create 16;
+          key_last_write = Itbl.create ();
           appended_cmds = Hashtbl.create 16;
           next_index = Array.make n 0;
           match_index = Array.make n (-1);
@@ -1079,8 +1074,7 @@ let term_of t ~node = t.servers.(node).term
 let commit_index t ~node = t.servers.(node).commit_index
 let log_length t ~node = Vec.length t.servers.(node).log
 
-let applied_value t ~node ~key =
-  Hashtbl.find_opt t.servers.(node).store key
+let applied_value t ~node ~key = Replica.applied_value t.base ~node ~key
 
 let log_entries t ~node =
   List.map fst (Vec.to_list t.servers.(node).log)
@@ -1121,9 +1115,6 @@ let restart t ~node =
 
 let role_char = function Follower -> 'F' | Candidate -> 'C' | Leader -> 'L'
 
-let sorted_tbl tbl render =
-  String.concat "," (List.map render (Replica.sorted_bindings tbl))
-
 let sorted_ints l = List.sort Int.compare l
 
 let dump_state ?(rename = Fun.id) t ~node =
@@ -1141,9 +1132,8 @@ let dump_state ?(rename = Fun.id) t ~node =
   Vec.iteri
     (fun _ (e, b) -> add "%s/b%d;" (Types.render_entry ~rename e) b)
     srv.log;
-  add "|st:%s" (sorted_tbl srv.store (fun (k, v) -> Printf.sprintf "%d=%d" k v));
-  add "|kw:%s"
-    (sorted_tbl srv.key_last_write (fun (k, v) -> Printf.sprintf "%d=%d" k v));
+  add "%s" (Replica.render_store srv.node);
+  add "|kw:%s" (Itbl.render srv.key_last_write);
   add "|ap:%s"
     (String.concat ","
        (List.map string_of_int

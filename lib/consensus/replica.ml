@@ -14,6 +14,7 @@ type node = {
   acks_sent : Metrics.counter;
   retransmits : Metrics.counter;
   batch_cmds : Metrics.histogram;
+  store : Itbl.t;
   mutable held : int;
   mutable flush_armed : bool;
   mutable flush_timer : unit -> unit;
@@ -86,6 +87,7 @@ let create ?(telemetry = Telemetry.disabled) ~params net =
           acks_sent = c "acks_sent";
           retransmits = c "retransmits";
           batch_cmds = Metrics.histogram m "batch_flush_cmds" ~node:id;
+          store = Itbl.create ();
           held = 0;
           flush_armed = false;
           flush_timer = ignore;
@@ -177,6 +179,12 @@ let complete b ~node cmd_id reply =
       k reply
   | None -> () (* duplicate completion after a leader change *)
 
+(* ---- applied state ---- *)
+
+let apply nd ~key value = Itbl.replace nd.store key value
+let read nd ~key = Itbl.find_opt nd.store key
+let applied_value b ~node ~key = read b.nodes.(node) ~key
+
 (* ---- model-checker fingerprints ---- *)
 
 let permuted ~rename a =
@@ -193,3 +201,5 @@ let sorted_bindings tbl =
   List.sort
     (fun (a, _) (b, _) -> Int.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let render_store nd = "|st:" ^ Itbl.render nd.store

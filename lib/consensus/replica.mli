@@ -13,6 +13,7 @@ type node = private {
   retransmits : Raftpax_telemetry.Metrics.counter;
   batch_cmds : Raftpax_telemetry.Metrics.histogram;
       (** commands per flush, observed on the batched path only *)
+  store : Itbl.t;  (** applied key -> write id; written only by {!apply} *)
   mutable held : int;  (** commands in the open batch *)
   mutable flush_armed : bool;
   mutable flush_timer : unit -> unit;  (** built once per node *)
@@ -62,6 +63,19 @@ val render_complete : int -> Types.reply -> string
 val complete : 'msg t -> node:int -> int -> Types.reply -> unit
 (** Run a command's callback once; a duplicate [Complete] is dropped. *)
 
+(** {1 Applied state}
+
+    How a committed entry is applied lies outside the paper's
+    correspondence, so one store per node serves all three cores. *)
+
+val apply : node -> key:int -> int -> unit
+(** Apply a committed write of [key]. *)
+
+val read : node -> key:int -> int option
+(** The applied value a read returns: ordered, lease and local reads. *)
+
+val applied_value : 'msg t -> node:int -> key:int -> int option
+
 (** {1 Model-checker fingerprints} *)
 
 val permuted : rename:(int -> int) -> 'a array -> 'a array
@@ -73,6 +87,9 @@ val mask : rename:(int -> int) -> bool array -> string
 
 val sorted_bindings : (int, 'a) Hashtbl.t -> (int * 'a) list
 (** Bindings by ascending key, independent of insertion history. *)
+
+val render_store : node -> string
+(** ["|st:"] and the store's {!Itbl.render}. *)
 
 val hold : 'msg t -> node -> unit
 (** Count one queued command into the open batch.  It flushes at
