@@ -6,7 +6,7 @@
 
 module Engine = Raftpax_sim.Engine
 module Net = Raftpax_sim.Net
-module Harness = Raftpax_kvstore.Harness
+module Protocol = Raftpax_kvstore.Protocol
 module Workload = Raftpax_kvstore.Workload
 module Wire = Raftpax_netcore.Wire
 module Snapshot = Raftpax_netcore.Snapshot
@@ -373,16 +373,16 @@ let demo ~protocol_name ~n ~ops ~clients_per_node ~seed =
             d_snapshots = [||];
           })
 
-(* Feed one recorded command stream through the simulated harness and
+(* Feed one recorded command stream through the simulated runtime and
    return the leader's canonical snapshot. *)
 let sim_replay ~protocol ~n ~ops_in_order ~seed =
   let engine = Engine.create ~seed:(Int64.of_int seed) () in
   let net = Net.create engine ~nodes:(Shell.nodes_for n) in
-  let inst = Harness.make_instance protocol net ~leader:0 in
+  let rt = Protocol.make protocol net ~leader:0 in
   List.iter
     (fun op ->
       let arrived = ref false in
-      ignore (inst.Harness.submit ~node:0 op (fun _ -> arrived := true));
+      rt.Protocol.submit ~node:0 op (fun _ -> arrived := true);
       let guard = ref 0 in
       while (not !arrived) && !guard < 10_000 do
         Engine.run engine ~until:(Engine.now engine + 10_000);
@@ -390,7 +390,7 @@ let sim_replay ~protocol ~n ~ops_in_order ~seed =
       done;
       if not !arrived then failwith "sim replay: op did not complete")
     ops_in_order;
-  Snapshot.of_ops (inst.Harness.committed_ops ~node:0)
+  Snapshot.of_ops (rt.Protocol.committed_ops ~node:0)
 
 type crosscheck_result = {
   c_ok : bool;
@@ -401,7 +401,7 @@ type crosscheck_result = {
 
 let crosscheck ~protocol_name ~n ~ops ~seed =
   let protocol =
-    match Shell.protocol_of_string protocol_name with
+    match Protocol.of_name protocol_name with
     | Some p -> p
     | None -> invalid_arg ("unknown protocol " ^ protocol_name)
   in

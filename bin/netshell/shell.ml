@@ -25,22 +25,10 @@
 module Engine = Raftpax_sim.Engine
 module Net = Raftpax_sim.Net
 module Topology = Raftpax_sim.Topology
-module Harness = Raftpax_kvstore.Harness
+module Protocol = Raftpax_kvstore.Protocol
 module Wire = Raftpax_netcore.Wire
 module Snapshot = Raftpax_netcore.Snapshot
 module Types = Raftpax_consensus.Types
-
-let protocols =
-  [
-    ("raft", Harness.Raft);
-    ("raft-star", Harness.Raft_star);
-    ("raft-ll", Harness.Raft_ll);
-    ("raft-pql", Harness.Raft_pql);
-    ("mencius", Harness.Mencius);
-    ("multipaxos", Harness.Multipaxos);
-  ]
-
-let protocol_of_string s = List.assoc_opt (String.lowercase_ascii s) protocols
 
 (* One site per replica, cycling through the topology — only used for
    the simulated self-send hop; cross-replica latency is the real
@@ -56,8 +44,8 @@ let run ~me ~protocol ~port ~peers ~seed =
   if me < 0 || me >= n then invalid_arg "Shell.run: me out of range";
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~nodes:(nodes_for n) in
-  let wired = Harness.make_wired protocol net ~leader:0 in
-  wired.Harness.w_set_cmd_ids ~base:me ~stride:n;
+  let rt = Protocol.make protocol net ~leader:0 in
+  rt.Protocol.set_cmd_ids ~base:me ~stride:n;
   let t0 = Unix.gettimeofday () in
   let wall_us () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
   let links =
@@ -70,7 +58,7 @@ let run ~me ~protocol ~port ~peers ~seed =
                ~hello:(Wire.Peer_hello { node = me }))
         end)
   in
-  wired.Harness.w_set_wire
+  rt.Protocol.set_wire
     (Some
        (fun ~src ~dst ~size:_ msg ->
          (* Only the live replica's traffic reaches the wire; dormant
@@ -87,12 +75,11 @@ let run ~me ~protocol ~port ~peers ~seed =
   let clients = ref [] in
   let handle_client_frame (cs : client_session) = function
     | Wire.Client_req { req_id; op } ->
-        ignore
-          (wired.Harness.w_instance.Harness.submit ~node:me op (fun reply ->
-               Transport.send cs.conn
-                 (Wire.Client_reply { req_id; value = reply.Types.value })))
+        rt.Protocol.submit ~node:me op (fun reply ->
+            Transport.send cs.conn
+              (Wire.Client_reply { req_id; value = reply.Types.value }))
     | Wire.Snapshot_req ->
-        let ops = wired.Harness.w_instance.Harness.committed_ops ~node:me in
+        let ops = rt.Protocol.committed_ops ~node:me in
         Transport.send cs.conn
           (Wire.Snapshot_reply
              {
@@ -107,7 +94,7 @@ let run ~me ~protocol ~port ~peers ~seed =
   in
   let handle_peer_frame conn = function
     | Wire.Peer_msg { src = _; dst; msg } ->
-        if dst = me then wired.Harness.w_deliver ~node:me msg
+        if dst = me then rt.Protocol.deliver ~node:me msg
     | Wire.Peer_hello _ -> ()
     | _ -> Transport.close conn
   in

@@ -181,6 +181,11 @@ let port_cmd =
 
 (* ---- simulate ---- *)
 
+let harness_protocols =
+  List.map (fun p -> (KV.Protocol.cli_name p, p)) KV.Protocol.all
+
+let cli_names = String.concat ", " (List.map fst harness_protocols)
+
 let run_simulate proto duration clients read_pct conflict_pct size leader_site =
   let workload =
     {
@@ -212,15 +217,7 @@ let run_simulate proto duration clients read_pct conflict_pct size leader_site =
 
 let simulate_cmd =
   let proto =
-    spec_arg
-      [
-        ("raft", KV.Harness.Raft);
-        ("raft-star", KV.Harness.Raft_star);
-        ("raft-ll", KV.Harness.Raft_ll);
-        ("raft-pql", KV.Harness.Raft_pql);
-        ("mencius", KV.Harness.Mencius);
-        ("multipaxos", KV.Harness.Multipaxos);
-      ]
+    spec_arg harness_protocols
   in
   let duration =
     Arg.(value & opt int 10 & info [ "duration" ] ~doc:"Seconds of simulated time.")
@@ -243,16 +240,6 @@ let simulate_cmd =
       $ size $ leader)
 
 (* ---- trace ---- *)
-
-let harness_protocols =
-  [
-    ("raft", KV.Harness.Raft);
-    ("raft-star", KV.Harness.Raft_star);
-    ("raft-ll", KV.Harness.Raft_ll);
-    ("raft-pql", KV.Harness.Raft_pql);
-    ("mencius", KV.Harness.Mencius);
-    ("multipaxos", KV.Harness.Multipaxos);
-  ]
 
 let run_trace proto seed requests read_pct =
   let workload =
@@ -315,8 +302,7 @@ let trace_cmd =
       value
       & opt (enum harness_protocols) KV.Harness.Raft_pql
       & info [ "protocol" ]
-          ~doc:"Protocol to trace (raft, raft-star, raft-ll, raft-pql, \
-                mencius, multipaxos).")
+          ~doc:("Protocol to trace (" ^ cli_names ^ ")."))
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.") in
   let requests =
@@ -345,11 +331,10 @@ let parse_protocols s =
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
   |> List.map (fun name ->
-         match List.assoc_opt (String.lowercase_ascii name) harness_protocols with
+         match KV.Protocol.of_name name with
          | Some p -> p
          | None ->
-             Fmt.epr "unknown protocol %S (try %s)@." name
-               (String.concat ", " (List.map fst harness_protocols));
+             Fmt.epr "unknown protocol %S (try %s)@." name cli_names;
              exit 2)
 
 let parse_placement s =
@@ -489,8 +474,7 @@ let run_nemesis proto_name seed seeds chaos_steps clients dump_trace =
       match Nem.Cluster.protocol_of_name proto_name with
       | Some p -> [ p ]
       | None ->
-          Fmt.epr "unknown protocol %S (try raft, raft-star, raft-pql, \
-                   mencius, multipaxos, all)@." proto_name;
+          Fmt.epr "unknown protocol %S (try %s, all)@." proto_name cli_names;
           exit 2
   in
   let failed = ref 0 in
@@ -517,8 +501,7 @@ let nemesis_cmd =
       value
       & pos 0 string "all"
       & info [] ~docv:"PROTOCOL"
-          ~doc:"Protocol to torture (raft, raft-star, raft-pql, mencius, \
-                multipaxos, or all).")
+          ~doc:("Protocol to torture (" ^ cli_names ^ ", or all)."))
   in
   let seed =
     Arg.(value & opt int 1000 & info [ "seed" ] ~doc:"First seed of the sweep.")
@@ -864,7 +847,7 @@ let net_cmd =
       value
       & opt string "raft"
       & info [ "protocol" ]
-          ~doc:"raft|raft-star|raft-ll|raft-pql|mencius|multipaxos.")
+          ~doc:("Protocol (" ^ cli_names ^ ")."))
   in
   let nodes = Arg.(value & opt int 3 & info [ "nodes" ] ~doc:"Cluster size.") in
   let ops =

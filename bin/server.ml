@@ -38,7 +38,7 @@ let () =
   let peers =
     Array.of_list (List.map parse_peer (String.split_on_char ',' !peers))
   in
-  match Shell.protocol_of_string !protocol with
+  match Raftpax_kvstore.Protocol.of_name !protocol with
   | None ->
       prerr_endline ("server.exe: unknown protocol " ^ !protocol);
       exit 2

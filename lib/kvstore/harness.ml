@@ -3,31 +3,19 @@ module Engine = Sim.Engine
 module Net = Sim.Net
 module Topology = Sim.Topology
 module Stats = Sim.Stats
-module C = Raftpax_consensus
-module Types = C.Types
+module Types = Raftpax_consensus.Types
 module Telemetry = Raftpax_telemetry.Telemetry
 module Wire = Raftpax_netcore.Wire
 
-type protocol =
+type protocol = Protocol.t =
   | Raft
   | Raft_star
   | Raft_ll
-      [@lint.allow
-        "scenario-parity"
-        "leader-lease local reads under the nemesis clock-skew adversary \
-         need lease-aware linearizability accounting first; tracked on the \
-         ROADMAP as the Raft-LL lease scope"]
   | Raft_pql
   | Mencius
   | Multipaxos
 
-let protocol_name = function
-  | Raft -> "Raft"
-  | Raft_star -> "Raft*"
-  | Raft_ll -> "Raft*-LL"
-  | Raft_pql -> "Raft*-PQL"
-  | Mencius -> "Raft*-Mencius"
-  | Multipaxos -> "MultiPaxos"
+let protocol_name = Protocol.name
 
 type config = {
   protocol : protocol;
@@ -84,19 +72,11 @@ type result = {
   minor_words : float;
 }
 
-(* A protocol instance reduced to what the clients need.  [submit] returns
-   the command id — the span trace id when tracing is on. *)
 type instance = {
   submit : node:int -> Types.op -> (Types.reply -> unit) -> int;
   committed_ops : node:int -> Types.op list;
 }
 
-(* The network shell's view of a runtime: the client-facing [instance]
-   plus the transport hooks — intercept outgoing cross-replica messages
-   ([w_set_wire], wrapped in the protocol-agnostic
-   {!Raftpax_netcore.Wire.protocol_msg} envelope), inject received ones
-   ([w_deliver]), and partition the command-id space across processes
-   ([w_set_cmd_ids]). *)
 type wired = {
   w_instance : instance;
   w_set_wire :
@@ -106,76 +86,16 @@ type wired = {
   w_set_cmd_ids : base:int -> stride:int -> unit;
 }
 
-(* One runtime's transport hooks behind the {!Wire} envelope: [inj]
-   wraps an outgoing message; [deliver] injects a received envelope and
-   ignores another protocol's. *)
-let wire_hooks ~submit ~committed_ops ~set_wire ~deliver ~set_cmd_ids ~inj =
-  {
-    w_instance = { submit; committed_ops };
-    w_set_wire =
-      (fun hook ->
-        set_wire
-          (Option.map
-             (fun f ~src ~dst ~size m -> f ~src ~dst ~size (inj m))
-             hook));
-    w_deliver = deliver;
-    w_set_cmd_ids = set_cmd_ids;
-  }
-
-let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) protocol net
-    ~leader =
-  (* batch_size = 1 leaves [p] untouched, so the default configs reach the
-     runtimes byte-for-byte as before batching existed. *)
-  let batched (p : Types.params) =
-    if batch_size <= 1 then p else { p with batch_size; batch_delay_us }
+let make_wired ?telemetry ?batch_size ?batch_delay_us protocol net ~leader =
+  let r =
+    Protocol.make ?telemetry ?batch_size ?batch_delay_us protocol net ~leader
   in
-  match protocol with
-  | Raft | Raft_star | Raft_ll | Raft_pql ->
-      let cfg =
-        match protocol with
-        | Raft -> C.Raft.raft ~leader ()
-        | Raft_star -> C.Raft.raft_star ~leader ()
-        | Raft_ll -> C.Raft.raft_ll ~leader ()
-        | Raft_pql -> C.Raft.raft_pql ~leader ()
-        | _ -> assert false
-      in
-      let cfg = { cfg with C.Raft.params = batched cfg.C.Raft.params } in
-      let t = C.Raft.create ?telemetry cfg net in
-      C.Raft.start t;
-      wire_hooks ~submit:(C.Raft.submit_id t)
-        ~committed_ops:(C.Raft.committed_ops t) ~set_wire:(C.Raft.set_wire t)
-        ~set_cmd_ids:(C.Raft.set_cmd_ids t)
-        ~inj:(fun m -> Wire.Raft_msg m)
-        ~deliver:(fun ~node -> function
-          | Wire.Raft_msg m -> C.Raft.deliver t ~node m
-          | Wire.Mencius_msg _ | Wire.Multipaxos_msg _ -> ())
-  | Mencius ->
-      let cfg = C.Mencius.default_config in
-      let cfg = { cfg with C.Mencius.params = batched cfg.C.Mencius.params } in
-      let t = C.Mencius.create ?telemetry cfg net in
-      C.Mencius.start t;
-      wire_hooks ~submit:(C.Mencius.submit_id t)
-        ~committed_ops:(C.Mencius.committed_ops t)
-        ~set_wire:(C.Mencius.set_wire t) ~set_cmd_ids:(C.Mencius.set_cmd_ids t)
-        ~inj:(fun m -> Wire.Mencius_msg m)
-        ~deliver:(fun ~node -> function
-          | Wire.Mencius_msg m -> C.Mencius.deliver t ~node m
-          | Wire.Raft_msg _ | Wire.Multipaxos_msg _ -> ())
-  | Multipaxos ->
-      let cfg = C.Multipaxos.default_config in
-      let cfg =
-        { cfg with C.Multipaxos.params = batched cfg.C.Multipaxos.params }
-      in
-      let t = C.Multipaxos.create ?telemetry ~leader cfg net in
-      C.Multipaxos.start t;
-      wire_hooks ~submit:(C.Multipaxos.submit_id t)
-        ~committed_ops:(C.Multipaxos.committed_ops t)
-        ~set_wire:(C.Multipaxos.set_wire t)
-        ~set_cmd_ids:(C.Multipaxos.set_cmd_ids t)
-        ~inj:(fun m -> Wire.Multipaxos_msg m)
-        ~deliver:(fun ~node -> function
-          | Wire.Multipaxos_msg m -> C.Multipaxos.deliver t ~node m
-          | Wire.Raft_msg _ | Wire.Mencius_msg _ -> ())
+  {
+    w_instance = { submit = r.submit_id; committed_ops = r.committed_ops };
+    w_set_wire = r.set_wire;
+    w_deliver = r.deliver;
+    w_set_cmd_ids = r.set_cmd_ids;
+  }
 
 let make_instance ?telemetry ?batch_size ?batch_delay_us protocol net ~leader =
   (make_wired ?telemetry ?batch_size ?batch_delay_us protocol net ~leader)

@@ -2,15 +2,16 @@
     closed-loop clients per region, a measurement window with warm-up and
     cool-down trimmed, medians over several seeded trials. *)
 
-type protocol =
-  | Raft  (** vanilla Raft, log reads *)
+type protocol = Protocol.t =
+  | Raft
   | Raft_star
-  | Raft_ll  (** leader-lease reads *)
-  | Raft_pql  (** quorum-lease reads *)
+  | Raft_ll
+  | Raft_pql
   | Mencius
   | Multipaxos
 
 val protocol_name : protocol -> string
+(** {!Protocol.name} *)
 
 type config = {
   protocol : protocol;
@@ -81,21 +82,15 @@ type result = {
           ({!Gc.minor_words} delta; excludes the post-run lin check) *)
 }
 
-(** {1 Protocol instances}
-
-    A running protocol reduced to what a serving layer needs; the
-    sharded harness ({!Shard}) builds one per consensus group. *)
+(** {1 Projections of {!Protocol.runtime}} *)
 
 type instance = {
   submit :
     node:int ->
     Raftpax_consensus.Types.op ->
     (Raftpax_consensus.Types.reply -> unit) ->
-    int;
-      (** submit at a replica's colocated entry point; returns the
-          command id (the span trace id) *)
+    int;  (** {!Protocol.runtime.submit_id} *)
   committed_ops : node:int -> Raftpax_consensus.Types.op list;
-      (** the replica's committed command order — the lin-check oracle *)
 }
 
 val make_instance :
@@ -106,23 +101,7 @@ val make_instance :
   Raftpax_sim.Net.t ->
   leader:int ->
   instance
-(** Create, start and reduce a protocol runtime over [net] with the
-    initial leader at replica [leader] (ignored by Mencius, which has no
-    distinguished leader).  [?batch_size] / [?batch_delay_us] (defaults
-    1 / 0) override the protocol's batching knobs; size 1 leaves the
-    default params untouched. *)
-
-(** {1 Wired instances — the real-network runtime's entry point}
-
-    The network shell ([bin/]) hosts one full runtime per process but
-    keeps only the local replica live.  [w_set_wire] intercepts every
-    cross-replica message before the simulated {!Raftpax_sim.Net} sees
-    it, wrapped in the protocol-agnostic
-    {!Raftpax_netcore.Wire.protocol_msg} envelope; the transport carries
-    the encoded bytes and the receiving process injects them with
-    [w_deliver].  [w_set_cmd_ids] partitions the command-id space across
-    processes (process [i] of [n]: [base:i stride:n]) so leader-side
-    dedup by id stays sound. *)
+(** {!Protocol.make}, reduced to what clients use. *)
 
 type wired = {
   w_instance : instance;
@@ -135,7 +114,6 @@ type wired = {
     option ->
     unit;
   w_deliver : node:int -> Raftpax_netcore.Wire.protocol_msg -> unit;
-      (** a message of the wrong protocol is silently dropped *)
   w_set_cmd_ids : base:int -> stride:int -> unit;
 }
 
@@ -147,6 +125,7 @@ val make_wired :
   Raftpax_sim.Net.t ->
   leader:int ->
   wired
+(** {!Protocol.make}, reduced to the instance and the wire hooks. *)
 
 val run : config -> result
 

@@ -667,12 +667,13 @@ let probe_findings facts out =
     end
   end
 
-(* scenario-parity: four obligations.  (a) every steady*/crash* binding
+(* scenario-parity: three obligations.  (a) every steady*/crash* binding
    the scenario registry references must also register its _batched
    variant; (b) Cluster.all_protocols must enumerate every constructor
    of its own protocol type; (c) the chaos test must iterate
-   all_protocols (or name every constructor); (d) every Harness
-   protocol must exist in the nemesis Cluster.protocol family. *)
+   all_protocols (or name every constructor).  That every Harness
+   protocol has a Cluster counterpart needs no rule: both re-export
+   Protocol.t. *)
 let scenario_findings facts out =
   List.iter
     (fun sf ->
@@ -746,34 +747,7 @@ let scenario_findings facts out =
                     the nemesis matrix")
           end)
         facts)
-    clusters;
-  if clusters <> [] then begin
-    let cluster_names =
-      List.fold_left
-        (fun acc cf ->
-          List.fold_left
-            (fun acc c -> SSet.add c.d_name acc)
-            acc cf.ff_proto_ctors)
-        SSet.empty clusters
-    in
-    List.iter
-      (fun hf ->
-        if is_harness hf.ff_path then
-          List.iter
-            (fun c ->
-              if
-                (not (SSet.mem c.d_name cluster_names))
-                && not (allowed r_scenario (c.d_allows @ hf.ff_allows))
-              then
-                out
-                  (finding hf.ff_path c.d_loc r_scenario
-                     (Printf.sprintf
-                        "harness protocol %s has no nemesis Cluster.protocol \
-                         counterpart: it never faces the chaos matrix"
-                        c.d_name)))
-            hf.ff_proto_ctors)
-      facts
-  end
+    clusters
 
 let analyze facts =
   let acc = ref [] in

@@ -18,12 +18,13 @@ let det_params =
     election_timeout_max_us = Types.default_params.election_timeout_min_us;
   }
 
-let raft_config_for = function
-  | Cluster.Raft -> Some { (C.Raft.raft ~leader:0 ()) with params = det_params }
-  | Cluster.Raft_star ->
-      Some { (C.Raft.raft_star ~leader:0 ()) with params = det_params }
-  | Cluster.Raft_pql ->
-      Some { (C.Raft.raft_pql ~leader:0 ()) with params = det_params }
+let raft_config_for protocol =
+  let det (c : C.Raft.config) = Some { c with params = det_params } in
+  match protocol with
+  | Cluster.Raft -> det (C.Raft.raft ~leader:0 ())
+  | Cluster.Raft_star -> det (C.Raft.raft_star ~leader:0 ())
+  | Cluster.Raft_ll -> det (C.Raft.raft_ll ~leader:0 ())
+  | Cluster.Raft_pql -> det (C.Raft.raft_pql ~leader:0 ())
   | Cluster.Mencius | Cluster.Multipaxos -> None
 
 (* Steady (crash-free) Raft scopes are about the replication and read
@@ -36,7 +37,7 @@ let raft_config_for = function
    loss, allow every timer; so does nemesis, which covers the lease
    paths with the same invariant library as a sanitizer. *)
 let steady_fire_filter = function
-  | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_pql ->
+  | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_ll | Cluster.Raft_pql ->
       Some (fun ~node:_ ~label -> label = "heartbeat")
   | Cluster.Mencius | Cluster.Multipaxos -> None
 
@@ -204,7 +205,9 @@ let batchify sc =
        else
          let recovery =
            match protocol with
-           | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_pql -> "election"
+           | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_ll
+           | Cluster.Raft_pql ->
+               "election"
            | Cluster.Mencius | Cluster.Multipaxos -> "watchdog"
          in
          Some (fun ~node:_ ~label -> label = "flush" || label = recovery));

@@ -1,29 +1,29 @@
-(** Protocol-generic cluster driver.
+(** Protocol-generic cluster driver: {!Raftpax_kvstore.Protocol.runtime}
+    reduced to what the nemesis, the model checker, the chaos tests and
+    the seed-sweep tool use.  Adding a protocol means adding one
+    {!Raftpax_kvstore.Protocol.make} arm — no test changes. *)
 
-    Every runtime protocol is reduced to the operations a nemesis needs:
-    submit a client op, crash/restart a replica, name the best submission
-    target, expose the committed operation order (the universal safety
-    oracle input) and a compact per-replica state digest for the trace.
-    The nemesis, the chaos tests and the seed-sweep tool all drive
-    protocols exclusively through this interface, so adding a protocol
-    means adding one [make] arm — no test changes. *)
-
-type protocol = Raft | Raft_star | Raft_pql | Mencius | Multipaxos
+type protocol = Raftpax_kvstore.Protocol.t =
+  | Raft
+  | Raft_star
+  | Raft_ll
+  | Raft_pql
+  | Mencius
+  | Multipaxos
 
 val all_protocols : protocol list
+(** The protocols the chaos matrix runs: every one but Raft-LL. *)
+
 val protocol_name : protocol -> string
+(** {!Raftpax_kvstore.Protocol.name} *)
 
 val protocol_of_name : string -> protocol option
-(** Case-insensitive; accepts the {!protocol_name} spellings and the
-    CLI spellings (["raft-star"], ["raft-pql"], ...). *)
+(** {!Raftpax_kvstore.Protocol.of_name} *)
 
 type t = {
   protocol : protocol;
   n : int;  (** replica count *)
-  fifo_required : bool;
-      (** the protocol assumes FIFO channels (Mencius, per its paper), so
-          a nemesis must not inject FIFO-violating reordering against it;
-          Raft and MultiPaxos tolerate arbitrary reordering *)
+  fifo_required : bool;  (** {!Raftpax_kvstore.Protocol.fifo_required} *)
   submit :
     node:int ->
     Raftpax_consensus.Types.op ->
@@ -32,32 +32,17 @@ type t = {
   crash : node:int -> unit;
   restart : node:int -> unit;
   leader_hint : unit -> int option;
-      (** preferred submission target, if the protocol has one ([None] for
-          multi-leader protocols — submit anywhere) *)
   committed_ops : node:int -> Raftpax_consensus.Types.op list;
-      (** the replica's committed prefix, in commit order — all replicas'
-          lists must be prefixes of one another *)
   digest : node:int -> string;
-      (** compact state summary; a change is a state transition worth
-          tracing *)
-  dump : node:int -> string;
-      (** full ordering view (slot/log contents) for diagnosing a
-          divergence — appended to the trace when a run fails *)
+  dump : node:int -> string;  (** appended to the trace when a run fails *)
   state : rename:(int -> int) -> node:int -> string;
-      (** canonical full-state rendering (the runtime's [dump_state]) —
-          the model checker's fingerprint input.  [rename] maps node ids
-          to canonical images for the checker's symmetry reduction;
-          pass [Fun.id] for the plain rendering *)
   mono : node:int -> int array;
-      (** the runtime's [mono_view]: components that must never decrease
-          along any execution *)
   invariant : unit -> string option;
-      (** the runtime's cluster-wide safety invariants; [None] = all hold.
-          Used by the model checker at every state and by the nemesis
+      (** checked by the model checker at every state and by the nemesis
           sanitizer ([debug_invariants]) at every digest poll *)
   raft_peek : (node:int -> Raftpax_consensus.Raft.peek) option;
-      (** structured refinement snapshot — Raft-family clusters only *)
 }
+(** The remaining fields are those of {!Raftpax_kvstore.Protocol.runtime}. *)
 
 val make :
   ?telemetry:Raftpax_telemetry.Telemetry.t ->
@@ -69,12 +54,5 @@ val make :
   protocol ->
   Raftpax_sim.Net.t ->
   t
-(** Create and start a cluster of the given protocol on the net's nodes
-    (single-leader protocols bootstrap with node 0 elected).
-    [?telemetry] is forwarded to the runtime's [create]; the per-protocol
-    config overrides let the model checker inject mutation flags and
-    election-scope configs (each applies only to its own protocol and
-    defaults to the standard config).  [?batch_size] / [?batch_delay_us]
-    arm leader-side command batching on whichever config is resolved; the
-    default size 1 leaves the params untouched, reproducing the unbatched
-    runtimes byte-for-byte. *)
+(** {!Raftpax_kvstore.Protocol.make} on the net's nodes, with node 0 as
+    the initial leader of the single-leader protocols. *)

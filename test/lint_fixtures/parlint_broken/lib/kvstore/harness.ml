@@ -1,4 +1,2 @@
-(* Raft_ll has no counterpart in cluster.ml and no allow —
-   scenario-parity must fire. *)
-type protocol = Raft | Multipaxos | Raft_ll
+type protocol = Raft | Multipaxos
 type config = { batch_size : int }

@@ -1,7 +1,3 @@
-type protocol =
-  | Raft
-  | Multipaxos
-  | Raft_ll
-      [@lint.allow "scenario-parity" "no chaos coverage for leases yet"]
+type protocol = Raft | Multipaxos
 
 type config = { batch_size : int }

@@ -133,6 +133,25 @@ let test_harness_runs_all_protocols () =
       Harness.Multipaxos;
     ]
 
+(* One name table: every protocol parses back from both its display
+   and its command-line spelling. *)
+let test_protocol_names () =
+  let every =
+    Protocol.[ Raft; Raft_star; Raft_ll; Raft_pql; Mencius; Multipaxos ]
+  in
+  Alcotest.(check bool) "Protocol.all lists every constructor" true
+    (Protocol.all = every);
+  List.iter
+    (fun p ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (name ^ " parses to " ^ Protocol.name p)
+            true
+            (Protocol.of_name name = Some p))
+        [ Protocol.name p; Protocol.cli_name p ])
+    every
+
 let test_harness_deterministic () =
   let r1 = Harness.run (quick_cfg Harness.Raft_star) in
   let r2 = Harness.run (quick_cfg Harness.Raft_star) in
@@ -333,6 +352,7 @@ let () =
         ] );
       ( "harness",
         [
+          Alcotest.test_case "protocol names" `Quick test_protocol_names;
           Alcotest.test_case "all protocols" `Slow test_harness_runs_all_protocols;
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_harness_seed_changes_run;

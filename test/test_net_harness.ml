@@ -68,6 +68,17 @@ let test_unknown_subcommand () =
       "mcheck"; "topology"; "lint"; "net";
     ]
 
+(* Every protocol-name error lists the one name table, all six CLI
+   spellings included. *)
+let test_unknown_protocol args () =
+  let code, err = run_capture args in
+  Alcotest.(check int) "exit code" 2 code;
+  List.iter
+    (fun p ->
+      let name = Raftpax_kvstore.Protocol.cli_name p in
+      Alcotest.(check bool) ("message lists " ^ name) true (contains ~sub:name err))
+    Raftpax_kvstore.Protocol.all
+
 let () =
   Alcotest.run "net_harness"
     [
@@ -79,10 +90,16 @@ let () =
             (fun p ->
               Alcotest.test_case (p ^ " sim-vs-net crosscheck") `Quick
                 (test_crosscheck p))
-            [ "raft"; "mencius"; "multipaxos" ] );
+            [
+              "raft"; "raft-star"; "raft-ll"; "raft-pql"; "mencius"; "multipaxos";
+            ] );
       ( "cli",
         [
           Alcotest.test_case "unknown subcommand fails loudly" `Quick
             test_unknown_subcommand;
+          Alcotest.test_case "nemesis rejects an unknown protocol" `Quick
+            (test_unknown_protocol "nemesis bogus");
+          Alcotest.test_case "shard rejects an unknown protocol" `Quick
+            (test_unknown_protocol "shard --protocols bogus");
         ] );
     ]
