@@ -47,14 +47,20 @@ let no_cmd =
   { Types.id = -1; op = Types.Get { key = 0 }; origin = -1; submitted_us = 0 }
 
 type msg =
-  | MAppend of { from : int; inst : int; cmd : Types.cmd }
-  | MAck of { from : int; inst : int }
+  | MAppend of {
+      from : int;
+      items : (int * Types.cmd) list;
+          (** (turn, command) per command: one item unbatched, a whole
+            flushed batch of the sender's own turns otherwise — one
+            frame, CPU charge and ack *)
+    }
+  | MAck of { from : int; insts : int list }
   | MSkip of { from : int; first : int; upto : int }
       (** [from]'s turns in [[first, upto)] are no-ops.  The range is
           explicit — "every slot of mine you haven't seen" would be
           unsound for a receiver that missed an append while down or
           partitioned. *)
-  | MCommit of { inst : int }
+  | MCommit of { insts : int list }
   | MRevoke of { from : int; inst : int }
       (** simplified recovery: the designated revoker polls the cluster
           about a dead replica's slot *)
@@ -68,14 +74,6 @@ type msg =
           (** (instance, is_skip, value, committed) for every decided or
               known slot *)
     }
-  | MAppendMulti of {
-      from : int;
-      items : (int * Types.cmd) list;
-          (** one flushed batch of the sender's own turns — a single
-            frame, CPU charge and ack instead of one each *)
-    }
-  | MAckMulti of { from : int; insts : int list }
-  | MCommitMulti of { insts : int list }
   | Complete of { cmd_id : int; reply : Types.reply }
 
 type server_probes = {
@@ -146,12 +144,25 @@ let revoke_trace inst = -(inst + 1)
 let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
+(* [MAppend], [MAck] and [MCommit] are charged an 8-byte slot index per
+   item only in batched runs; unbatched, the one slot is costed as part
+   of the header.  The hotpath goldens pin both costings, so making them
+   uniform is a golden-moving change of its own. *)
+let index_bytes t items =
+  if (p t).batch_size > 1 then 8 * List.length items else 0
+
 let msg_size t = function
-  | MAppend { cmd; _ } -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
+  | MAppend { items; _ } ->
+      (p t).msg_header_bytes + index_bytes t items
+      + List.fold_left
+          (fun acc (_, c) -> acc + Types.op_size c.Types.op)
+          0 items
+  | MAck { insts; _ } | MCommit { insts } ->
+      (p t).msg_header_bytes + index_bytes t insts
   | MRevStatus { value; _ } ->
       (p t).msg_header_bytes
       + (match value with Some c -> Types.op_size c.Types.op | None -> 0)
-  | MAck _ | MSkip _ | MCommit _ | MRevoke _ | MSkipForce _ | MCatchup _ ->
+  | MSkip _ | MRevoke _ | MSkipForce _ | MCatchup _ ->
       (p t).msg_header_bytes
   | MState { slots } ->
       (p t).msg_header_bytes
@@ -161,13 +172,6 @@ let msg_size t = function
             + 8
             + match cmd with Some c -> Types.op_size c.Types.op | None -> 0)
           0 slots
-  | MAppendMulti { items; _ } ->
-      (p t).msg_header_bytes
-      + List.fold_left
-          (fun acc (_, c) -> acc + 8 + Types.op_size c.Types.op)
-          0 items
-  | MAckMulti { insts; _ } | MCommitMulti { insts } ->
-      (p t).msg_header_bytes + (8 * List.length insts)
   | Complete _ -> (p t).reply_bytes
 
 (* ---- slot bookkeeping ---- *)
@@ -223,6 +227,18 @@ let commutative_read_safe srv ~key ~inst =
   | Some slots -> List.for_all (fun j -> j >= inst) !slots
 
 let owner t inst = inst mod t.n
+
+(* The highest turn among [items], or [acc] if none is higher. *)
+let rec last_turn acc = function
+  | [] -> acc
+  | (inst, _) :: rest -> last_turn (max acc inst) rest
+
+let rec mark_committed srv = function
+  | [] -> ()
+  | inst :: rest ->
+      ensure srv inst;
+      Vec.set srv.committed inst true;
+      mark_committed srv rest
 
 let conflicting (cmd : Types.cmd) = Types.key_of cmd.op = hot_key
 
@@ -297,13 +313,21 @@ let entry_ready srv inst (cmd : Types.cmd) =
    never include Mencius, and the renaming here only keeps the interface
    uniform with the other protocols. *)
 let render_msg ?(rename = Fun.id) = function
-  | MAppend { from; inst; cmd } ->
-      Printf.sprintf "MAppend(f%d i%d %s)" (rename from) inst
-        (Types.render_cmd ~rename cmd)
-  | MAck { from; inst } -> Printf.sprintf "MAck(f%d i%d)" (rename from) inst
+  | MAppend { from; items } ->
+      Printf.sprintf "MAppend(f%d [%s])" (rename from)
+        (String.concat ";"
+           (List.map
+              (fun (i, c) ->
+                Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c))
+              items))
+  | MAck { from; insts } ->
+      Printf.sprintf "MAck(f%d [%s])" (rename from)
+        (String.concat ";" (List.map string_of_int insts))
   | MSkip { from; first; upto } ->
       Printf.sprintf "MSkip(f%d %d..%d)" (rename from) first upto
-  | MCommit { inst } -> Printf.sprintf "MCommit(i%d)" inst
+  | MCommit { insts } ->
+      Printf.sprintf "MCommit([%s])"
+        (String.concat ";" (List.map string_of_int insts))
   | MRevoke { from; inst } ->
       Printf.sprintf "MRevoke(f%d i%d)" (rename from) inst
   | MRevStatus { from; inst; value } ->
@@ -323,19 +347,6 @@ let render_msg ?(rename = Fun.id) = function
                   | None -> "")
                   (if committed then "!" else ""))
               (List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) slots)))
-  | MAppendMulti { from; items } ->
-      Printf.sprintf "MAppendMulti(f%d [%s])" (rename from)
-        (String.concat ";"
-           (List.map
-              (fun (i, c) ->
-                Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c))
-              items))
-  | MAckMulti { from; insts } ->
-      Printf.sprintf "MAckMulti(f%d [%s])" (rename from)
-        (String.concat ";" (List.map string_of_int insts))
-  | MCommitMulti { insts } ->
-      Printf.sprintf "MCommitMulti([%s])"
-        (String.concat ";" (List.map string_of_int insts))
   | Complete { cmd_id; reply } -> Replica.render_complete cmd_id reply
 
 (* ---- dispatch ---- *)
@@ -467,50 +478,40 @@ and handle t srv msg =
     match msg with
     | Complete { cmd_id; reply } ->
         Replica.complete t.base ~node:srv.id cmd_id reply
-    | MAppend { from; inst; cmd } ->
-        Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
+    | MAppend { from; items } ->
+        (* One CPU charge, one own-turn skip walk and one ack for the
+           whole list; bounded by the sender's batch_size. *)
+        let k = (List.length items [@perf.allow "length-in-hot-path"]) in
+        Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
+          (fun () ->
             if not srv.down then begin
-              ensure srv inst;
-              let refused =
-                from = owner t inst && Hashtbl.mem srv.promised inst
-              in
-              (match slot srv inst with
-              | Unknown when not refused -> set_value srv inst cmd
-              | _ -> ());
-              skip_own_turns t srv ~upto:inst;
-              (* Ack only if we actually hold this value: a promised or
+              let held = hold_appends t srv from items in
+              skip_own_turns t srv ~upto:(last_turn (-1) items);
+              (* Ack only the turns we actually hold: a promised or
                  force-skipped slot must not count toward the sender's
                  majority, or it could commit a value a revocation
                  concurrently decided to skip. *)
-              (match slot srv inst with
-              | Value held when held.Types.id = cmd.Types.id ->
-                  Metrics.inc srv.node.acks_sent;
-                  send t ~src:srv.id ~dst:from (MAck { from = srv.id; inst })
-              | _ -> ());
+              if held <> [] then begin
+                Metrics.inc srv.node.acks_sent;
+                send t ~src:srv.id ~dst:from
+                  (MAck { from = srv.id; insts = held })
+              end;
               advance_frontiers t srv
             end)
-    | MAck { from; inst } -> (
-        match Hashtbl.find_opt srv.acks inst with
-        | None -> ()
-        | Some acked ->
-            acked.(from) <- true;
-            let count =
-              Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-            in
-            if count + 1 >= majority t && not (is_committed srv inst) then begin
-              ensure srv inst;
-              Vec.set srv.committed inst true;
-              broadcast t srv (MCommit { inst });
-              advance_frontiers t srv
-            end)
+    | MAck { from; insts } -> (
+        match tally_acks t srv from insts with
+        | [] -> ()
+        | newly ->
+            (* One commit broadcast and one frontier walk per ack. *)
+            broadcast t srv (MCommit { insts = newly });
+            advance_frontiers t srv)
     | MSkip { from; first; upto } ->
         if apply_skips t srv ~who:from ~start:first ~upto then
           advance_frontiers t srv
-    | MCommit { inst } ->
-        ensure srv inst;
+    | MCommit { insts } ->
         (* The commit flag may race ahead of the append carrying the value;
            the frontier waits for both. *)
-        Vec.set srv.committed inst true;
+        mark_committed srv insts;
         advance_frontiers t srv
     | MRevoke { from; inst } ->
         ensure srv inst;
@@ -545,7 +546,8 @@ and handle t srv msg =
                   if slot srv inst = Unknown then set_value srv inst cmd;
                   Hashtbl.replace srv.acks inst (Array.make t.n false);
                   Metrics.add srv.pr.pr_appends (t.n - 1);
-                  broadcast t srv (MAppend { from = srv.id; inst; cmd });
+                  broadcast t srv
+                    (MAppend { from = srv.id; items = [ (inst, cmd) ] });
                   advance_frontiers t srv
               | None ->
                   (* Nobody in a majority saw it, and their [MRevoke]
@@ -611,70 +613,41 @@ and handle t srv msg =
           srv.buffered <- [];
           List.iter (fun cmd -> start_own_slot t srv cmd) queued
         end
-    | MAppendMulti { from; items } ->
-        (* One CPU charge, one own-turn skip walk and one ack for the
-           whole batch; bounded by the sender's batch_size. *)
-        let k = (List.length items [@perf.allow "length-in-hot-path"]) in
-        Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
-          (fun () ->
-            if not srv.down then begin
-              let held = ref [] in
-              let max_inst = ref (-1) in
-              List.iter
-                (fun (inst, (cmd : Types.cmd)) ->
-                  ensure srv inst;
-                  if inst > !max_inst then max_inst := inst;
-                  let refused =
-                    from = owner t inst && Hashtbl.mem srv.promised inst
-                  in
-                  (match slot srv inst with
-                  | Unknown when not refused -> set_value srv inst cmd
-                  | _ -> ());
-                  match slot srv inst with
-                  | Value held_cmd when held_cmd.Types.id = cmd.Types.id ->
-                      held := inst :: !held
-                  | _ -> ())
-                items;
-              if !max_inst >= 0 then skip_own_turns t srv ~upto:!max_inst;
-              if !held <> [] then begin
-                Metrics.inc srv.node.acks_sent;
-                send t ~src:srv.id ~dst:from
-                  (MAckMulti { from = srv.id; insts = List.rev !held })
-              end;
-              advance_frontiers t srv
-            end)
-    | MAckMulti { from; insts } ->
-        let newly = ref [] in
-        List.iter
-          (fun inst ->
-            match Hashtbl.find_opt srv.acks inst with
-            | None -> ()
-            | Some acked ->
-                acked.(from) <- true;
-                let count =
-                  Array.fold_left
-                    (fun acc b -> if b then acc + 1 else acc)
-                    0 acked
-                in
-                if count + 1 >= majority t && not (is_committed srv inst)
-                then begin
-                  ensure srv inst;
-                  Vec.set srv.committed inst true;
-                  newly := inst :: !newly
-                end)
-          insts;
-        if !newly <> [] then begin
-          (* One commit broadcast and one frontier walk per acked batch. *)
-          broadcast t srv (MCommitMulti { insts = List.rev !newly });
-          advance_frontiers t srv
-        end
-    | MCommitMulti { insts } ->
-        List.iter
-          (fun inst ->
+
+(* Record each appended (turn, command) unless the turn is taken or
+   promised to a revocation; the turns now holding their command, in
+   order. *)
+and hold_appends t srv from = function
+  | [] -> []
+  | (inst, (cmd : Types.cmd)) :: rest -> (
+      ensure srv inst;
+      let refused = from = owner t inst && Hashtbl.mem srv.promised inst in
+      (match slot srv inst with
+      | Unknown when not refused -> set_value srv inst cmd
+      | _ -> ());
+      match slot srv inst with
+      | Value held when held.Types.id = cmd.Types.id ->
+          inst :: hold_appends t srv from rest
+      | _ -> hold_appends t srv from rest)
+
+(* Count [from]'s ack of each own turn and commit those reaching a
+   majority; the newly committed turns, in ack order. *)
+and tally_acks t srv from = function
+  | [] -> []
+  | inst :: rest -> (
+      match Hashtbl.find_opt srv.acks inst with
+      | None -> tally_acks t srv from rest
+      | Some acked ->
+          acked.(from) <- true;
+          let count =
+            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
+          in
+          if count + 1 >= majority t && not (is_committed srv inst) then begin
             ensure srv inst;
-            Vec.set srv.committed inst true)
-          insts;
-        advance_frontiers t srv
+            Vec.set srv.committed inst true;
+            inst :: tally_acks t srv from rest
+          end
+          else tally_acks t srv from rest)
 
 (* Frontier watchdog: if the committed prefix stalls on a dead replica's
    slot, the lowest live replica revokes it with no-ops. *)
@@ -701,7 +674,8 @@ and watchdog t srv =
                 Hashtbl.replace srv.acks stuck (Array.make t.n false);
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_appends (t.n - 1);
-              broadcast t srv (MAppend { from = srv.id; inst = stuck; cmd })
+              broadcast t srv
+                (MAppend { from = srv.id; items = [ (stuck, cmd) ] })
           | _ -> ());
           if owner t stuck <> srv.id && srv.id = lowest_live t then begin
             (* Poll the cluster about the blocking slot before deciding. *)
@@ -756,19 +730,19 @@ and claim_own_slot t srv (cmd : Types.cmd) =
   inst
 
 and start_own_slot t srv (cmd : Types.cmd) =
-  let inst = claim_own_slot t srv cmd in
-  Metrics.add srv.pr.pr_appends (t.n - 1);
-  broadcast t srv (MAppend { from = srv.id; inst; cmd });
-  if t.n = 1 then Vec.set srv.committed inst true;
-  advance_frontiers t srv
+  send_appends t srv [ (claim_own_slot t srv cmd, cmd) ]
 
-(* Release the accumulated batch (the base's flush hook): one
-   MAppendMulti broadcast carries every held (turn, command) pair. *)
+(* Release the accumulated batch (the base's flush hook). *)
 and flush_appends t srv =
   let items = List.rev srv.pending_batch in
   srv.pending_batch <- [];
+  send_appends t srv items
+
+(* One MAppend broadcast for claimed own turns — a lone replica is its own
+   majority. *)
+and send_appends t srv items =
   Metrics.add srv.pr.pr_appends (t.n - 1);
-  broadcast t srv (MAppendMulti { from = srv.id; items });
+  broadcast t srv (MAppend { from = srv.id; items });
   if t.n = 1 then
     List.iter (fun (inst, _) -> Vec.set srv.committed inst true) items;
   advance_frontiers t srv

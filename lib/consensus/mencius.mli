@@ -42,11 +42,16 @@ val default_config : config
 (** {1 Wire messages} — exposed for the {!Raftpax_netcore} codec. *)
 
 type msg =
-  | MAppend of { from : int; inst : int; cmd : Types.cmd }
-  | MAck of { from : int; inst : int }
+  | MAppend of {
+      from : int;
+      items : (int * Types.cmd) list;
+          (** (turn, command) per command: one item unbatched, a whole
+              flushed batch of the sender's own turns otherwise *)
+    }
+  | MAck of { from : int; insts : int list }
   | MSkip of { from : int; first : int; upto : int }
       (** [from]'s turns in [[first, upto)] are no-ops *)
-  | MCommit of { inst : int }
+  | MCommit of { insts : int list }
   | MRevoke of { from : int; inst : int }
   | MRevStatus of { from : int; inst : int; value : Types.cmd option }
   | MSkipForce of { inst : int }
@@ -56,13 +61,6 @@ type msg =
           (** (instance, is_skip, value, committed) for every decided or
               known slot *)
     }
-  | MAppendMulti of {
-      from : int;
-      items : (int * Types.cmd) list;
-          (** one flushed batch of the sender's own turns *)
-    }
-  | MAckMulti of { from : int; insts : int list }
-  | MCommitMulti of { insts : int list }
   | Complete of { cmd_id : int; reply : Types.reply }
 
 type t

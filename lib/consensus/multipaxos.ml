@@ -38,18 +38,15 @@ type msg =
       accepted : (int * int * Types.cmd option) list;
           (** (instance, ballot, value) for every accepted instance *)
     }
-  | Accept of { bal : int; from : int; inst : int; cmd : Types.cmd option }
-  | AcceptOk of { bal : int; from : int; inst : int }
-  | Learn of { inst : int; cmd : Types.cmd option }
-  | AcceptMulti of {
+  | Accept of {
       bal : int;
       from : int;
       items : (int * Types.cmd option) list;
-          (** one flushed leader batch: (instance, value) per command —
-            a single frame, CPU charge and ack instead of one each *)
+          (** (instance, value) per command: one item unbatched, a whole
+            flushed batch otherwise — one frame, CPU charge and ack *)
     }
-  | AcceptOkMulti of { bal : int; from : int; insts : int list }
-  | LearnMulti of { items : (int * Types.cmd option) list }
+  | AcceptOk of { bal : int; from : int; insts : int list }
+  | Learn of { items : (int * Types.cmd option) list }
   | Forward of Types.cmd
   | Complete of { cmd_id : int; reply : Types.reply }
 
@@ -110,25 +107,27 @@ type t = {
 let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
+(* An [AcceptOk] is charged an 8-byte instance index per item only in
+   batched runs; an unbatched one is costed as a bare header.  The
+   hotpath goldens pin both costings, so making them uniform is a
+   golden-moving change of its own. *)
 let msg_size t = function
-  | Prepare _ | AcceptOk _ -> (p t).msg_header_bytes
+  | Prepare _ -> (p t).msg_header_bytes
+  | AcceptOk { insts; _ } ->
+      (p t).msg_header_bytes
+      + if (p t).batch_size > 1 then 8 * List.length insts else 0
   | PrepareOk { accepted; _ } ->
       (p t).msg_header_bytes
       + List.fold_left
           (fun acc (_, _, c) ->
             acc + match c with Some c -> Types.op_size c.Types.op | None -> 8)
           0 accepted
-  | Accept { cmd; _ } | Learn { cmd; _ } -> (
-      (p t).msg_header_bytes
-      + match cmd with Some c -> Types.op_size c.Types.op | None -> 8)
-  | AcceptMulti { items; _ } | LearnMulti { items } ->
+  | Accept { items; _ } | Learn { items } ->
       (p t).msg_header_bytes
       + List.fold_left
           (fun acc (_, c) ->
             acc + match c with Some c -> Types.op_size c.Types.op | None -> 8)
           0 items
-  | AcceptOkMulti { insts; _ } ->
-      (p t).msg_header_bytes + (8 * List.length insts)
   | Forward cmd -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
   | Complete _ -> (p t).reply_bytes
 
@@ -168,19 +167,8 @@ let render_msg ?(rename = Fun.id) ~n = function
                  (fun (i1, b1, _) (i2, b2, _) ->
                    if i1 <> i2 then Int.compare i1 i2 else Int.compare b1 b2)
                  accepted)))
-  | Accept { bal; from; inst; cmd } ->
-      Printf.sprintf "Accept(b%d f%d i%d %s)"
-        (rename_ballot rename ~n bal)
-        (rename from) inst
-        (Types.render_cmd_opt ~rename cmd)
-  | AcceptOk { bal; from; inst } ->
-      Printf.sprintf "AcceptOk(b%d f%d i%d)"
-        (rename_ballot rename ~n bal)
-        (rename from) inst
-  | Learn { inst; cmd } ->
-      Printf.sprintf "Learn(i%d %s)" inst (Types.render_cmd_opt ~rename cmd)
-  | AcceptMulti { bal; from; items } ->
-      Printf.sprintf "AcceptMulti(b%d f%d [%s])"
+  | Accept { bal; from; items } ->
+      Printf.sprintf "Accept(b%d f%d [%s])"
         (rename_ballot rename ~n bal)
         (rename from)
         (String.concat ";"
@@ -188,13 +176,13 @@ let render_msg ?(rename = Fun.id) ~n = function
               (fun (i, c) ->
                 Printf.sprintf "%d:%s" i (Types.render_cmd_opt ~rename c))
               items))
-  | AcceptOkMulti { bal; from; insts } ->
-      Printf.sprintf "AcceptOkMulti(b%d f%d [%s])"
+  | AcceptOk { bal; from; insts } ->
+      Printf.sprintf "AcceptOk(b%d f%d [%s])"
         (rename_ballot rename ~n bal)
         (rename from)
         (String.concat ";" (List.map string_of_int insts))
-  | LearnMulti { items } ->
-      Printf.sprintf "LearnMulti([%s])"
+  | Learn { items } ->
+      Printf.sprintf "Learn([%s])"
         (String.concat ";"
            (List.map
               (fun (i, c) ->
@@ -247,7 +235,12 @@ and choose srv i cmd =
   end
   else false
 
-and mark_chosen t srv i cmd = if choose srv i cmd then execute t srv
+(* [choose] every item in order; true if any was new. *)
+and choose_all srv = function
+  | [] -> false
+  | (i, cmd) :: rest ->
+      let fresh = choose srv i cmd in
+      choose_all srv rest || fresh
 
 (* ---- phase 2 ---- *)
 
@@ -266,15 +259,7 @@ and propose t srv (cmd : Types.cmd) =
         Hashtbl.replace srv.waiters i cmd;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        if (p t).batch_size <= 1 then begin
-          Metrics.add srv.pr.pr_accepts (t.n - 1);
-          broadcast t srv
-            (Accept
-               { bal = srv.ballot; from = srv.id; inst = i; cmd = Some cmd });
-          if t.n = 1 then begin
-            mark_chosen t srv i (Some cmd)
-          end
-        end
+        if (p t).batch_size <= 1 then send_accepts t srv [ (i, Some cmd) ]
         else begin
           (* Batched: the instance is fully set up above; only its Accept
              broadcast is held back until the batch flushes. *)
@@ -287,18 +272,18 @@ and propose t srv (cmd : Types.cmd) =
         send t ~src:srv.id ~dst:srv.leader_hint (Forward cmd)
       end)
 
-(* Release the accumulated batch (the base's flush hook): one
-   AcceptMulti broadcast carries every held (instance, value) pair. *)
+(* Release the accumulated batch (the base's flush hook). *)
 and flush_accepts t srv =
   let items = List.rev srv.pending_batch in
   srv.pending_batch <- [];
+  send_accepts t srv items
+
+(* One Accept broadcast for (instance, value) pairs the leader has already
+   accepted itself — a lone replica is its own majority. *)
+and send_accepts t srv items =
   Metrics.add srv.pr.pr_accepts (t.n - 1);
-  broadcast t srv (AcceptMulti { bal = srv.ballot; from = srv.id; items });
-  if t.n = 1 then begin
-    let any = ref false in
-    List.iter (fun (i, cmd) -> if choose srv i cmd then any := true) items;
-    if !any then execute t srv
-  end
+  broadcast t srv (Accept { bal = srv.ballot; from = srv.id; items });
+  if t.n = 1 && choose_all srv items then execute t srv
 
 (* ---- phase 1 ---- *)
 
@@ -352,7 +337,7 @@ and become_leader t srv =
       Hashtbl.replace srv.accept_oks i (Array.make t.n false);
       Metrics.add srv.pr.pr_accepts (t.n - 1);
       broadcast t srv
-        (Accept { bal = srv.ballot; from = srv.id; inst = i; cmd = value })
+        (Accept { bal = srv.ballot; from = srv.id; items = [ (i, value) ] })
     end
   done
 
@@ -392,98 +377,65 @@ and handle t srv msg =
           if Hashtbl.length srv.prepare_oks + 1 >= majority t then
             become_leader t srv
         end
-    | Accept { bal; from; inst = i; cmd } ->
+    | Accept { bal; from; items } ->
         if bal >= srv.ballot then begin
           if bal > srv.ballot then Metrics.inc srv.pr.pr_ballot_changes;
           srv.ballot <- bal;
           if from <> srv.id then srv.is_leader <- false;
           srv.leader_hint <- from;
           srv.last_leader_sign <- Engine.now t.engine;
-          Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
-              if not srv.down then begin
-                let it = inst srv i in
-                it.accepted_bal <- bal;
-                it.accepted_cmd <- Some cmd;
-                Metrics.inc srv.node.acks_sent;
-                send t ~src:srv.id ~dst:from (AcceptOk { bal; from = srv.id; inst = i })
-              end)
-        end
-    | AcceptOk { bal; from; inst = i } ->
-        if bal = srv.ballot && srv.is_leader then begin
-          match Hashtbl.find_opt srv.accept_oks i with
-          | None -> ()
-          | Some acked ->
-              acked.(from) <- true;
-              let count =
-                Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-              in
-              if count + 1 >= majority t && not (inst srv i).chosen then begin
-                let cmd =
-                  match (inst srv i).accepted_cmd with Some c -> c | None -> None
-                in
-                mark_chosen t srv i cmd;
-                broadcast t srv (Learn { inst = i; cmd })
-              end
-        end
-    | Learn { inst = i; cmd } -> mark_chosen t srv i cmd
-    | AcceptMulti { bal; from; items } ->
-        if bal >= srv.ballot then begin
-          if bal > srv.ballot then Metrics.inc srv.pr.pr_ballot_changes;
-          srv.ballot <- bal;
-          if from <> srv.id then srv.is_leader <- false;
-          srv.leader_hint <- from;
-          srv.last_leader_sign <- Engine.now t.engine;
-          (* One CPU charge and one ack for the whole batch; the walk is
+          (* One CPU charge and one ack for the whole list; the walk is
              bounded by the leader's batch_size. *)
           let k = (List.length items [@perf.allow "length-in-hot-path"]) in
           Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
             (fun () ->
               if not srv.down then begin
-                List.iter
-                  (fun (i, cmd) ->
-                    let it = inst srv i in
-                    it.accepted_bal <- bal;
-                    it.accepted_cmd <- Some cmd)
-                  items;
+                let insts = accept_items srv bal items in
                 Metrics.inc srv.node.acks_sent;
                 send t ~src:srv.id ~dst:from
-                  (AcceptOkMulti
-                     { bal; from = srv.id; insts = List.map fst items })
+                  (AcceptOk { bal; from = srv.id; insts })
               end)
         end
-    | AcceptOkMulti { bal; from; insts } ->
+    | AcceptOk { bal; from; insts } ->
         if bal = srv.ballot && srv.is_leader then begin
-          let newly = ref [] in
-          List.iter
-            (fun i ->
-              match Hashtbl.find_opt srv.accept_oks i with
-              | None -> ()
-              | Some acked ->
-                  acked.(from) <- true;
-                  let count =
-                    Array.fold_left
-                      (fun acc b -> if b then acc + 1 else acc)
-                      0 acked
-                  in
-                  if count + 1 >= majority t && not (inst srv i).chosen then begin
-                    let cmd =
-                      match (inst srv i).accepted_cmd with
-                      | Some c -> c
-                      | None -> None
-                    in
-                    if choose srv i cmd then newly := (i, cmd) :: !newly
-                  end)
-            insts;
-          if !newly <> [] then begin
-            (* One execute walk and one Learn broadcast per acked batch. *)
-            execute t srv;
-            broadcast t srv (LearnMulti { items = List.rev !newly })
-          end
+          match tally_acks t srv from insts with
+          | [] -> ()
+          | items ->
+              (* One execute walk and one Learn broadcast per ack. *)
+              execute t srv;
+              broadcast t srv (Learn { items })
         end
-    | LearnMulti { items } ->
-        let any = ref false in
-        List.iter (fun (i, cmd) -> if choose srv i cmd then any := true) items;
-        if !any then execute t srv
+    | Learn { items } -> if choose_all srv items then execute t srv
+
+(* Accept every (instance, value) at [bal]; the instances, in order. *)
+and accept_items srv bal = function
+  | [] -> []
+  | (i, cmd) :: rest ->
+      let it = inst srv i in
+      it.accepted_bal <- bal;
+      it.accepted_cmd <- Some cmd;
+      i :: accept_items srv bal rest
+
+(* Count [from]'s ack of each instance and choose those reaching a
+   majority; the newly chosen (instance, value) pairs, in ack order. *)
+and tally_acks t srv from = function
+  | [] -> []
+  | i :: rest -> (
+      match Hashtbl.find_opt srv.accept_oks i with
+      | None -> tally_acks t srv from rest
+      | Some acked ->
+          acked.(from) <- true;
+          let count =
+            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
+          in
+          if count + 1 >= majority t && not (inst srv i).chosen then begin
+            let cmd =
+              match (inst srv i).accepted_cmd with Some c -> c | None -> None
+            in
+            ignore (choose srv i cmd);
+            (i, cmd) :: tally_acks t srv from rest
+          end
+          else tally_acks t srv from rest)
 
 (* Leader-failure watchdog: lowest live replica takes over.  The same
    tick is the leader's repair timer: an [Accept] or its [AcceptOk]s can
@@ -516,7 +468,8 @@ and watchdog t srv =
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_accepts (t.n - 1);
               broadcast t srv
-                (Accept { bal = srv.ballot; from = srv.id; inst = i; cmd })
+                (Accept
+                   { bal = srv.ballot; from = srv.id; items = [ (i, cmd) ] })
             end
           done
         else if

@@ -34,17 +34,15 @@ type msg =
       accepted : (int * int * Types.cmd option) list;
           (** (instance, ballot, value) for every accepted instance *)
     }
-  | Accept of { bal : int; from : int; inst : int; cmd : Types.cmd option }
-  | AcceptOk of { bal : int; from : int; inst : int }
-  | Learn of { inst : int; cmd : Types.cmd option }
-  | AcceptMulti of {
+  | Accept of {
       bal : int;
       from : int;
       items : (int * Types.cmd option) list;
-          (** one flushed leader batch: (instance, value) per command *)
+          (** (instance, value) per command: one item unbatched, a whole
+              flushed leader batch otherwise *)
     }
-  | AcceptOkMulti of { bal : int; from : int; insts : int list }
-  | LearnMulti of { items : (int * Types.cmd option) list }
+  | AcceptOk of { bal : int; from : int; insts : int list }
+  | Learn of { items : (int * Types.cmd option) list }
   | Forward of Types.cmd
   | Complete of { cmd_id : int; reply : Types.reply }
 

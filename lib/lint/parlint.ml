@@ -47,9 +47,8 @@ let rules : Lint.rule list =
       id = r_handler;
       severity = Finding.Error;
       summary =
-        "family-shared message roles (replicate/ack/commit and their \
-         batched *Multi variants) must exist and be dispatched in all \
-         three runtimes";
+        "family-shared message roles (replicate/ack/commit) must exist \
+         and be dispatched in all three runtimes";
       applies = Lint.everywhere;
     };
     {
@@ -482,20 +481,15 @@ let knob_findings facts out =
     facts
 
 (* handler-parity: the Section-4 correspondence as a table.  Raft has no
-   separate commit or batched message — commit piggybacks on Append's
-   commit_index and batching rides Append's entries list — so its column
-   repeats Append/Ack by design. *)
+   separate commit message — commit piggybacks on Append's commit_index —
+   so its column repeats Append by design.  Batching needs no rows of its
+   own: in every protocol a batch is a longer items list in the same
+   replicate/ack/commit message. *)
 let families =
   [
     ("replicate", [ ("raft", "Append"); ("multipaxos", "Accept"); ("mencius", "MAppend") ]);
-    ( "replicate-batched",
-      [ ("raft", "Append"); ("multipaxos", "AcceptMulti"); ("mencius", "MAppendMulti") ] );
     ("ack", [ ("raft", "Ack"); ("multipaxos", "AcceptOk"); ("mencius", "MAck") ]);
-    ( "ack-batched",
-      [ ("raft", "Ack"); ("multipaxos", "AcceptOkMulti"); ("mencius", "MAckMulti") ] );
     ("commit", [ ("raft", "Append"); ("multipaxos", "Learn"); ("mencius", "MCommit") ]);
-    ( "commit-batched",
-      [ ("raft", "Append"); ("multipaxos", "LearnMulti"); ("mencius", "MCommitMulti") ] );
   ]
 
 let handler_findings facts out =

@@ -4,7 +4,10 @@
    protocol byte and a constructor tag.  New constructors append new tags
    (additive, existing encodings unchanged); changing an existing tag's
    layout means a version bump — the golden-vector test pins the
-   format. *)
+   format.  A retired tag decodes as malformed and is never reused:
+   Mencius 0, 1 and 3 and MultiPaxos 2, 3 and 4 were the single-command
+   replicate/ack/commit layouts, which the list layouts of tags 10-12
+   and 7-9 replaced. *)
 
 module Types = Raftpax_consensus.Types
 module Raft = Raftpax_consensus.Raft
@@ -208,23 +211,11 @@ let get_raft r : Raft.msg =
 
 let put_mencius w (m : Mencius.msg) =
   match m with
-  | MAppend { from; inst; cmd } ->
-      C.put_byte w 0;
-      C.put_int w from;
-      C.put_int w inst;
-      put_cmd w cmd
-  | MAck { from; inst } ->
-      C.put_byte w 1;
-      C.put_int w from;
-      C.put_int w inst
   | MSkip { from; first; upto } ->
       C.put_byte w 2;
       C.put_int w from;
       C.put_int w first;
       C.put_int w upto
-  | MCommit { inst } ->
-      C.put_byte w 3;
-      C.put_int w inst
   | MRevoke { from; inst } ->
       C.put_byte w 4;
       C.put_int w from;
@@ -253,7 +244,7 @@ let put_mencius w (m : Mencius.msg) =
       C.put_byte w 9;
       C.put_int w cmd_id;
       put_reply w reply
-  | MAppendMulti { from; items } ->
+  | MAppend { from; items } ->
       C.put_byte w 10;
       C.put_int w from;
       C.put_list
@@ -261,31 +252,21 @@ let put_mencius w (m : Mencius.msg) =
           C.put_int w inst;
           put_cmd w cmd)
         w items
-  | MAckMulti { from; insts } ->
+  | MAck { from; insts } ->
       C.put_byte w 11;
       C.put_int w from;
       C.put_list C.put_int w insts
-  | MCommitMulti { insts } ->
+  | MCommit { insts } ->
       C.put_byte w 12;
       C.put_list C.put_int w insts
 
 let get_mencius r : Mencius.msg =
   match C.u8 r with
-  | 0 ->
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      let cmd = get_cmd r in
-      MAppend { from; inst; cmd }
-  | 1 ->
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      MAck { from; inst }
   | 2 ->
       let from = C.get_int r in
       let first = C.get_int r in
       let upto = C.get_int r in
       MSkip { from; first; upto }
-  | 3 -> MCommit { inst = C.get_int r }
   | 4 ->
       let from = C.get_int r in
       let inst = C.get_int r in
@@ -323,12 +304,12 @@ let get_mencius r : Mencius.msg =
             (inst, cmd))
           r
       in
-      MAppendMulti { from; items }
+      MAppend { from; items }
   | 11 ->
       let from = C.get_int r in
       let insts = C.get_list C.get_int r in
-      MAckMulti { from; insts }
-  | 12 -> MCommitMulti { insts = C.get_list C.get_int r }
+      MAck { from; insts }
+  | 12 -> MCommit { insts = C.get_list C.get_int r }
   | _ -> C.malformed "mencius tag"
 
 (* ---- MultiPaxos ---- *)
@@ -349,21 +330,6 @@ let put_multipaxos w (m : Multipaxos.msg) =
           C.put_int w bal;
           C.put_option put_cmd w value)
         w accepted
-  | Accept { bal; from; inst; cmd } ->
-      C.put_byte w 2;
-      C.put_int w bal;
-      C.put_int w from;
-      C.put_int w inst;
-      C.put_option put_cmd w cmd
-  | AcceptOk { bal; from; inst } ->
-      C.put_byte w 3;
-      C.put_int w bal;
-      C.put_int w from;
-      C.put_int w inst
-  | Learn { inst; cmd } ->
-      C.put_byte w 4;
-      C.put_int w inst;
-      C.put_option put_cmd w cmd
   | Forward cmd ->
       C.put_byte w 5;
       put_cmd w cmd
@@ -371,7 +337,7 @@ let put_multipaxos w (m : Multipaxos.msg) =
       C.put_byte w 6;
       C.put_int w cmd_id;
       put_reply w reply
-  | AcceptMulti { bal; from; items } ->
+  | Accept { bal; from; items } ->
       C.put_byte w 7;
       C.put_int w bal;
       C.put_int w from;
@@ -380,12 +346,12 @@ let put_multipaxos w (m : Multipaxos.msg) =
           C.put_int w inst;
           C.put_option put_cmd w cmd)
         w items
-  | AcceptOkMulti { bal; from; insts } ->
+  | AcceptOk { bal; from; insts } ->
       C.put_byte w 8;
       C.put_int w bal;
       C.put_int w from;
       C.put_list C.put_int w insts
-  | LearnMulti { items } ->
+  | Learn { items } ->
       C.put_byte w 9;
       C.put_list
         (fun w (inst, cmd) ->
@@ -412,21 +378,6 @@ let get_multipaxos r : Multipaxos.msg =
           r
       in
       PrepareOk { bal; from; accepted }
-  | 2 ->
-      let bal = C.get_int r in
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      let cmd = C.get_option get_cmd r in
-      Accept { bal; from; inst; cmd }
-  | 3 ->
-      let bal = C.get_int r in
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      AcceptOk { bal; from; inst }
-  | 4 ->
-      let inst = C.get_int r in
-      let cmd = C.get_option get_cmd r in
-      Learn { inst; cmd }
   | 5 -> Forward (get_cmd r)
   | 6 ->
       let cmd_id = C.get_int r in
@@ -443,12 +394,12 @@ let get_multipaxos r : Multipaxos.msg =
             (inst, cmd))
           r
       in
-      AcceptMulti { bal; from; items }
+      Accept { bal; from; items }
   | 8 ->
       let bal = C.get_int r in
       let from = C.get_int r in
       let insts = C.get_list C.get_int r in
-      AcceptOkMulti { bal; from; insts }
+      AcceptOk { bal; from; insts }
   | 9 ->
       let items =
         C.get_list
@@ -458,7 +409,7 @@ let get_multipaxos r : Multipaxos.msg =
             (inst, cmd))
           r
       in
-      LearnMulti { items }
+      Learn { items }
   | _ -> C.malformed "multipaxos tag"
 
 (* ---- protocol envelope ---- *)

@@ -1,20 +1,14 @@
-(* Deliberate fault: MAckMulti is missing from the msg type with no
-   allow, while multipaxos has AcceptOkMulti — handler-parity
-   missing-member must fire on the ack-batched family. *)
+(* Deliberate fault: MAck is missing from the msg type with no allow,
+   while multipaxos has AcceptOk — handler-parity missing-member must
+   fire on the ack family. *)
 type msg =
-  | MAppend of { from : int }
-  | MAck of { from : int }
-  | MCommit of { inst : int }
-  | MAppendMulti of { from : int }
-  | MCommitMulti of { insts : int list }
+  | MAppend of { from : int; items : int list }
+  | MCommit of { insts : int list }
 
 let handle m =
   match m with
   | MAppend _ -> 1
-  | MAck _ -> 2
-  | MCommit _ -> 3
-  | MAppendMulti _ -> 4
-  | MCommitMulti _ -> 5
+  | MCommit _ -> 2
 
 let make_probes c =
   ignore (c "elections");

@@ -2,36 +2,24 @@ let gen_raft_msg = [ Raft.Append { term = 1 }; Raft.Ack { from = 0 } ]
 
 let gen_multipaxos_msg =
   [
-    Multipaxos.Accept { bal = 1 };
-    Multipaxos.AcceptOk { bal = 1 };
-    Multipaxos.Learn { inst = 1 };
-    Multipaxos.AcceptMulti { bal = 1 };
-    Multipaxos.AcceptOkMulti { bal = 1 };
-    Multipaxos.LearnMulti { insts = [ 1 ] };
+    Multipaxos.Accept { bal = 1; items = [ 1 ] };
+    Multipaxos.AcceptOk { bal = 1; insts = [ 1 ] };
+    Multipaxos.Learn { items = [ 1 ] };
   ]
 
 let gen_mencius_msg =
   [
-    Mencius.MAppend { from = 1 };
-    Mencius.MAck { from = 1 };
-    Mencius.MCommit { inst = 1 };
-    Mencius.MAppendMulti { from = 1 };
-    Mencius.MCommitMulti { insts = [ 1 ] };
+    Mencius.MAppend { from = 1; items = [ 1 ] };
+    Mencius.MCommit { insts = [ 1 ] };
   ]
 
 let golden_table =
   [
     ("raft-append", `M (Raft.Append { term = 1 }), "00");
     ("raft-ack", `M (Raft.Ack { from = 0 }), "01");
-    ("mp-accept", `M (Multipaxos.Accept { bal = 1 }), "02");
-    ("mp-accept-ok", `M (Multipaxos.AcceptOk { bal = 1 }), "03");
-    ("mp-learn", `M (Multipaxos.Learn { inst = 1 }), "04");
-    ("mp-accept-multi", `M (Multipaxos.AcceptMulti { bal = 1 }), "05");
-    ("mp-accept-ok-multi", `M (Multipaxos.AcceptOkMulti { bal = 1 }), "06");
-    ("mp-learn-multi", `M (Multipaxos.LearnMulti { insts = [] }), "07");
-    ("mencius-mappend", `M (Mencius.MAppend { from = 1 }), "08");
-    ("mencius-mack", `M (Mencius.MAck { from = 1 }), "09");
-    ("mencius-mcommit", `M (Mencius.MCommit { inst = 1 }), "0a");
-    ("mencius-mappend-multi", `M (Mencius.MAppendMulti { from = 1 }), "0b");
-    ("mencius-mcommit-multi", `M (Mencius.MCommitMulti { insts = [] }), "0c");
+    ("mp-accept", `M (Multipaxos.Accept { bal = 1; items = [] }), "02");
+    ("mp-accept-ok", `M (Multipaxos.AcceptOk { bal = 1; insts = [] }), "03");
+    ("mp-learn", `M (Multipaxos.Learn { items = [] }), "04");
+    ("mencius-mappend", `M (Mencius.MAppend { from = 1; items = [] }), "05");
+    ("mencius-mcommit", `M (Mencius.MCommit { insts = [] }), "06");
   ]

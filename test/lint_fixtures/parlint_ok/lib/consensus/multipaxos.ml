@@ -1,19 +1,13 @@
 type msg =
-  | Accept of { bal : int }
-  | AcceptOk of { bal : int }
-  | Learn of { inst : int }
-  | AcceptMulti of { bal : int }
-  | AcceptOkMulti of { bal : int }
-  | LearnMulti of { insts : int list }
+  | Accept of { bal : int; items : int list }
+  | AcceptOk of { bal : int; insts : int list }
+  | Learn of { items : int list }
 
 let handle m =
   match m with
   | Accept _ -> 1
   | AcceptOk _ -> 2
   | Learn _ -> 3
-  | AcceptMulti _ -> 4
-  | AcceptOkMulti _ -> 5
-  | LearnMulti _ -> 6
 
 let make_probes c =
   ignore (c "elections");

@@ -6,31 +6,16 @@ let put_multipaxos w m =
   | Accept _ -> w 0
   | AcceptOk _ -> w 1
   | Learn _ -> w 2
-  | AcceptMulti _ -> w 3
-  | AcceptOkMulti _ -> w 4
-  | LearnMulti _ -> w 5
 
 let get_multipaxos r =
   match r with
-  | 0 -> Accept { bal = 0 }
-  | 1 -> AcceptOk { bal = 0 }
-  | 2 -> Learn { inst = 0 }
-  | 3 -> AcceptMulti { bal = 0 }
-  | 4 -> AcceptOkMulti { bal = 0 }
-  | _ -> LearnMulti { insts = [] }
+  | 0 -> Accept { bal = 0; items = [] }
+  | 1 -> AcceptOk { bal = 0; insts = [] }
+  | _ -> Learn { items = [] }
 
-let put_mencius w m =
-  match m with
-  | MAppend _ -> w 0
-  | MAck _ -> w 1
-  | MCommit _ -> w 2
-  | MAppendMulti _ -> w 3
-  | MAckMulti _ -> w 4
+let put_mencius w m = match m with MAppend _ -> w 0 | MAck _ -> w 1
 
 let get_mencius r =
   match r with
-  | 0 -> MAppend { from = 0 }
-  | 1 -> MAck { from = 0 }
-  | 2 -> MCommit { inst = 0 }
-  | 3 -> MAppendMulti { from = 0 }
-  | _ -> MAckMulti { from = 0 }
+  | 0 -> MAppend { from = 0; items = [] }
+  | _ -> MAck { from = 0; insts = [] }

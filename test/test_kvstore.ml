@@ -152,6 +152,43 @@ let test_protocol_names () =
         [ Protocol.name p; Protocol.cli_name p ])
     every
 
+(* A one-node cluster is its own majority: each core must commit writes
+   and serve reads through its local path alone, unbatched and batched. *)
+let test_one_node_clusters () =
+  List.iter
+    (fun (proto, batch_size) ->
+      let label =
+        Printf.sprintf "%s batch %d" (Protocol.name proto) batch_size
+      in
+      let engine = Sim.Engine.create ~seed:5L () in
+      let net =
+        Sim.Net.create engine
+          ~nodes:[ { Sim.Net.id = 0; site = List.hd Sim.Topology.sites } ]
+      in
+      let rt = Protocol.make ~batch_size proto net ~leader:0 in
+      let acks = ref 0 and reads = ref [] in
+      let run_s s =
+        Sim.Engine.run engine ~until:(Sim.Engine.now engine + (s * 1_000_000))
+      in
+      for key = 1 to 6 do
+        rt.Protocol.submit ~node:0
+          (Types.Put { key; size = 8; write_id = 100 + key })
+          (fun _ -> incr acks)
+      done;
+      run_s 1;
+      for key = 1 to 6 do
+        rt.Protocol.submit ~node:0 (Types.Get { key }) (fun r ->
+            incr acks;
+            reads := (key, r.Types.value) :: !reads)
+      done;
+      run_s 1;
+      Alcotest.(check int) (label ^ " acks") 12 !acks;
+      Alcotest.(check (list (pair int (option int))))
+        (label ^ " reads see the writes")
+        (List.init 6 (fun i -> (i + 1, Some (101 + i))))
+        (List.sort compare !reads))
+    (List.concat_map (fun p -> [ (p, 1); (p, 4) ]) Protocol.all)
+
 let test_harness_deterministic () =
   let r1 = Harness.run (quick_cfg Harness.Raft_star) in
   let r2 = Harness.run (quick_cfg Harness.Raft_star) in
@@ -354,6 +391,7 @@ let () =
         [
           Alcotest.test_case "protocol names" `Quick test_protocol_names;
           Alcotest.test_case "all protocols" `Slow test_harness_runs_all_protocols;
+          Alcotest.test_case "one-node clusters" `Quick test_one_node_clusters;
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_harness_seed_changes_run;
           Alcotest.test_case "pql read advantage" `Slow test_pql_beats_raft_on_reads;

@@ -90,15 +90,20 @@ let gen_mencius_msg =
   Gen.(
     oneof
       [
-        map
-          (fun (from, inst, cmd) -> Mencius.MAppend { from; inst; cmd })
-          (triple (int_bound 8) (int_bound 1000) gen_cmd);
-        map2 (fun from inst -> Mencius.MAck { from; inst }) (int_bound 8)
-          (int_bound 1000);
+        map2
+          (fun from items -> Mencius.MAppend { from; items })
+          (int_bound 8)
+          (small_list (pair (int_bound 1000) gen_cmd));
+        map2
+          (fun from insts -> Mencius.MAck { from; insts })
+          (int_bound 8)
+          (small_list (int_bound 1000));
         map
           (fun (from, first, upto) -> Mencius.MSkip { from; first; upto })
           (triple (int_bound 8) (int_bound 1000) (int_bound 1000));
-        map (fun inst -> Mencius.MCommit { inst }) (int_bound 1000);
+        map
+          (fun insts -> Mencius.MCommit { insts })
+          (small_list (int_bound 1000));
         map2 (fun from inst -> Mencius.MRevoke { from; inst }) (int_bound 8)
           (int_bound 1000);
         map
@@ -113,17 +118,6 @@ let gen_mencius_msg =
         map2
           (fun cmd_id reply -> Mencius.Complete { cmd_id; reply })
           (int_bound 1_000_000) gen_reply;
-        map2
-          (fun from items -> Mencius.MAppendMulti { from; items })
-          (int_bound 8)
-          (small_list (pair (int_bound 1000) gen_cmd));
-        map2
-          (fun from insts -> Mencius.MAckMulti { from; insts })
-          (int_bound 8)
-          (small_list (int_bound 1000));
-        map
-          (fun insts -> Mencius.MCommitMulti { insts })
-          (small_list (int_bound 1000));
       ])
 
 let gen_multipaxos_msg =
@@ -138,31 +132,19 @@ let gen_multipaxos_msg =
           (triple (int_bound 50) (int_bound 8)
              (small_list (triple (int_bound 1000) (int_bound 50) (option gen_cmd))));
         map
-          (fun ((bal, from), (inst, cmd)) ->
-            Multipaxos.Accept { bal; from; inst; cmd })
-          (pair (pair (int_bound 50) (int_bound 8))
-             (pair (int_bound 1000) (option gen_cmd)));
+          (fun (bal, from, items) -> Multipaxos.Accept { bal; from; items })
+          (triple (int_bound 50) (int_bound 8)
+             (small_list (pair (int_bound 1000) (option gen_cmd))));
         map
-          (fun (bal, from, inst) -> Multipaxos.AcceptOk { bal; from; inst })
-          (triple (int_bound 50) (int_bound 8) (int_bound 1000));
-        map2
-          (fun inst cmd -> Multipaxos.Learn { inst; cmd })
-          (int_bound 1000) (option gen_cmd);
+          (fun (bal, from, insts) -> Multipaxos.AcceptOk { bal; from; insts })
+          (triple (int_bound 50) (int_bound 8) (small_list (int_bound 1000)));
+        map
+          (fun items -> Multipaxos.Learn { items })
+          (small_list (pair (int_bound 1000) (option gen_cmd)));
         map (fun c -> Multipaxos.Forward c) gen_cmd;
         map2
           (fun cmd_id reply -> Multipaxos.Complete { cmd_id; reply })
           (int_bound 1_000_000) gen_reply;
-        map
-          (fun (bal, from, items) -> Multipaxos.AcceptMulti { bal; from; items })
-          (triple (int_bound 50) (int_bound 8)
-             (small_list (pair (int_bound 1000) (option gen_cmd))));
-        map
-          (fun (bal, from, insts) ->
-            Multipaxos.AcceptOkMulti { bal; from; insts })
-          (triple (int_bound 50) (int_bound 8) (small_list (int_bound 1000)));
-        map
-          (fun items -> Multipaxos.LearnMulti { items })
-          (small_list (pair (int_bound 1000) (option gen_cmd)));
       ])
 
 let gen_protocol_msg =
@@ -318,18 +300,18 @@ let test_golden () =
     "golden decodes" true
     (Wire.decode_frame (Wire.encode_frame golden_frame) = Ok golden_frame)
 
-(* A second pin for the batched replication path: an [AcceptMulti]
-   carrying a two-command flush.  The Multi constructors were appended
-   to each protocol's tag space, so this vector changing — or the
-   original one above — is a format break. *)
-let golden_batched_frame =
+(* A second pin for the replication path: an [Accept] carrying a
+   two-command flush (an unbatched Accept is the same layout with one
+   item).  This vector changing — or the original one above — is a
+   format break. *)
+let golden_accept_frame =
   Wire.Peer_msg
     {
       src = 0;
       dst = 2;
       msg =
         Wire.Multipaxos_msg
-          (Multipaxos.AcceptMulti
+          (Multipaxos.Accept
              {
                bal = 4;
                from = 0;
@@ -348,20 +330,52 @@ let golden_batched_frame =
              });
     }
 
-let golden_batched_hex = "01010004020708000216010e010a100600880e1800"
+let golden_accept_hex = "01010004020708000216010e010a100600880e1800"
 
-let test_golden_batched () =
+let test_golden_accept () =
   Alcotest.(check string)
-    "batched golden bytes" golden_batched_hex
-    (hex_of (Wire.encode_frame golden_batched_frame));
+    "accept golden bytes" golden_accept_hex
+    (hex_of (Wire.encode_frame golden_accept_frame));
   Alcotest.(check bool)
-    "batched golden decodes" true
-    (Wire.decode_frame (Wire.encode_frame golden_batched_frame)
-    = Ok golden_batched_frame)
+    "accept golden decodes" true
+    (Wire.decode_frame (Wire.encode_frame golden_accept_frame)
+    = Ok golden_accept_frame)
+
+(* The single-command replicate/ack/commit tags (Mencius 0, 1, 3 and
+   MultiPaxos 2, 3, 4) are retired: a peer still sending one must get a
+   decode error, never a message reinterpreted under a new layout.  Each
+   frame is a well-formed old encoding: version, Peer_msg, src, dst,
+   protocol byte, the retired tag, then small int fields. *)
+let test_retired_tags () =
+  List.iter
+    (fun (name, proto, tag, fields) ->
+      let w = Codec.writer () in
+      Codec.put_byte w Wire.version;
+      Codec.put_byte w 1 (* Peer_msg *);
+      Codec.put_int w 1;
+      Codec.put_int w 2;
+      Codec.put_byte w proto;
+      Codec.put_byte w tag;
+      List.iter (Codec.put_int w) fields;
+      Alcotest.(check bool)
+        (name ^ " rejected") true
+        (match Wire.decode_frame (Codec.to_string w) with
+        | Error _ -> true
+        | Ok _ -> false))
+    [
+      (* MAppend {from; inst; cmd = Get 5} *)
+      ("mencius tag 0", 1, 0, [ 1; 4; 8; 0; 5; 2; 901 ]);
+      ("mencius tag 1", 1, 1, [ 2; 4 ]);
+      ("mencius tag 3", 1, 3, [ 4 ]);
+      (* Accept {bal; from; inst; cmd = None} *)
+      ("multipaxos tag 2", 2, 2, [ 3; 1; 4; 0 ]);
+      ("multipaxos tag 3", 2, 3, [ 3; 2; 4 ]);
+      ("multipaxos tag 4", 2, 4, [ 4; 0 ]);
+    ]
 
 (* ---- the golden family ----
 
-   The two pins above cover one nested Append and one AcceptMulti;
+   The two pins above cover one nested Append and one Accept;
    parlint's wire-coverage rule demands the rest of the family too:
    every msg constructor of every protocol pinned to bytes, each with a
    small representative value.  Any hex changing here is a wire-format
@@ -419,14 +433,9 @@ let golden_family : (string * Wire.protocol_msg * string) list =
     ( "raft-grant-confirm",
       Wire.Raft_msg (Raft.GrantConfirm { from = 1; deadline = 5_000 }),
       "01010204000702904e" );
-    ( "mencius-mappend",
-      Wire.Mencius_msg (Mencius.MAppend { from = 1; inst = 4; cmd = sample_cmd }),
-      "01010204010002080e010a100602880e" );
-    ("mencius-mack", Wire.Mencius_msg (Mencius.MAck { from = 2; inst = 4 }), "0101020401010408");
     ( "mencius-mskip",
       Wire.Mencius_msg (Mencius.MSkip { from = 1; first = 4; upto = 7 }),
       "01010204010202080e" );
-    ("mencius-mcommit", Wire.Mencius_msg (Mencius.MCommit { inst = 4 }), "01010204010308");
     ( "mencius-mrevoke",
       Wire.Mencius_msg (Mencius.MRevoke { from = 0; inst = 5 }),
       "010102040104000a" );
@@ -446,16 +455,16 @@ let golden_family : (string * Wire.protocol_msg * string) list =
                [ (4, true, Some sample_cmd, false); (5, false, None, true) ];
            }),
       "010102040108020801010e010a100602880e000a000001" );
-    ( "mencius-mappend-multi",
+    ( "mencius-mappend",
       Wire.Mencius_msg
-        (Mencius.MAppendMulti
+        (Mencius.MAppend
            { from = 1; items = [ (4, sample_cmd); (5, sample_get) ] }),
       "01010204010a0202080e010a100602880e0a10000a048a0e" );
-    ( "mencius-mack-multi",
-      Wire.Mencius_msg (Mencius.MAckMulti { from = 2; insts = [ 4; 5 ] }),
+    ( "mencius-mack",
+      Wire.Mencius_msg (Mencius.MAck { from = 2; insts = [ 4; 5 ] }),
       "01010204010b0402080a" );
-    ( "mencius-mcommit-multi",
-      Wire.Mencius_msg (Mencius.MCommitMulti { insts = [ 4; 5 ] }),
+    ( "mencius-mcommit",
+      Wire.Mencius_msg (Mencius.MCommit { insts = [ 4; 5 ] }),
       "01010204010c02080a" );
     ( "mencius-complete",
       Wire.Mencius_msg (Mencius.Complete { cmd_id = 7; reply = sample_reply }),
@@ -468,16 +477,6 @@ let golden_family : (string * Wire.protocol_msg * string) list =
         (Multipaxos.PrepareOk
            { bal = 3; from = 1; accepted = [ (4, 2, Some sample_cmd) ] }),
       "0101020402010602010804010e010a100602880e" );
-    ( "multipaxos-accept",
-      Wire.Multipaxos_msg
-        (Multipaxos.Accept { bal = 3; from = 1; inst = 4; cmd = Some sample_cmd }),
-      "010102040202060208010e010a100602880e" );
-    ( "multipaxos-accept-ok",
-      Wire.Multipaxos_msg (Multipaxos.AcceptOk { bal = 3; from = 2; inst = 4 }),
-      "010102040203060408" );
-    ( "multipaxos-learn",
-      Wire.Multipaxos_msg (Multipaxos.Learn { inst = 4; cmd = Some sample_cmd }),
-      "01010204020408010e010a100602880e" );
     ( "multipaxos-forward",
       Wire.Multipaxos_msg (Multipaxos.Forward sample_get),
       "01010204020510000a048a0e" );
@@ -485,13 +484,13 @@ let golden_family : (string * Wire.protocol_msg * string) list =
       Wire.Multipaxos_msg
         (Multipaxos.Complete { cmd_id = 8; reply = sample_reply }),
       "010102040206100108" );
-    ( "multipaxos-accept-ok-multi",
+    ( "multipaxos-accept-ok",
       Wire.Multipaxos_msg
-        (Multipaxos.AcceptOkMulti { bal = 3; from = 2; insts = [ 4; 5 ] }),
+        (Multipaxos.AcceptOk { bal = 3; from = 2; insts = [ 4; 5 ] }),
       "010102040208060402080a" );
-    ( "multipaxos-learn-multi",
+    ( "multipaxos-learn",
       Wire.Multipaxos_msg
-        (Multipaxos.LearnMulti { items = [ (4, Some sample_cmd); (5, None) ] }),
+        (Multipaxos.Learn { items = [ (4, Some sample_cmd); (5, None) ] }),
       "0101020402090208010e010a100602880e0a00" );
   ]
 
@@ -619,8 +618,9 @@ let () =
           Alcotest.test_case "version and garbage rejected" `Quick
             test_bad_version;
           Alcotest.test_case "golden byte vector" `Quick test_golden;
-          Alcotest.test_case "batched golden byte vector" `Quick
-            test_golden_batched;
+          Alcotest.test_case "accept golden byte vector" `Quick
+            test_golden_accept;
+          Alcotest.test_case "retired tags rejected" `Quick test_retired_tags;
           Alcotest.test_case "golden family (every constructor)" `Quick
             test_golden_family;
           QCheck_alcotest.to_alcotest writer_equivalence;

@@ -81,8 +81,8 @@ let test_broken_handler () =
   (* Two shapes: a family member missing from one protocol's msg type,
      and a declared member the runtime never dispatches. *)
   check_rule_count ~rule:"handler-parity" ~expect:2 fs;
-  check_mentions ~sub:"MAckMulti" fs;
-  check_mentions ~sub:"LearnMulti" fs;
+  check_mentions ~sub:"MAck" fs;
+  check_mentions ~sub:"Learn" fs;
   check_mentions ~sub:"never matched" fs
 
 let test_broken_probe () =
