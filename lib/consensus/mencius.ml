@@ -118,8 +118,8 @@ type server = {
   waiting : waiting;  (** own ops awaiting their reply, by slot *)
   mutable recovering : bool;
   mutable buffered : Types.cmd list;  (** submissions queued during recovery *)
-  (* command batching (batch_size > 1 only): own turns claimed but whose
-     MAppend broadcast is held for the current batch *)
+  (* own turns claimed but whose MAppend broadcast is held for the
+     current batch *)
   mutable pending_batch : (int * Types.cmd) list;  (** reversed *)
   mutable down : bool;
   pr : server_probes;
@@ -611,7 +611,7 @@ and handle t srv msg =
           srv.recovering <- false;
           let queued = List.rev srv.buffered in
           srv.buffered <- [];
-          List.iter (fun cmd -> start_own_slot t srv cmd) queued
+          List.iter (fun cmd -> hold_own_slot t srv cmd) queued
         end
 
 (* Record each appended (turn, command) unless the turn is taken or
@@ -706,9 +706,9 @@ and lowest_live t =
   let rec find i = if i >= t.n || not t.servers.(i).down then i else find (i + 1) in
   find 0
 
-(* Claim the next free own turn for [cmd] and set up its local state —
-   everything but the broadcast, which batching may hold back. *)
-and claim_own_slot t srv (cmd : Types.cmd) =
+(* Claim the next free own turn for [cmd] and set up its local state;
+   only the broadcast is held back until the batch flushes. *)
+and hold_own_slot t srv (cmd : Types.cmd) =
   (* Our turn may have been revoked (force-skipped) while we sat on it;
      proposing into a decided slot would overwrite the decision.  Advance
      to the first turn nobody has touched. *)
@@ -727,10 +727,8 @@ and claim_own_slot t srv (cmd : Types.cmd) =
   push_waiting srv.waiting inst cmd;
   Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id ~phase:"append"
     ~now:(Engine.now t.engine);
-  inst
-
-and start_own_slot t srv (cmd : Types.cmd) =
-  send_appends t srv [ (claim_own_slot t srv cmd, cmd) ]
+  srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
+  Replica.hold t.base srv.node
 
 (* Release the accumulated batch (the base's flush hook). *)
 and flush_appends t srv =
@@ -751,14 +749,7 @@ let submit_cmd t srv (cmd : Types.cmd) =
   Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
       if not srv.down then
         if srv.recovering then srv.buffered <- cmd :: srv.buffered
-        else if (p t).batch_size <= 1 then start_own_slot t srv cmd
-        else begin
-          (* Batched: the turn is claimed now; only its broadcast is held
-             back until the batch flushes. *)
-          let inst = claim_own_slot t srv cmd in
-          srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
-          Replica.hold t.base srv.node
-        end)
+        else hold_own_slot t srv cmd)
 
 (* ---- construction and client interface ---- *)
 
@@ -892,14 +883,12 @@ let dump_state ?(rename = Fun.id) t ~node =
   add "|bf:%s"
     (String.concat ","
        (List.map (fun (c : Types.cmd) -> string_of_int c.id) srv.buffered));
-  (* Batched runs only: the held batch is real protocol state the checker
-     must distinguish.  Unbatched fingerprints stay byte-identical. *)
-  if (p t).batch_size > 1 then
-    add "|pb:%s"
-      (String.concat ";"
-         (List.rev_map
-            (fun (i, (c : Types.cmd)) -> Printf.sprintf "%d:c%d" i c.id)
-            srv.pending_batch));
+  (* The held batch is real protocol state the checker must distinguish. *)
+  add "|pb:%s"
+    (String.concat ";"
+       (List.rev_map
+          (fun (i, (c : Types.cmd)) -> Printf.sprintf "%d:c%d" i c.id)
+          srv.pending_batch));
   Buffer.contents buf
 
 (* Frontiers, the applied prefix, the own-turn cursor and the number of

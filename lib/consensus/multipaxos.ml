@@ -85,8 +85,8 @@ type server = {
   proposed_cmds : (int, unit) Hashtbl.t;
       (** cmd ids this leader already assigned an instance; a duplicated
           [Forward] must not occupy a second instance *)
-  (* command batching (leader side, batch_size > 1 only): instances
-     assigned but whose Accept broadcast is held for the current batch *)
+  (* leader side: instances assigned but whose Accept broadcast is held
+     for the current batch *)
   mutable pending_batch : (int * Types.cmd option) list;  (** reversed *)
   mutable last_leader_sign : int;
   mutable down : bool;
@@ -259,13 +259,10 @@ and propose t srv (cmd : Types.cmd) =
         Hashtbl.replace srv.waiters i cmd;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        if (p t).batch_size <= 1 then send_accepts t srv [ (i, Some cmd) ]
-        else begin
-          (* Batched: the instance is fully set up above; only its Accept
-             broadcast is held back until the batch flushes. *)
-          srv.pending_batch <- (i, Some cmd) :: srv.pending_batch;
-          Replica.hold t.base srv.node
-        end
+        (* The instance is fully set up above; only its Accept broadcast
+           is held back until the batch flushes. *)
+        srv.pending_batch <- (i, Some cmd) :: srv.pending_batch;
+        Replica.hold t.base srv.node
       end
       else if not srv.down then begin
         Metrics.inc srv.pr.pr_forwards;
@@ -629,15 +626,13 @@ let dump_state ?(rename = Fun.id) t ~node =
   tbl "wt" srv.waiters (fun (i, c) ->
       Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c));
   tbl "pc" srv.proposed_cmds (fun (i, ()) -> string_of_int i);
-  (* Batched runs only: the held batch is real protocol state the checker
-     must distinguish.  Unbatched fingerprints stay byte-identical. *)
-  if (p t).batch_size > 1 then
-    add "|pb:%s"
-      (String.concat ";"
-         (List.rev_map
-            (fun (i, c) ->
-              Printf.sprintf "%d:%s" i (Types.render_cmd_opt ~rename c))
-            srv.pending_batch));
+  (* The held batch is real protocol state the checker must distinguish. *)
+  add "|pb:%s"
+    (String.concat ";"
+       (List.rev_map
+          (fun (i, c) ->
+            Printf.sprintf "%d:%s" i (Types.render_cmd_opt ~rename c))
+          srv.pending_batch));
   Buffer.contents buf
 
 (* Highest ballot seen, the executed prefix and the chosen count only

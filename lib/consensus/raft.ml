@@ -147,12 +147,10 @@ type server = {
           attests the prefix.  Reset to [commit_index] when a first batch
           of a newer term arrives; extended only by batches that overlap
           it ([prev_idx <= verified_to]). *)
-  (* command batching (leader side, batch_size > 1 only) *)
   mutable flush_to : int;
-      (** replication tip: the highest log index released to
-          {!send_batch}.  Entries above it are appended but still
-          accumulating into the current batch; with batching off the tip
-          is simply [last_index] and this field is ignored. *)
+      (** replication tip (leader side): the highest log index released
+          to {!send_batch}.  Entries above it are appended but still
+          accumulating into the current batch. *)
   mutable election_timer : Engine.timer option;
   mutable election_deadline : int;
       (** virtual time the current election timeout expires; the armed
@@ -244,12 +242,6 @@ let last_index srv = Vec.length srv.log - 1
 let term_at srv i =
   if i < 0 || i > last_index srv then -1 else (fst (Vec.get srv.log i)).Types.term
 
-(* The highest index replication may ship.  Batching holds appended
-   entries back until the batch flushes; unbatched, the tip is the log
-   end and the field plays no part. *)
-let repl_tip t srv =
-  if (p t).batch_size <= 1 then last_index srv else srv.flush_to
-
 let note_write srv idx (e : Types.entry) =
   match e.cmd with
   | Some { op = Put { key; _ }; _ } ->
@@ -340,16 +332,15 @@ and my_valid_grants t srv =
 
 and send_batch t srv peer =
   let next = srv.next_index.(peer) in
-  let tip = repl_tip t srv in
   let entries =
     List.init
-      (max 0 (tip - next + 1))
+      (max 0 (srv.flush_to - next + 1))
       (fun k -> Vec.get srv.log (next + k))
   in
   srv.inflight.(peer) <- srv.inflight.(peer) + 1;
   Metrics.inc srv.pr.pr_appends;
   (* Optimistic next-index: pipeline further batches without waiting. *)
-  srv.next_index.(peer) <- max srv.next_index.(peer) (tip + 1);
+  srv.next_index.(peer) <- max srv.next_index.(peer) (srv.flush_to + 1);
   send t ~src:srv.id ~dst:peer
     (Append
        {
@@ -362,17 +353,15 @@ and send_batch t srv peer =
        })
 
 and maybe_replicate t srv =
-  if srv.role = Leader then begin
-    let tip = repl_tip t srv in
+  if srv.role = Leader then
     Array.iter
       (fun peer ->
         if
           peer.id <> srv.id
           && srv.inflight.(peer.id) < (p t).pipeline_window
-          && srv.next_index.(peer.id) <= tip
+          && srv.next_index.(peer.id) <= srv.flush_to
         then send_batch t srv peer.id)
       t.servers
-  end
 
 (* Release the accumulated batch to replication: the base's flush hook.
    One call replicates every command appended since the previous flush
@@ -513,8 +502,7 @@ and append_cmd t srv (cmd : Types.cmd) =
         note_write srv (last_index srv) entry;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        if (p t).batch_size <= 1 then maybe_replicate t srv
-        else Replica.hold t.base srv.node;
+        Replica.hold t.base srv.node;
         if t.n = 1 then begin
           srv.match_index.(srv.id) <- last_index srv;
           srv.commit_index <- last_index srv;
@@ -1169,10 +1157,8 @@ let dump_state ?(rename = Fun.id) t ~node =
     (String.concat ","
        (List.map string_of_int
           (sorted_ints (List.map fst srv.pending_reads))));
-  (* Batched runs only: the accumulator is real protocol state the
-     checker must distinguish.  Unbatched fingerprints stay identical. *)
-  if (p t).batch_size > 1 then
-    add "|fl:%d,%d,%b" srv.flush_to srv.node.held srv.node.flush_armed;
+  (* The accumulator is real protocol state the checker must distinguish. *)
+  add "|fl:%d,%d,%b" srv.flush_to srv.node.held srv.node.flush_armed;
   Buffer.contents buf
 
 type peek_entry = { pe_term : int; pe_ballot : int; pe_cmd : int option }

@@ -4,6 +4,8 @@
      span dump and metric snapshot, both through the kvstore harness and
      through a full nemesis run (whose trace fingerprint now covers the
      METRIC lines);
+   - a batch of one: at [batch_size = 1] every command still goes through
+     the batch accumulator, which flushes it alone;
    - histogram accuracy: the log-bucketed quantile is within the
      documented bucket error of the exact value;
    - disabled telemetry is free: marking spans and bumping counters on
@@ -54,19 +56,28 @@ let fnv1a (s : string) =
   Printf.sprintf "%016Lx" !h
 
 (* Committed digests of the seed-7 metric snapshot and span dump, per
-   protocol, unbatched and with 16-command batches.  Comparing a run only
+   protocol, at batch sizes 1 and 16.  Comparing a run only
    against a second run would let a refactor that miscounts a probe or
    drops a span mark in both pass; these pin the observable telemetry
    itself.  A change that moves them on purpose must say why. *)
 let telemetry_golden =
   [
-    (H.Raft_pql, 1, ("1e631d852fcdefc0", "a306b05a54b42427"));
+    (H.Raft_pql, 1, ("e829b16e51be6ff5", "a306b05a54b42427"));
     (H.Raft_pql, 16, ("59bde8f5ef14d13f", "cc0a335a858c18a5"));
-    (H.Mencius, 1, ("8cb7f6549e5f251d", "527810e70d1f3c0f"));
+    (H.Mencius, 1, ("aa5b913f28cafea2", "527810e70d1f3c0f"));
     (H.Mencius, 16, ("c0c8d21171c104df", "154ce5ea8622b373"));
-    (H.Multipaxos, 1, ("511210d70eb96b73", "4995991d656b9343"));
+    (H.Multipaxos, 1, ("9026df04983198e6", "4995991d656b9343"));
     (H.Multipaxos, 16, ("f711da7ae59f8a6a", "e16072e41fab4748"));
   ]
+
+(* The [batch_flush_cmds] histogram summed over the five replicas:
+   (flushes, commands flushed). *)
+let flush_totals (tel : Telemetry.t) =
+  List.fold_left
+    (fun (count, sum) node ->
+      let h = Metrics.histogram tel.Telemetry.metrics "batch_flush_cmds" ~node in
+      (count + Metrics.hist_count h, sum + Metrics.hist_sum h))
+    (0, 0) [ 0; 1; 2; 3; 4 ]
 
 let test_harness_determinism () =
   List.iter
@@ -94,7 +105,12 @@ let test_harness_determinism () =
       Alcotest.(check string)
         (name "span dump digest")
         span_digest
-        (fnv1a (Span.dump a.Telemetry.spans)))
+        (fnv1a (Span.dump a.Telemetry.spans));
+      if batch_size = 1 then begin
+        let flushes, cmds = flush_totals a in
+        Alcotest.(check bool) (name "flushes observed") true (flushes > 0);
+        Alcotest.(check int) (name "one command per flush") flushes cmds
+      end)
     telemetry_golden
 
 let test_nemesis_determinism () =
