@@ -145,20 +145,15 @@ let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
 (* [MAppend], [MAck] and [MCommit] are charged an 8-byte slot index per
-   item only in batched runs; unbatched, the one slot is costed as part
-   of the header.  The hotpath goldens pin both costings, so making them
-   uniform is a golden-moving change of its own. *)
-let index_bytes t items =
-  if (p t).batch_size > 1 then 8 * List.length items else 0
-
+   item. *)
 let msg_size t = function
   | MAppend { items; _ } ->
-      (p t).msg_header_bytes + index_bytes t items
+      (p t).msg_header_bytes
       + List.fold_left
-          (fun acc (_, c) -> acc + Types.op_size c.Types.op)
+          (fun acc (_, c) -> acc + 8 + Types.op_size c.Types.op)
           0 items
   | MAck { insts; _ } | MCommit { insts } ->
-      (p t).msg_header_bytes + index_bytes t insts
+      (p t).msg_header_bytes + (8 * List.length insts)
   | MRevStatus { value; _ } ->
       (p t).msg_header_bytes
       + (match value with Some c -> Types.op_size c.Types.op | None -> 0)

@@ -107,15 +107,10 @@ type t = {
 let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
-(* An [AcceptOk] is charged an 8-byte instance index per item only in
-   batched runs; an unbatched one is costed as a bare header.  The
-   hotpath goldens pin both costings, so making them uniform is a
-   golden-moving change of its own. *)
+(* An [AcceptOk] is charged an 8-byte instance index per item. *)
 let msg_size t = function
   | Prepare _ -> (p t).msg_header_bytes
-  | AcceptOk { insts; _ } ->
-      (p t).msg_header_bytes
-      + if (p t).batch_size > 1 then 8 * List.length insts else 0
+  | AcceptOk { insts; _ } -> (p t).msg_header_bytes + (8 * List.length insts)
   | PrepareOk { accepted; _ } ->
       (p t).msg_header_bytes
       + List.fold_left

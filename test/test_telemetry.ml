@@ -64,9 +64,9 @@ let telemetry_golden =
   [
     (H.Raft_pql, 1, ("e829b16e51be6ff5", "a306b05a54b42427"));
     (H.Raft_pql, 16, ("59bde8f5ef14d13f", "cc0a335a858c18a5"));
-    (H.Mencius, 1, ("aa5b913f28cafea2", "527810e70d1f3c0f"));
+    (H.Mencius, 1, ("7a9cb48393811e52", "f0bb10379ee672fd"));
     (H.Mencius, 16, ("c0c8d21171c104df", "154ce5ea8622b373"));
-    (H.Multipaxos, 1, ("9026df04983198e6", "4995991d656b9343"));
+    (H.Multipaxos, 1, ("48376d5f23f2a25d", "4995991d656b9343"));
     (H.Multipaxos, 16, ("f711da7ae59f8a6a", "e16072e41fab4748"));
   ]
 
