@@ -725,15 +725,11 @@ and hold_own_slot t srv (cmd : Types.cmd) =
   srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
   Replica.hold t.base srv.node
 
-(* Release the accumulated batch (the base's flush hook). *)
+(* Release the accumulated batch (the base's flush hook): one MAppend
+   broadcast for claimed own turns — a lone replica is its own majority. *)
 and flush_appends t srv =
   let items = List.rev srv.pending_batch in
   srv.pending_batch <- [];
-  send_appends t srv items
-
-(* One MAppend broadcast for claimed own turns — a lone replica is its own
-   majority. *)
-and send_appends t srv items =
   Metrics.add srv.pr.pr_appends (t.n - 1);
   broadcast t srv (MAppend { from = srv.id; items });
   if t.n = 1 then

@@ -264,15 +264,12 @@ and propose t srv (cmd : Types.cmd) =
         send t ~src:srv.id ~dst:srv.leader_hint (Forward cmd)
       end)
 
-(* Release the accumulated batch (the base's flush hook). *)
+(* Release the accumulated batch (the base's flush hook): one Accept
+   broadcast for (instance, value) pairs the leader has already accepted
+   itself — a lone replica is its own majority. *)
 and flush_accepts t srv =
   let items = List.rev srv.pending_batch in
   srv.pending_batch <- [];
-  send_accepts t srv items
-
-(* One Accept broadcast for (instance, value) pairs the leader has already
-   accepted itself — a lone replica is its own majority. *)
-and send_accepts t srv items =
   Metrics.add srv.pr.pr_accepts (t.n - 1);
   broadcast t srv (Accept { bal = srv.ballot; from = srv.id; items });
   if t.n = 1 && choose_all srv items then execute t srv

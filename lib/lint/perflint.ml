@@ -111,7 +111,7 @@ let default_hot path name =
         "flush_batch";
         "flush_accepts";
         "flush_appends";
-        "claim_own_slot";
+        "hold_own_slot";
       ]
   else if seg "sim" then
     List.mem name [ "run"; "send"; "deliver"; "execute"; "schedule" ]
