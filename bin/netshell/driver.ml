@@ -109,14 +109,32 @@ let spawn_cluster ~protocol_name ~n ~seed =
   if not ok then failwith "cluster did not report READY within 10s";
   cl
 
+let exited pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> true
+
+(* SIGTERM, then SIGKILL after a 2 s grace, then reap.  A saturated
+   server.exe can ignore SIGTERM for minutes, so a plain
+   terminate-and-wait could hang. *)
 let kill_cluster cl =
   Array.iter
     (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
     cl.pids;
-  Array.iter
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec wait live =
+    match List.filter (fun pid -> not (exited pid)) live with
+    | live when live <> [] && Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        wait live
+    | stuck -> stuck
+  in
+  List.iter
     (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    cl.pids;
+    (wait (Array.to_list cl.pids));
   Array.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     cl.stdouts

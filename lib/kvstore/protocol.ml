@@ -66,8 +66,9 @@ let wrap set_wire inj hook =
 
 let make ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) ?raft_config
     ?mencius_config ?multipaxos_config protocol net ~leader =
-  (* At size 1 the params are passed through untouched, so an unbatched
-     core is byte-identical to one built before batching existed. *)
+  (* At size 1 the params are passed through untouched: a config's own
+     params (mcheck's -batched scopes set their batch knobs there) are
+     kept unless the caller asks for batching. *)
   let batched (p : Types.params) =
     if batch_size <= 1 then p else { p with Types.batch_size; batch_delay_us }
   in

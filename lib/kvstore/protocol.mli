@@ -85,4 +85,6 @@ val make :
     replaces its own protocol's standard config; the model checker
     injects mutation flags this way.  [?batch_size] / [?batch_delay_us]
     (defaults 1 / 0) arm leader-side batching on the resolved config;
-    size 1 leaves the params untouched. *)
+    size 1 leaves its params untouched, so a config override's own batch
+    knobs (mcheck's -batched scopes) are kept unless the caller asks for
+    batching. *)

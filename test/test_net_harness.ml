@@ -23,6 +23,27 @@ let test_crosscheck protocol_name () =
     (Printf.sprintf "net %s = sim %s" r.Driver.c_net_digest r.Driver.c_sim_digest)
     true r.Driver.c_ok
 
+(* A server that ignores SIGTERM must not hang the cluster teardown: it
+   is killed after the grace period and reaped. *)
+let test_kill_ignores_sigterm () =
+  let r, w = Unix.pipe () in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c"; "trap '' TERM; echo READY; exec sleep 60" |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  Alcotest.(check bool) "child ready" true (Driver.wait_ready r ~timeout_s:5.0);
+  let cl = { Driver.n = 1; endpoints = [||]; pids = [| pid |]; stdouts = [| r |] } in
+  let t0 = Unix.gettimeofday () in
+  Driver.kill_cluster cl;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed >= 5.0 then Alcotest.failf "teardown took %.1f s" elapsed;
+  Alcotest.(check bool) "child reaped" true
+    (match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false)
+
 (* ---- repro CLI contract ---- *)
 
 let repro_exe =
@@ -85,6 +106,8 @@ let () =
       ( "loopback",
         [
           Alcotest.test_case "3-node raft demo" `Quick test_loopback_demo;
+          Alcotest.test_case "teardown kills a server ignoring SIGTERM" `Quick
+            test_kill_ignores_sigterm;
         ]
         @ List.map
             (fun p ->
