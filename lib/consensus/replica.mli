@@ -95,7 +95,9 @@ val hold : 'msg t -> node -> unit
 (** Count one queued command into the open batch.  It flushes at
     [batch_size], or when the timer its first command armed fires
     [max 1 batch_delay_us] later and [hooks.live] holds; the timer is
-    never cancelled. *)
+    never cancelled.  Every client command of every core comes here, so
+    at [batch_size = 1] each one flushes alone, at once, and no timer is
+    ever armed. *)
 
 val drop_batch : node -> unit
 (** Forget the held count; an armed timer stays armed. *)

@@ -56,10 +56,10 @@ let fnv1a (s : string) =
   Printf.sprintf "%016Lx" !h
 
 (* Committed digests of the seed-7 metric snapshot and span dump, per
-   protocol, at batch sizes 1 and 16.  Comparing a run only
-   against a second run would let a refactor that miscounts a probe or
-   drops a span mark in both pass; these pin the observable telemetry
-   itself.  A change that moves them on purpose must say why. *)
+   protocol, at batch sizes 1 and 16.  Comparing a run only against a
+   second run would let a refactor that miscounts a probe or drops a
+   span mark in both pass; these pin the observable telemetry itself.
+   A change that moves them on purpose must say why. *)
 let telemetry_golden =
   [
     (H.Raft_pql, 1, ("e829b16e51be6ff5", "a306b05a54b42427"));
