@@ -498,6 +498,18 @@ let micro () =
   let mp_init = List.hd mp.Spec.init in
   let mapped = Spec_raft_star.to_paxos cfg_tiny (List.hd rs.Spec.init) in
   let wl = W.create ~seed:3L ~regions:5 W.default in
+  (* One hot key: 1 000 acknowledged writes, one every 10 us, and 10 000
+     reads, one every 1 us, each returning the write its floor requires. *)
+  let hot_order =
+    List.init 1_000 (fun id ->
+        Raftpax_consensus.Types.Put { key = 0; size = 8; write_id = id })
+  in
+  let hot_events =
+    List.init 1_000 (fun id ->
+        Lin_check.Write_complete { write_id = id; key = 0; at_us = 10 * id })
+    @ List.init 10_000 (fun t ->
+          Lin_check.Read { key = 0; started_us = t; returned = Some (t / 10) })
+  in
   let tests =
     [
       Test.make ~name:"spec/multipaxos-successors"
@@ -515,6 +527,9 @@ let micro () =
              let e = Sim.Engine.create () in
              Sim.Engine.schedule e ~delay:1 ignore;
              Sim.Engine.run_all e));
+      Test.make ~name:"kvstore/lin-check-hot-key"
+        (Staged.stage (fun () ->
+             ignore (Lin_check.check ~committed_order:hot_order hot_events)));
     ]
   in
   let benchmark test =

@@ -11,7 +11,23 @@
 
     This is a sound partial check: it cannot produce false alarms, and it
     catches the failure modes that matter here — stale lease reads,
-    reads served from an un-replicated log, lost committed writes. *)
+    reads served from an un-replicated log, lost committed writes.
+
+    Exactly: a write's position is the index in [committed_order] of its
+    last [Put] with the same key and [write_id].  The {e floor} of a read
+    of key [k] that started at [t] is the largest position among the
+    [Write_complete] events of [k] with [at_us <= t] whose write is
+    committed, or [-1] if there is none.  The read is a violation if it
+    returned an id with no position for [k], or if the position it
+    returned ([-1] for [None]) is below its floor; [v_expected_after] is
+    then the write at the floor ([-1] if the floor is [-1]).  Violations
+    come in event order.
+
+    Cost: O((W + R) log W + C) time and O(W + C) space for W
+    acknowledged writes, R reads and C committed operations.  Each key's
+    acknowledged writes are sorted by completion time once, with a
+    running maximum of their positions, so a read finds its floor by
+    binary search.  A history with no read returns at once. *)
 
 type event =
   | Write_complete of { write_id : int; key : int; at_us : int }

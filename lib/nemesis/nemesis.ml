@@ -4,6 +4,7 @@ module Net = Sim.Net
 module Rng = Sim.Rng
 module Topology = Sim.Topology
 module Types = Raftpax_consensus.Types
+module Itbl = Raftpax_consensus.Itbl
 module Lin_check = Raftpax_kvstore.Lin_check
 module Telemetry = Raftpax_telemetry.Telemetry
 
@@ -284,14 +285,15 @@ let run cfg =
         | Lin_check.Read _ -> None)
       !events
   in
-  let committed_ids =
-    List.filter_map
-      (function
-        | Types.Put { write_id; _ } -> Some write_id | Types.Get _ -> None)
-      longest
-  in
+  let committed_ids = Itbl.create () in
+  List.iter
+    (function
+      | Types.Put { write_id; _ } -> Itbl.replace committed_ids write_id 0
+      | Types.Get _ -> ())
+    longest;
   let lost_writes =
-    List.length (List.filter (fun id -> not (List.mem id committed_ids)) acked_writes)
+    List.length
+      (List.filter (fun id -> Option.is_none (Itbl.find_opt committed_ids id)) acked_writes)
   in
   let lin = Lin_check.check ~committed_order:longest (List.rev !events) in
   let failures =

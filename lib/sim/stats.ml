@@ -8,12 +8,18 @@ type t = {
           3x the work) *)
 }
 
-let create () =
-  { latencies = Array.make 1024 0; times = Array.make 1024 0; len = 0; sorted = None }
+let with_capacity n =
+  { latencies = Array.make n 0; times = Array.make n 0; len = 0; sorted = None }
+
+let create () = with_capacity 1024
 
 let record t ~latency_us ~at_us =
   if t.len = Array.length t.latencies then begin
-    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    let grow a =
+      let b = Array.make (2 * t.len) 0 in
+      Array.blit a 0 b 0 t.len;
+      b
+    in
     t.latencies <- grow t.latencies;
     t.times <- grow t.times
   end;
@@ -78,13 +84,15 @@ let max_us t =
   done;
   !m
 
+(* At least the default capacity, so that [record] on an empty merge
+   still has an array to double. *)
 let merge ts =
-  let out = create () in
+  let out = with_capacity (max 1024 (List.fold_left (fun n t -> n + t.len) 0 ts)) in
   List.iter
     (fun t ->
-      for i = 0 to t.len - 1 do
-        record out ~latency_us:t.latencies.(i) ~at_us:t.times.(i)
-      done)
+      Array.blit t.latencies 0 out.latencies out.len t.len;
+      Array.blit t.times 0 out.times out.len t.len;
+      out.len <- out.len + t.len)
     ts;
   out
 
