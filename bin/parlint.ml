@@ -1,10 +1,9 @@
-(* parlint CLI — the cross-protocol parity & porting-discipline lint
-   (see also `repro lint`).
+(* parlint CLI — the cross-file knob-threading lint (see also
+   `repro lint`).
 
    Usage: parlint [options] [paths...]
    Parses every .ml under the given files/directories (default:
-   lib bin bench test, skipping lint_fixtures corpora) into one fact
-   base, cross-references the ASTs, and exits 1 on any unsuppressed
-   parity finding. *)
+   lib bench, skipping lint_fixtures corpora) into one fact base,
+   cross-references it, and exits 1 on any unsuppressed finding. *)
 
 let () = Raftpax_lint.Cli.main "parlint"

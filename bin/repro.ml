@@ -568,26 +568,19 @@ let mcheck_verdict (r : MC.Checker.result) =
       else Ok "exhaustive, goal reached, no violation"
 
 let mcheck_scenarios_of_name name =
+  let of_kinds kinds =
+    List.filter_map
+      (fun (n, k) -> if List.mem k kinds then Some n else None)
+      MC.Scenario.registry
+  in
   match String.lowercase_ascii name with
   | "all" ->
       (* Everything that terminates exhaustively at default bounds: the
          steady scopes plus the mutation pairs.  Crash scopes run by
          name — they are bounded hunts, not exhaustive proofs. *)
-      List.filter
-        (fun n ->
-          n <> "refine-raft-star"
-          && not (String.length n > 6 && String.sub n 0 6 = "crash-"))
-        MC.Scenario.names
-  | "clean" ->
-      List.filter
-        (fun n ->
-          String.length n > 7 && String.sub n 0 7 = "steady-")
-        MC.Scenario.names
-  | "mutants" ->
-      [
-        "mencius-slot-reuse"; "mencius-slot-reuse-clean"; "mp-takeover";
-        "mp-takeover-clean";
-      ]
+      of_kinds [ MC.Scenario.Steady; Mutant ]
+  | "clean" -> of_kinds [ MC.Scenario.Steady ]
+  | "mutants" -> of_kinds [ MC.Scenario.Mutant ]
   | n -> [ n ]
 
 let run_mcheck name max_states max_depth replay refine =
@@ -724,7 +717,7 @@ let run_lint paths baseline perf_baseline par_baseline list_rules json =
   else begin
     (* All three passes run from the registry.  With no explicit paths
        each pass scans its own default tree (perflint only judges lib/,
-       parlint also reads test/); explicit paths apply to every pass. *)
+       parlint lib/ and bench/); explicit paths apply to every pass. *)
     let baseline_for tool =
       match tool with
       | "detlint" -> baseline
@@ -782,8 +775,7 @@ let lint_cmd =
       & info [] ~docv:"PATH"
           ~doc:
             "Files or directories to lint.  Default: each pass's own tree \
-             (detlint: lib bin bench; perflint: lib; parlint: lib bin bench \
-             test).")
+             (detlint: lib bin bench; perflint: lib; parlint: lib bench).")
   in
   let baseline =
     Arg.(
@@ -820,7 +812,7 @@ let lint_cmd =
        ~doc:
          "Static analysis over the OCaml sources: the determinism & \
           protocol-discipline pass (detlint), the hot-path cost pass \
-          (perflint) and the cross-protocol parity pass (parlint), \
+          (perflint) and the cross-file knob-threading pass (parlint), \
           combined.  Exits 0 when every pass is clean; exits 1 if any pass \
           reports an unsuppressed finding or a stale baseline entry."
        ~exits:

@@ -1,25 +1,22 @@
-(** parlint — cross-protocol parity & porting-discipline static
-    analysis.
+(** parlint — cross-file knob-threading static analysis.
 
     The third pass on the compiler-libs AST driver.  Unlike {!Lint}
     (detlint) and {!Perflint}, which judge one file at a time, parlint
-    parses the whole scanned corpus into a fact base and
-    cross-references ASTs across files: the property it guards is the
-    paper's porting discipline — the three runtimes are structurally
-    parallel, so a message constructor, config knob, telemetry probe or
-    mcheck scope present for one protocol and absent for the others is
-    drift.  See DESIGN.md "Porting discipline" for the rationale.
+    parses the whole scanned corpus into a fact base (the [params]
+    declaration, plus identifiers and string literals per file) and
+    cross-references it across files: a [Types.params] field that some
+    config surface cannot reach is drift.  The other parity obligations
+    are enforced by construction; see DESIGN.md "Porting discipline".
 
-    Rules: [wire-coverage], [knob-threading], [handler-parity],
-    [probe-parity], [scenario-parity].  File roles are detected by path
-    segments and basenames, so the same rules run over the real tree
-    and over miniature fixture corpora; every rule self-gates on its
-    anchor files being present in the scanned corpus.
+    Rule: [knob-threading].  File roles are detected by path segments
+    and basenames, so the rule runs over the real tree and over
+    miniature fixture corpora; a surface absent from the scanned corpus
+    is skipped.
 
-    Suppression mirrors detlint ([[@lint.allow "rule-id" "reason"]]),
-    and additionally attaches to constructor and record-label
-    declarations — the natural anchors for parity findings.  The second
-    payload string is the human justification. *)
+    Suppression mirrors detlint ([[@lint.allow "rule-id" "reason"]]) and
+    attaches to the record-label declaration of the field, or floats
+    over the whole file.  The second payload string is the human
+    justification. *)
 
 val rules : Lint.rule list
 (** All rules, in the order they are documented. *)
@@ -32,11 +29,12 @@ val lint_sources : (string * string) list -> Finding.t list
     excluded from the fact base. *)
 
 val lint_string : filename:string -> string -> Finding.t list
-(** Single-file corpus; cross-file rules mostly self-gate away. *)
+(** Single-file corpus: every surface is absent, so only parse errors
+    can surface. *)
 
 val collect_files : string list -> string list
 (** Like {!Lint.collect_files}, but also skips [lint_fixtures]
-    directories: the broken fixture corpora deliberately violate every
+    directories: the broken fixture corpus deliberately violates the
     rule and must not pollute the real tree's fact base.  Explicitly
     given roots are never filtered. *)
 

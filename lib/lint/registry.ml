@@ -29,7 +29,7 @@ let passes =
     };
     {
       tool = "parlint";
-      default_paths = [ "lib"; "bin"; "bench"; "test" ];
+      default_paths = [ "lib"; "bench" ];
       rules = Parlint.rules;
       lint_paths = Parlint.lint_paths;
       collect = Parlint.collect_files;

@@ -2,6 +2,7 @@ module C = Raftpax_consensus
 module Types = C.Types
 module Net = Raftpax_sim.Net
 module Cluster = Raftpax_nemesis.Cluster
+module Protocol = Raftpax_kvstore.Protocol
 
 let put key write_id = Types.Put { key; size = 8; write_id }
 let get key = Types.Get { key }
@@ -83,17 +84,18 @@ let dump_has_token w ~node tok =
 
 (* ---- clean scenarios ---- *)
 
+(* "steady-raft*-pql": the family prefix, then the display name. *)
+let scope_name prefix protocol =
+  prefix ^ String.lowercase_ascii (Cluster.protocol_name protocol)
+
 (* A write then a read of the same key, submitted at two different
    replicas: exercises replication, forwarding, commit, the reply path
    and (under PQL) the lease-grant and commit-waited local read.  One
    timer fire lets heartbeats / watchdogs / lease renewals interleave
    anywhere. *)
 let steady protocol =
-  let name =
-    Printf.sprintf "steady-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
-  in
-  base ?fire_filter:(steady_fire_filter protocol) name protocol
+  base ?fire_filter:(steady_fire_filter protocol)
+    (scope_name "steady-" protocol) protocol
     ~ops:[ put 11 1; get 11 ]
     ~targets:[ 0; 1 ] ~timer_budget:1 ~crash_budget:0
 
@@ -105,13 +107,9 @@ let steady protocol =
    is excluded — its slot ownership ([inst mod n]) bakes node ids into
    slot numbers, so no renaming of follower state can be faithful. *)
 let steady_sym protocol =
-  let name =
-    Printf.sprintf "steady-sym-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
-  in
   base
     ?fire_filter:(steady_fire_filter protocol)
-    ~symmetry:[ 1; 2 ] name protocol
+    ~symmetry:[ 1; 2 ] (scope_name "steady-sym-" protocol) protocol
     ~ops:[ put 11 1; get 11 ]
     ~targets:[ 0; 0 ] ~timer_budget:1 ~crash_budget:0
 
@@ -126,11 +124,7 @@ let sym_protocols =
 (* The crash variant adds one crash anywhere plus restarts; with two
    timer fires an election can complete after a leader crash. *)
 let crash protocol =
-  let name =
-    Printf.sprintf "crash-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
-  in
-  base name protocol
+  base (scope_name "crash-" protocol) protocol
     ~ops:[ put 11 1; get 11 ]
     ~targets:[ 0; 1 ] ~timer_budget:2 ~crash_budget:1
 
@@ -229,10 +223,6 @@ let batchify sc =
                    Some (Model.Fire (0, "flush", 0))))
        else sc.Model.sc_policy);
   }
-
-let steady_batched protocol = batchify (steady protocol)
-let steady_sym_batched protocol = batchify (steady_sym protocol)
-let crash_batched protocol = batchify (crash protocol)
 
 (* ---- mutation smoke scenarios ---- *)
 
@@ -340,73 +330,61 @@ let refinement () =
 
 (* ---- registry ---- *)
 
-let clean_protocols =
+type kind = Steady | Crash | Mutant | Refine
+
+(* A registered scope: the spellings [by_name] accepts, the first being
+   its [sc_name], and a builder, because scenario values hold single-use
+   policy state. *)
+type entry = { kind : kind; spellings : string list; make : unit -> Model.scenario }
+
+(* The unbatched families: steady and crash over [protocols], the
+   symmetry scopes over {!sym_protocols}.  Every family gets its batched
+   twin in [scopes], so a base scope cannot exist without one. *)
+let unbatched protocols =
+  let family kind prefix make ps =
+    List.map
+      (fun p ->
+        {
+          kind;
+          spellings = [ scope_name prefix p; prefix ^ Protocol.cli_name p ];
+          make = (fun () -> make p);
+        })
+      ps
+  in
+  family Steady "steady-" steady protocols
+  @ family Steady "steady-sym-" steady_sym sym_protocols
+  @ family Crash "crash-" crash protocols
+
+let batched e =
+  {
+    e with
+    spellings = List.map (fun n -> n ^ "-batched") e.spellings;
+    make = (fun () -> batchify (e.make ()));
+  }
+
+let mutants =
+  let entry kind name make = { kind; spellings = [ name ]; make } in
   [
-    Cluster.Raft;
-    Cluster.Raft_star;
-    Cluster.Raft_pql;
-    Cluster.Mencius;
-    Cluster.Multipaxos;
+    entry Mutant "mencius-slot-reuse" (mencius_slot_reuse ~mutant:true);
+    entry Mutant "mencius-slot-reuse-clean" (mencius_slot_reuse ~mutant:false);
+    entry Mutant "mp-takeover" (mp_takeover ~mutant:true);
+    entry Mutant "mp-takeover-clean" (mp_takeover ~mutant:false);
+    entry Refine "refine-raft-star" refinement;
   ]
 
-let by_name name =
-  let rec resolve s =
-    match s with
-    | "mencius-slot-reuse" -> Some (mencius_slot_reuse ~mutant:true ())
-    | "mencius-slot-reuse-clean" -> Some (mencius_slot_reuse ~mutant:false ())
-    | "mp-takeover" -> Some (mp_takeover ~mutant:true ())
-    | "mp-takeover-clean" -> Some (mp_takeover ~mutant:false ())
-    | "refine-raft-star" -> Some (refinement ())
-    | s -> (
-        let strip prefix =
-          if String.length s > String.length prefix
-             && String.sub s 0 (String.length prefix) = prefix
-          then
-            Some (String.sub s (String.length prefix)
-                    (String.length s - String.length prefix))
-          else None
-        in
-        let strip_suffix suffix =
-          let n = String.length s and m = String.length suffix in
-          if n > m && String.sub s (n - m) m = suffix then
-            Some (String.sub s 0 (n - m))
-          else None
-        in
-        (* "<steady|crash>-<proto>-batched": resolve the unbatched scope,
-           then arm batching on it. *)
-        match strip_suffix "-batched" with
-        | Some inner
-          when Option.is_some (strip "steady-") || Option.is_some (strip "crash-")
-          ->
-            Option.map batchify (resolve inner)
-        | _ -> (
-            match strip "steady-sym-" with
-            | Some p -> (
-                match Cluster.protocol_of_name p with
-                | Some proto when List.mem proto sym_protocols ->
-                    Some (steady_sym proto)
-                | _ -> None)
-            | None -> (
-                match strip "steady-" with
-                | Some p -> Option.map steady (Cluster.protocol_of_name p)
-                | None -> (
-                    match strip "crash-" with
-                    | Some p -> Option.map crash (Cluster.protocol_of_name p)
-                    | None -> None))))
-  in
-  resolve (String.lowercase_ascii name)
+let scopes protocols =
+  let unbatched = unbatched protocols in
+  unbatched @ List.map batched unbatched @ mutants
 
-let names =
-  List.map (fun p -> (steady p).Model.sc_name) clean_protocols
-  @ List.map (fun p -> (steady_sym p).Model.sc_name) sym_protocols
-  @ List.map (fun p -> (steady_batched p).Model.sc_name) clean_protocols
-  @ List.map (fun p -> (steady_sym_batched p).Model.sc_name) sym_protocols
-  @ List.map (fun p -> (crash p).Model.sc_name) clean_protocols
-  @ List.map (fun p -> (crash_batched p).Model.sc_name) clean_protocols
-  @ [
-      "mencius-slot-reuse";
-      "mencius-slot-reuse-clean";
-      "mp-takeover";
-      "mp-takeover-clean";
-      "refine-raft-star";
-    ]
+(* [names] lists the chaos-matrix protocols; [by_name] also accepts
+   Raft-LL's steady and crash scopes. *)
+let registry =
+  List.map (fun e -> (List.hd e.spellings, e.kind)) (scopes Cluster.all_protocols)
+
+let names = List.map fst registry
+
+let by_name name =
+  let name = String.lowercase_ascii name in
+  Option.map
+    (fun e -> e.make ())
+    (List.find_opt (fun e -> List.mem name e.spellings) (scopes Protocol.all))

@@ -31,16 +31,9 @@ val batchify : Model.scenario -> Model.scenario
 (** Arm leader-side command batching (batch size 2, 1 us flush delay) on
     a scope: the flush timer and batch accumulators join the choice set
     and fingerprint, and the checker must reach exactly the unbatched
-    scope's verdicts — batching is non-mutating (paper Section 4). *)
-
-val steady_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
-
-val steady_sym_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
-(** {!steady_sym} with batching armed; [batchify] keeps the batched ops
-    routed through the bootstrap leader so the follower-swap quotient
-    stays sound. *)
-
-val crash_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+    scope's verdicts — batching is non-mutating (paper Section 4).  On a
+    symmetry scope the batched ops go through the bootstrap leader, so
+    the follower-swap quotient stays sound. *)
 
 val sym_protocols : Raftpax_nemesis.Cluster.protocol list
 (** Protocols whose node ids are fully renamable (everything but
@@ -61,12 +54,27 @@ val refinement : unit -> Model.scenario
 (** The Raft* runtime scope the {!Refine} checker walks (zero fault
     budgets, bootstrap leader). *)
 
-val clean_protocols : Raftpax_nemesis.Cluster.protocol list
+type kind =
+  | Steady  (** exhaustive crash-free scopes, batched or not *)
+  | Crash  (** bounded crash hunts, batched or not *)
+  | Mutant  (** the mutation pairs *)
+  | Refine  (** the refinement scope *)
 
-val by_name : string -> Model.scenario option
-(** CLI lookup: ["steady-<protocol>"], ["steady-sym-<protocol>"],
-    ["crash-<protocol>"], their ["-batched"] suffixed variants, the
-    mutation scenarios and ["refine-raft-star"].  Scenario values hold
-    single-use policy state — look up a fresh one per check. *)
+val registry : (string * kind) list
+(** Every registered scope in check order: the unbatched families
+    ({!steady}, {!steady_sym}, {!crash}) over
+    {!Raftpax_nemesis.Cluster.all_protocols}, each one's {!batchify}
+    twin in the same order, then the mutation pairs and
+    ["refine-raft-star"]. *)
 
 val names : string list
+(** The names of {!registry}. *)
+
+val by_name : string -> Model.scenario option
+(** Case-insensitive lookup over the same families:
+    ["steady-<protocol>"], ["steady-sym-<protocol>"],
+    ["crash-<protocol>"] and their ["-batched"] twins, with
+    [<protocol>] in either spelling and any protocol (Raft-LL too;
+    [steady-sym] only over {!sym_protocols}), plus the mutation
+    scenarios and ["refine-raft-star"].  Scenario values hold
+    single-use policy state — look up a fresh one per check. *)

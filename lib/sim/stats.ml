@@ -48,7 +48,9 @@ let sorted_samples t =
   | Some a -> a
   | None ->
       let a = Array.sub t.latencies 0 t.len in
-      Array.sort Int.compare a;
+      (* A merge sort makes fewer comparisons than a heap sort; for
+         ints its stability is moot. *)
+      Array.stable_sort Int.compare a;
       t.sorted <- Some a;
       a
 

@@ -1,3 +1,1 @@
-type protocol = Raft | Multipaxos
-
 type config = { batch_size : int }

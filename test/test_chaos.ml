@@ -107,21 +107,47 @@ let raft_ll_case name case =
        name)
     `Slow (case Cluster.Raft_ll)
 
+let groups =
+  [
+    ("nemesis-matrix", protocol_cases "20-seed matrix" matrix_case);
+    ( "nemesis-matrix-batched",
+      protocol_cases "20-seed batched matrix" batched_matrix_case );
+    ( "crashes-only",
+      protocol_cases "crash churn" crashes_only_case
+      @ [ raft_ll_case "seed 77" crashes_only_case ] );
+    ( "determinism",
+      protocol_cases "seed replay" determinism_case
+      @ [
+          raft_ll_case "seed replay"
+            (determinism_case ~actions:Schedule.crashes_only);
+        ] );
+  ]
+
+(* Every protocol of [Cluster.all_protocols] faces every group above:
+   a group built from a hand-written protocol list fails here. *)
+let coverage_case () =
+  List.iter
+    (fun (group, cases) ->
+      List.iter
+        (fun p ->
+          let prefix = Cluster.protocol_name p ^ " " in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s faces %s" (Cluster.protocol_name p) group)
+            true
+            (List.exists
+               (fun (name, _, _) -> String.starts_with ~prefix name)
+               cases))
+        Cluster.all_protocols)
+    groups
+
 let () =
   Alcotest.run "chaos"
-    [
-      ("nemesis-matrix", protocol_cases "20-seed matrix" matrix_case);
-      ( "nemesis-matrix-batched",
-        protocol_cases "20-seed batched matrix" batched_matrix_case );
-      ( "crashes-only",
-        protocol_cases "crash churn" crashes_only_case
-        @ [ raft_ll_case "seed 77" crashes_only_case ] );
-      ( "determinism",
-        protocol_cases "seed replay" determinism_case
-        @ [
-            raft_ll_case "seed replay"
-              (determinism_case ~actions:Schedule.crashes_only);
+    (groups
+    @ [
+        ( "seed-bank",
+          [
+            Alcotest.test_case "seeds diverge" `Quick seed_sensitivity_case;
+            Alcotest.test_case "every protocol faces every group" `Quick
+              coverage_case;
           ] );
-      ( "seed-bank",
-        [ Alcotest.test_case "seeds diverge" `Quick seed_sensitivity_case ] );
-    ]
+      ])

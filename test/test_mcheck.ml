@@ -122,7 +122,7 @@ let symmetry_case proto () =
    bootstrap leader), so the quotient still shrinks the batched space
    strictly and changes no verdict. *)
 let symmetry_batched_case proto () =
-  let scope = MC.Scenario.steady_sym_batched proto in
+  let scope = MC.Scenario.(batchify (steady_sym proto)) in
   let on = MC.Checker.check ~max_states:2_000_000 scope in
   let off =
     MC.Checker.check ~max_states:2_000_000
@@ -147,7 +147,7 @@ let symmetry_batched_case proto () =
    against delivery and not just one schedule. *)
 let steady_batched_case proto () =
   assert_clean
-    (MC.Checker.check ~max_states:2_000_000 (MC.Scenario.steady_batched proto))
+    (MC.Checker.check ~max_states:2_000_000 MC.Scenario.(batchify (steady proto)))
 
 (* Full verdict equivalence on the one protocol whose plain steady
    space is quick-suite cheap: the batched scope must reach exactly the
@@ -158,7 +158,7 @@ let batched_equivalence_case () =
   in
   let batched =
     MC.Checker.check ~max_states:2_000_000
-      (MC.Scenario.steady_batched Cluster.Multipaxos)
+      MC.Scenario.(batchify (steady Cluster.Multipaxos))
   in
   assert_clean plain;
   assert_clean batched;
@@ -173,7 +173,7 @@ let batched_equivalence_case () =
    is not demanded. *)
 let crash_batched_case proto () =
   let r =
-    MC.Checker.check ~max_states:60_000 (MC.Scenario.crash_batched proto)
+    MC.Checker.check ~max_states:60_000 MC.Scenario.(batchify (crash proto))
   in
   (match r.r_violation with
   | Some v ->
@@ -201,9 +201,38 @@ let nemesis_sanitizer_case () =
       if not r.Nemesis.ok then Alcotest.failf "%a" Nemesis.pp_report r)
     [ Cluster.Raft_star; Cluster.Mencius; Cluster.Multipaxos ]
 
+(* Every name in the registry, and every spelling the CLI docs and CI
+   use, resolves through the one family table to its scope. *)
+let spellings_case () =
+  let resolves name expected =
+    match MC.Scenario.by_name name with
+    | Some sc -> Alcotest.(check string) name expected sc.MC.Model.sc_name
+    | None -> Alcotest.failf "%s does not resolve" name
+  in
+  List.iter (fun n -> resolves n n) MC.Scenario.names;
+  List.iter
+    (fun (n, expected) -> resolves n expected)
+    [
+      ("steady-raft-star", "steady-raft*");
+      ("crash-raft-star", "crash-raft*");
+      ("steady-mencius", "steady-raft*-mencius");
+      ("steady-raft-ll", "steady-raft*-ll");
+      ("crash-raft-ll-batched", "crash-raft*-ll-batched");
+      ("crash-mencius-batched", "crash-raft*-mencius-batched");
+      ("Steady-Sym-Raft-PQL-Batched", "steady-sym-raft*-pql-batched");
+    ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (n ^ " rejected") true
+        (Option.is_none (MC.Scenario.by_name n)))
+    [ "steady-sym-mencius"; "steady-sym-raft-ll" ]
+
 let () =
   Alcotest.run "mcheck"
     [
+      ( "registry",
+        [ Alcotest.test_case "every spelling resolves" `Quick spellings_case ] );
       ( "clean",
         [
           Alcotest.test_case "raft-star tiny exhaustive" `Quick

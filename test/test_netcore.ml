@@ -1,9 +1,9 @@
 (* Tests for lib/netcore: codec primitives, wire roundtrips covering
    every message constructor of every protocol, rejection of truncated
    and corrupted input, framing reassembly across arbitrary chunk
-   boundaries, and snapshot canonicality.  A golden byte vector pins the
-   format: if encoding changes, the pin must be bumped consciously
-   together with [Wire.version]. *)
+   boundaries, and snapshot canonicality.  One example per message
+   constructor pins the format: if encoding changes, the pins must be
+   bumped consciously together with [Wire.version]. *)
 
 module Codec = Raftpax_netcore.Codec
 module Wire = Raftpax_netcore.Wire
@@ -250,103 +250,417 @@ let test_bad_version () =
     | Error _ -> true
     | Ok _ -> false)
 
-(* ---- golden vector ----
+(* ---- the example table ----
 
-   Pins the byte format of a representative nested frame.  A change here
-   is a wire-format break: bump [Wire.version] and regenerate. *)
+   One example frame per message constructor of every protocol, each
+   pinned to its bytes.  Any hex changing here is a wire-format break:
+   bump [Wire.version] and regenerate the table by running this binary
+   with GOLDEN_REGEN=1, which prints the rows and exits.
 
-let golden_frame =
-  Wire.Peer_msg
-    {
-      src = 1;
-      dst = 2;
-      msg =
-        Wire.Raft_msg
-          (Raft.Append
-             {
-               term = 3;
-               leader = 1;
-               prev_idx = 7;
-               prev_term = 2;
-               entries =
-                 [
-                   ( {
-                       Types.term = 3;
-                       cmd =
-                         Some
-                           {
-                             Types.id = 41;
-                             op = Types.Put { key = 5; size = 8; write_id = 9 };
-                             origin = 1;
-                             submitted_us = 1500;
-                           };
-                     },
-                     3 );
-                 ];
-               commit = 6;
-             });
-    }
+   Each core's examples are a record with one field per constructor,
+   and [raft_row], [mencius_row] and [multipaxos_row] map every message
+   to its constructor's field.  Warnings are errors, so a new
+   constructor does not compile until it gets an arm there; the arm
+   needs a new field, the record literal then needs its example, and
+   the list of rows must bind every field (warning 9).  The tests below
+   then demand that the example round-trips, that the decoder accepts
+   exactly the example tags, that the QCheck generators build every
+   constructor, and that each core has a replicate, an ack and a commit
+   message.  That every message is dispatched needs no test: each
+   core's [handle] is an exhaustive match, and detlint's
+   wildcard-message-match bans catch-alls there. *)
 
-let golden_hex = "01010204000206020e0401060152010a101202b817060c"
+type role = Replicates | Acks | Commits
+
+(* An example: its wire tag, its Section-4 roles and its pinned bytes. *)
+type row = {
+  tag : int;
+  roles : role list;
+  msg : Wire.protocol_msg;
+  frame : Wire.frame;
+  hex : string;
+}
+
+let peer ?(src = 1) msg = Wire.Peer_msg { src; dst = 2; msg }
+
+let row ?(roles = []) ?src tag msg hex =
+  { tag; roles; msg; frame = peer ?src msg; hex }
+
+let sample_cmd =
+  {
+    Types.id = 7;
+    op = Types.Put { key = 5; size = 8; write_id = 3 };
+    origin = 1;
+    submitted_us = 900;
+  }
+
+let sample_get =
+  { Types.id = 8; op = Types.Get { key = 5 }; origin = 2; submitted_us = 901 }
+
+let sample_entry = { Types.term = 2; cmd = Some sample_cmd }
+let sample_reply = { Types.value = Some 4 }
+
+type raft_examples = {
+  request_vote : row;
+  vote : row;
+  append : row;
+  ack : row;
+  forward : row;
+  complete : row;
+  grant : row;
+  grant_confirm : row;
+}
+
+let raft_row (t : raft_examples) : Raft.msg -> row = function
+  | RequestVote _ -> t.request_vote
+  | Vote _ -> t.vote
+  | Append _ -> t.append
+  | Ack _ -> t.ack
+  | Forward _ -> t.forward
+  | Complete _ -> t.complete
+  | Grant _ -> t.grant
+  | GrantConfirm _ -> t.grant_confirm
+
+let raft_rows
+    ({ request_vote; vote; append; ack; forward; complete; grant; grant_confirm }
+      : raft_examples) =
+  [ request_vote; vote; append; ack; forward; complete; grant; grant_confirm ]
+[@@warning "+9"]
+
+let raft_examples : raft_examples =
+  let row ?roles tag m = row ?roles tag (Wire.Raft_msg m) in
+  {
+    request_vote =
+      row 0
+        (RequestVote { term = 3; cand = 1; last_idx = 7; last_term = 2 })
+        "01010204000006020e04";
+    vote =
+      row 1
+        (Vote
+           {
+             term = 3;
+             from = 1;
+             granted = true;
+             extras = [ (5, sample_entry, 2) ];
+           })
+        "010102040001060201010a04010e010a100602880e04";
+    append =
+      (* the commit index rides on every Append *)
+      row 2 ~roles:[ Replicates; Commits ]
+        (Append
+           {
+             term = 3;
+             leader = 1;
+             prev_idx = 7;
+             prev_term = 2;
+             entries =
+               [
+                 ( {
+                     Types.term = 3;
+                     cmd =
+                       Some
+                         {
+                           Types.id = 41;
+                           op = Types.Put { key = 5; size = 8; write_id = 9 };
+                           origin = 1;
+                           submitted_us = 1500;
+                         };
+                   },
+                   3 );
+               ];
+             commit = 6;
+           })
+        "01010204000206020e0401060152010a101202b817060c";
+    ack =
+      row 3 ~roles:[ Acks ]
+        (Ack
+           {
+             term = 3;
+             from = 2;
+             success = true;
+             match_idx = 7;
+             holders = [ (1, 900) ];
+           })
+        "0101020400030604010e0102880e";
+    forward = row 4 (Forward sample_cmd) "0101020400040e010a100602880e";
+    complete =
+      row 5 (Complete { cmd_id = 7; reply = sample_reply }) "0101020400050e0108";
+    grant =
+      row 6
+        (Grant { from = 0; deadline = 5_000; grantor_last = 7 })
+        "01010204000600904e0e";
+    grant_confirm =
+      row 7 (GrantConfirm { from = 1; deadline = 5_000 }) "01010204000702904e";
+  }
+
+type mencius_examples = {
+  mskip : row;
+  mrevoke : row;
+  mrev_status : row;
+  mskip_force : row;
+  mcatchup : row;
+  mstate : row;
+  complete : row;
+  mappend : row;
+  mack : row;
+  mcommit : row;
+}
+
+let mencius_row (t : mencius_examples) : Mencius.msg -> row = function
+  | MSkip _ -> t.mskip
+  | MRevoke _ -> t.mrevoke
+  | MRevStatus _ -> t.mrev_status
+  | MSkipForce _ -> t.mskip_force
+  | MCatchup _ -> t.mcatchup
+  | MState _ -> t.mstate
+  | Complete _ -> t.complete
+  | MAppend _ -> t.mappend
+  | MAck _ -> t.mack
+  | MCommit _ -> t.mcommit
+
+let mencius_rows
+    ({
+       mskip;
+       mrevoke;
+       mrev_status;
+       mskip_force;
+       mcatchup;
+       mstate;
+       complete;
+       mappend;
+       mack;
+       mcommit;
+     }
+      : mencius_examples) =
+  [
+    mskip;
+    mrevoke;
+    mrev_status;
+    mskip_force;
+    mcatchup;
+    mstate;
+    complete;
+    mappend;
+    mack;
+    mcommit;
+  ]
+[@@warning "+9"]
+
+let mencius_examples : mencius_examples =
+  let row ?roles tag m = row ?roles tag (Wire.Mencius_msg m) in
+  {
+    mskip = row 2 (MSkip { from = 1; first = 4; upto = 7 }) "01010204010202080e";
+    mrevoke = row 4 (MRevoke { from = 0; inst = 5 }) "010102040104000a";
+    mrev_status =
+      row 5
+        (MRevStatus { from = 2; inst = 5; value = Some sample_cmd })
+        "010102040105040a010e010a100602880e";
+    mskip_force = row 6 (MSkipForce { inst = 5 }) "0101020401060a";
+    mcatchup = row 7 (MCatchup { from = 2 }) "01010204010704";
+    mstate =
+      row 8
+        (MState
+           {
+             slots = [ (4, true, Some sample_cmd, false); (5, false, None, true) ];
+           })
+        "010102040108020801010e010a100602880e000a000001";
+    complete =
+      row 9 (Complete { cmd_id = 7; reply = sample_reply }) "0101020401090e0108";
+    mappend =
+      row 10 ~roles:[ Replicates ]
+        (MAppend { from = 1; items = [ (4, sample_cmd); (5, sample_get) ] })
+        "01010204010a0202080e010a100602880e0a10000a048a0e";
+    mack =
+      row 11 ~roles:[ Acks ]
+        (MAck { from = 2; insts = [ 4; 5 ] })
+        "01010204010b0402080a";
+    mcommit =
+      row 12 ~roles:[ Commits ]
+        (MCommit { insts = [ 4; 5 ] })
+        "01010204010c02080a";
+  }
+
+type multipaxos_examples = {
+  prepare : row;
+  prepare_ok : row;
+  forward : row;
+  complete : row;
+  accept : row;
+  accept_ok : row;
+  learn : row;
+}
+
+let multipaxos_row (t : multipaxos_examples) : Multipaxos.msg -> row = function
+  | Prepare _ -> t.prepare
+  | PrepareOk _ -> t.prepare_ok
+  | Forward _ -> t.forward
+  | Complete _ -> t.complete
+  | Accept _ -> t.accept
+  | AcceptOk _ -> t.accept_ok
+  | Learn _ -> t.learn
+
+let multipaxos_rows
+    ({ prepare; prepare_ok; forward; complete; accept; accept_ok; learn }
+      : multipaxos_examples) =
+  [ prepare; prepare_ok; forward; complete; accept; accept_ok; learn ]
+[@@warning "+9"]
+
+let multipaxos_examples : multipaxos_examples =
+  let row ?roles ?src tag m = row ?roles ?src tag (Wire.Multipaxos_msg m) in
+  {
+    prepare = row 0 (Prepare { bal = 3; from = 1 }) "0101020402000602";
+    prepare_ok =
+      row 1
+        (PrepareOk
+           { bal = 3; from = 1; accepted = [ (4, 2, Some sample_cmd) ] })
+        "0101020402010602010804010e010a100602880e";
+    forward = row 5 (Forward sample_get) "01010204020510000a048a0e";
+    complete =
+      row 6 (Complete { cmd_id = 8; reply = sample_reply }) "010102040206100108";
+    accept =
+      (* An unbatched Accept is the same layout with one item. *)
+      row 7 ~roles:[ Replicates ] ~src:0
+        (Accept
+           {
+             bal = 4;
+             from = 0;
+             items =
+               [
+                 ( 11,
+                   Some
+                     {
+                       Types.id = 7;
+                       op = Types.Put { key = 5; size = 8; write_id = 3 };
+                       origin = 0;
+                       submitted_us = 900;
+                     } );
+                 (12, None);
+               ];
+           })
+        "01010004020708000216010e010a100600880e1800";
+    accept_ok =
+      row 8 ~roles:[ Acks ]
+        (AcceptOk { bal = 3; from = 2; insts = [ 4; 5 ] })
+        "010102040208060402080a";
+    learn =
+      row 9 ~roles:[ Commits ]
+        (Learn { items = [ (4, Some sample_cmd); (5, None) ] })
+        "0101020402090208010e010a100602880e0a00";
+  }
+
+(* The example of a message's constructor. *)
+let row_of = function
+  | Wire.Raft_msg m -> raft_row raft_examples m
+  | Wire.Mencius_msg m -> mencius_row mencius_examples m
+  | Wire.Multipaxos_msg m -> multipaxos_row multipaxos_examples m
+
+(* Protocol byte, the decoder's name for it, and its examples. *)
+let protocols =
+  [
+    (0, "raft", raft_rows raft_examples);
+    (1, "mencius", mencius_rows mencius_examples);
+    (2, "multipaxos", multipaxos_rows multipaxos_examples);
+  ]
 
 let hex_of s =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
 
-let test_golden () =
-  Alcotest.(check string)
-    "golden bytes" golden_hex
-    (hex_of (Wire.encode_frame golden_frame));
-  Alcotest.(check bool)
-    "golden decodes" true
-    (Wire.decode_frame (Wire.encode_frame golden_frame) = Ok golden_frame)
+let row_name pname r = Printf.sprintf "%s tag %d" pname r.tag
 
-(* A second pin for the replication path: an [Accept] carrying a
-   two-command flush (an unbatched Accept is the same layout with one
-   item).  This vector changing — or the original one above — is a
-   format break. *)
-let golden_accept_frame =
-  Wire.Peer_msg
-    {
-      src = 0;
-      dst = 2;
-      msg =
-        Wire.Multipaxos_msg
-          (Multipaxos.Accept
-             {
-               bal = 4;
-               from = 0;
-               items =
-                 [
-                   ( 11,
-                     Some
-                       {
-                         Types.id = 7;
-                         op = Types.Put { key = 5; size = 8; write_id = 3 };
-                         origin = 0;
-                         submitted_us = 900;
-                       } );
-                   (12, None);
-                 ];
-             });
-    }
+(* Each example encodes to its pinned bytes, carries its protocol byte
+   and tag at offsets 4 and 5 (src and dst are one-byte varints),
+   decodes back, and sits in its own constructor's field; no tag has two
+   examples. *)
+let test_examples () =
+  List.iter
+    (fun (proto, pname, rows) ->
+      List.iter
+        (fun r ->
+          let name = row_name pname r in
+          let bytes = Wire.encode_frame r.frame in
+          Alcotest.(check string) (name ^ " bytes") r.hex (hex_of bytes);
+          Alcotest.(check (pair int int))
+            (name ^ " encoded tag") (proto, r.tag)
+            (Char.code bytes.[4], Char.code bytes.[5]);
+          Alcotest.(check bool)
+            (name ^ " decodes") true
+            (Wire.decode_frame bytes = Ok r.frame);
+          Alcotest.(check bool)
+            (name ^ " is its constructor's example") true
+            (row_of r.msg == r))
+        rows;
+      let tags = List.map (fun r -> r.tag) rows in
+      Alcotest.(check int)
+        (pname ^ ": one example per tag") (List.length tags)
+        (List.length (List.sort_uniq compare tags)))
+    protocols
 
-let golden_accept_hex = "01010004020708000216010e010a100600880e1800"
+(* The tags the decoder accepts are exactly the examples' tags.  A tag is
+   dead when a frame carrying it, with no fields, decodes as
+   [Malformed "<proto> tag"]; a live tag fails later, on the missing
+   fields. *)
+let live_tags proto pname =
+  List.filter
+    (fun tag ->
+      (* version, Peer_msg, src 1, dst 2, protocol, tag *)
+      let frame =
+        String.of_seq
+          (List.to_seq (List.map Char.chr [ Wire.version; 1; 2; 4; proto; tag ]))
+      in
+      Wire.decode_frame frame <> Error (Codec.Malformed (pname ^ " tag")))
+    (List.init 256 Fun.id)
 
-let test_golden_accept () =
-  Alcotest.(check string)
-    "accept golden bytes" golden_accept_hex
-    (hex_of (Wire.encode_frame golden_accept_frame));
-  Alcotest.(check bool)
-    "accept golden decodes" true
-    (Wire.decode_frame (Wire.encode_frame golden_accept_frame)
-    = Ok golden_accept_frame)
+let test_decoder_tags () =
+  List.iter
+    (fun (proto, pname, rows) ->
+      Alcotest.(check (list int))
+        (pname ^ " decoded tags")
+        (List.sort compare (List.map (fun r -> r.tag) rows))
+        (live_tags proto pname))
+    protocols
+
+(* The QCheck generators build every constructor, so the roundtrip
+   properties above face each one: a fixed-seed draw reaches every
+   example's field, and every drawn message encodes under the tag of the
+   field it maps to. *)
+let test_generators () =
+  let rand = Random.State.make [| 21 |] in
+  let drawn = List.init 2000 (fun _ -> gen_protocol_msg rand) in
+  let misfiled =
+    List.filter
+      (fun m -> Char.code (Wire.encode_frame (peer m)).[5] <> (row_of m).tag)
+      drawn
+  in
+  Alcotest.(check int) "messages encoded under another tag" 0
+    (List.length misfiled);
+  let reached = List.map row_of drawn in
+  List.iter
+    (fun (_, pname, rows) ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (row_name pname r ^ " generated")
+            true (List.memq r reached))
+        rows)
+    protocols
 
 (* The single-command replicate/ack/commit tags (Mencius 0, 1, 3 and
    MultiPaxos 2, 3, 4) are retired: a peer still sending one must get a
    decode error, never a message reinterpreted under a new layout.  Each
-   frame is a well-formed old encoding: version, Peer_msg, src, dst,
-   protocol byte, the retired tag, then small int fields. *)
+   tag is dead, and a well-formed old encoding (version, Peer_msg, src,
+   dst, protocol byte, the retired tag, then small int fields) is
+   rejected. *)
 let test_retired_tags () =
+  List.iter
+    (fun (proto, pname, tags) ->
+      let live = live_tags proto pname in
+      List.iter
+        (fun tag ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s tag %d stays retired" pname tag)
+            false (List.mem tag live))
+        tags)
+    [ (1, "mencius", [ 0; 1; 3 ]); (2, "multipaxos", [ 2; 3; 4 ]) ];
   List.iter
     (fun (name, proto, tag, fields) ->
       let w = Codec.writer () in
@@ -373,140 +687,18 @@ let test_retired_tags () =
       ("multipaxos tag 4", 2, 4, [ 4; 0 ]);
     ]
 
-(* ---- the golden family ----
-
-   The two pins above cover one nested Append and one Accept;
-   parlint's wire-coverage rule demands the rest of the family too:
-   every msg constructor of every protocol pinned to bytes, each with a
-   small representative value.  Any hex changing here is a wire-format
-   break — bump [Wire.version] and regenerate the table by running this
-   binary with GOLDEN_REGEN=1, which prints the rows and exits. *)
-
-let sample_cmd =
-  {
-    Types.id = 7;
-    op = Types.Put { key = 5; size = 8; write_id = 3 };
-    origin = 1;
-    submitted_us = 900;
-  }
-
-let sample_get =
-  { Types.id = 8; op = Types.Get { key = 5 }; origin = 2; submitted_us = 901 }
-
-let sample_entry = { Types.term = 2; cmd = Some sample_cmd }
-let sample_reply = { Types.value = Some 4 }
-
-let golden_family : (string * Wire.protocol_msg * string) list =
-  [
-    ( "raft-request-vote",
-      Wire.Raft_msg
-        (Raft.RequestVote { term = 3; cand = 1; last_idx = 7; last_term = 2 }),
-      "01010204000006020e04" );
-    ( "raft-vote",
-      Wire.Raft_msg
-        (Raft.Vote
-           {
-             term = 3;
-             from = 1;
-             granted = true;
-             extras = [ (5, sample_entry, 2) ];
-           }),
-      "010102040001060201010a04010e010a100602880e04" );
-    ( "raft-ack",
-      Wire.Raft_msg
-        (Raft.Ack
-           {
-             term = 3;
-             from = 2;
-             success = true;
-             match_idx = 7;
-             holders = [ (1, 900) ];
-           }),
-      "0101020400030604010e0102880e" );
-    ("raft-forward", Wire.Raft_msg (Raft.Forward sample_cmd), "0101020400040e010a100602880e");
-    ( "raft-complete",
-      Wire.Raft_msg (Raft.Complete { cmd_id = 7; reply = sample_reply }),
-      "0101020400050e0108" );
-    ( "raft-grant",
-      Wire.Raft_msg (Raft.Grant { from = 0; deadline = 5_000; grantor_last = 7 }),
-      "01010204000600904e0e" );
-    ( "raft-grant-confirm",
-      Wire.Raft_msg (Raft.GrantConfirm { from = 1; deadline = 5_000 }),
-      "01010204000702904e" );
-    ( "mencius-mskip",
-      Wire.Mencius_msg (Mencius.MSkip { from = 1; first = 4; upto = 7 }),
-      "01010204010202080e" );
-    ( "mencius-mrevoke",
-      Wire.Mencius_msg (Mencius.MRevoke { from = 0; inst = 5 }),
-      "010102040104000a" );
-    ( "mencius-mrevstatus",
-      Wire.Mencius_msg
-        (Mencius.MRevStatus { from = 2; inst = 5; value = Some sample_cmd }),
-      "010102040105040a010e010a100602880e" );
-    ( "mencius-mskipforce",
-      Wire.Mencius_msg (Mencius.MSkipForce { inst = 5 }),
-      "0101020401060a" );
-    ("mencius-mcatchup", Wire.Mencius_msg (Mencius.MCatchup { from = 2 }), "01010204010704");
-    ( "mencius-mstate",
-      Wire.Mencius_msg
-        (Mencius.MState
-           {
-             slots =
-               [ (4, true, Some sample_cmd, false); (5, false, None, true) ];
-           }),
-      "010102040108020801010e010a100602880e000a000001" );
-    ( "mencius-mappend",
-      Wire.Mencius_msg
-        (Mencius.MAppend
-           { from = 1; items = [ (4, sample_cmd); (5, sample_get) ] }),
-      "01010204010a0202080e010a100602880e0a10000a048a0e" );
-    ( "mencius-mack",
-      Wire.Mencius_msg (Mencius.MAck { from = 2; insts = [ 4; 5 ] }),
-      "01010204010b0402080a" );
-    ( "mencius-mcommit",
-      Wire.Mencius_msg (Mencius.MCommit { insts = [ 4; 5 ] }),
-      "01010204010c02080a" );
-    ( "mencius-complete",
-      Wire.Mencius_msg (Mencius.Complete { cmd_id = 7; reply = sample_reply }),
-      "0101020401090e0108" );
-    ( "multipaxos-prepare",
-      Wire.Multipaxos_msg (Multipaxos.Prepare { bal = 3; from = 1 }),
-      "0101020402000602" );
-    ( "multipaxos-prepare-ok",
-      Wire.Multipaxos_msg
-        (Multipaxos.PrepareOk
-           { bal = 3; from = 1; accepted = [ (4, 2, Some sample_cmd) ] }),
-      "0101020402010602010804010e010a100602880e" );
-    ( "multipaxos-forward",
-      Wire.Multipaxos_msg (Multipaxos.Forward sample_get),
-      "01010204020510000a048a0e" );
-    ( "multipaxos-complete",
-      Wire.Multipaxos_msg
-        (Multipaxos.Complete { cmd_id = 8; reply = sample_reply }),
-      "010102040206100108" );
-    ( "multipaxos-accept-ok",
-      Wire.Multipaxos_msg
-        (Multipaxos.AcceptOk { bal = 3; from = 2; insts = [ 4; 5 ] }),
-      "010102040208060402080a" );
-    ( "multipaxos-learn",
-      Wire.Multipaxos_msg
-        (Multipaxos.Learn { items = [ (4, Some sample_cmd); (5, None) ] }),
-      "0101020402090208010e010a100602880e0a00" );
-  ]
-
-let frame_of_family msg = Wire.Peer_msg { src = 1; dst = 2; msg }
-
-let test_golden_family () =
+(* Every core carries the family's replicate, ack and commit roles. *)
+let test_roles () =
   List.iter
-    (fun (name, msg, hex) ->
-      let frame = frame_of_family msg in
-      Alcotest.(check string)
-        (name ^ " bytes") hex
-        (hex_of (Wire.encode_frame frame));
-      Alcotest.(check bool)
-        (name ^ " decodes") true
-        (Wire.decode_frame (Wire.encode_frame frame) = Ok frame))
-    golden_family
+    (fun (_, pname, rows) ->
+      let roles = List.concat_map (fun r -> r.roles) rows in
+      List.iter
+        (fun (role, rname) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s has a %s message" pname rname)
+            true (List.mem role roles))
+        [ (Replicates, "replicate"); (Acks, "ack"); (Commits, "commit") ])
+    protocols
 
 (* The single-allocation send path must be byte-equivalent to the
    allocating one: encoding into a reused writer then framing it with
@@ -587,17 +779,20 @@ let test_snapshot_canonical () =
   Alcotest.(check string)
     "digest stable" (Snapshot.digest a) (Snapshot.digest b)
 
-(* GOLDEN_REGEN=1 prints the golden_family rows (name and current hex)
-   and exits, for conscious regeneration after a format break. *)
+(* GOLDEN_REGEN=1 prints the example rows (tag and current hex) and
+   exits, for conscious regeneration after a format break. *)
 let () =
   match Sys.getenv_opt "GOLDEN_REGEN" with
   | None -> ()
   | Some _ ->
       List.iter
-        (fun (name, msg, _) ->
-          Printf.printf "%s %s\n" name
-            (hex_of (Wire.encode_frame (frame_of_family msg))))
-        golden_family;
+        (fun (_, pname, rows) ->
+          List.iter
+            (fun r ->
+              Printf.printf "%s %s\n" (row_name pname r)
+                (hex_of (Wire.encode_frame r.frame)))
+            rows)
+        protocols;
       exit 0
 
 let () =
@@ -617,12 +812,14 @@ let () =
           QCheck_alcotest.to_alcotest frame_truncation;
           Alcotest.test_case "version and garbage rejected" `Quick
             test_bad_version;
-          Alcotest.test_case "golden byte vector" `Quick test_golden;
-          Alcotest.test_case "accept golden byte vector" `Quick
-            test_golden_accept;
+          Alcotest.test_case "examples (one per tag)" `Quick test_examples;
+          Alcotest.test_case "decoded tags are the example tags" `Quick
+            test_decoder_tags;
+          Alcotest.test_case "generators build every constructor" `Quick
+            test_generators;
           Alcotest.test_case "retired tags rejected" `Quick test_retired_tags;
-          Alcotest.test_case "golden family (every constructor)" `Quick
-            test_golden_family;
+          Alcotest.test_case "replicate, ack and commit per core" `Quick
+            test_roles;
           QCheck_alcotest.to_alcotest writer_equivalence;
         ] );
       ( "framing",

@@ -1,11 +1,11 @@
-(* Tests for the parlint cross-protocol parity pass (lib/lint/parlint).
+(* Tests for the parlint knob-threading pass (lib/lint/parlint).
 
    Unlike test_lint.ml / test_perflint.ml, the fixtures are whole
-   miniature corpora: lint_fixtures/parlint_ok is a clean tree carrying
-   one suppressed site per rule, and lint_fixtures/parlint_broken is the
-   same tree with one deliberate parity violation per rule (two for the
-   two-obligation rules).  File roles are detected by path segment, so
-   the corpora exercise exactly the code paths the real tree does. *)
+   miniature corpora: lint_fixtures/parlint_ok is a clean tree with one
+   threaded knob and one suppressed model constant, and
+   lint_fixtures/parlint_broken is the same tree with one knob that no
+   surface reaches.  File roles are detected by path segment, so the
+   corpora exercise exactly the code paths the real tree does. *)
 
 module Parlint = Raftpax_lint.Parlint
 module Lint = Raftpax_lint.Lint
@@ -49,9 +49,8 @@ let check_mentions ~sub findings =
 (* --- the two corpora --- *)
 
 let test_ok_corpus () =
-  (* Every rule has a violating site in this corpus too — each one
-     carries a reasoned [@lint.allow], so a clean run asserts that
-     suppression works on every attachment point the pass reads. *)
+  (* The suppressed constant would be a finding without its reasoned
+     [@lint.allow], so a clean run asserts that suppression works. *)
   let fs = corpus "parlint_ok" in
   Alcotest.(check string)
     "ok corpus is clean" ""
@@ -60,55 +59,25 @@ let test_ok_corpus () =
 let broken = lazy (corpus "parlint_broken")
 
 let test_broken_total () =
-  Alcotest.(check int) "total findings" 6 (List.length (Lazy.force broken))
-
-let test_broken_wire () =
-  let fs = Lazy.force broken in
-  check_rule_count ~rule:"wire-coverage" ~expect:1 fs;
-  (* Probe is covered nowhere: the one finding lists all four missing
-     facets of the porting kit. *)
-  check_mentions ~sub:"Raft.Probe" fs;
-  check_mentions ~sub:"encode" fs;
-  check_mentions ~sub:"golden" fs
+  Alcotest.(check int) "total findings" 1 (List.length (Lazy.force broken))
 
 let test_broken_knob () =
   let fs = Lazy.force broken in
   check_rule_count ~rule:"knob-threading" ~expect:1 fs;
   check_mentions ~sub:"new_knob" fs
 
-let test_broken_handler () =
-  let fs = Lazy.force broken in
-  (* Two shapes: a family member missing from one protocol's msg type,
-     and a declared member the runtime never dispatches. *)
-  check_rule_count ~rule:"handler-parity" ~expect:2 fs;
-  check_mentions ~sub:"MAck" fs;
-  check_mentions ~sub:"Learn" fs;
-  check_mentions ~sub:"never matched" fs
-
-let test_broken_probe () =
-  let fs = Lazy.force broken in
-  check_rule_count ~rule:"probe-parity" ~expect:1 fs;
-  check_mentions ~sub:"leader-change-started" fs
-
-let test_broken_scenario () =
-  let fs = Lazy.force broken in
-  (* Every scenario family batched. *)
-  check_rule_count ~rule:"scenario-parity" ~expect:1 fs;
-  check_mentions ~sub:"crash_batched" fs
-
 (* --- self-gating, parse errors, plumbing --- *)
 
 let test_self_gate () =
-  (* A lone consensus file is not a corpus: every cross-file rule
-     self-gates on its anchor files being present, so even the broken
-     raft.ml is silent on its own. *)
+  (* A lone types.ml is not a corpus: every surface is absent, so even
+     the broken declaration is silent on its own. *)
   let src =
     read_file
-      (Filename.concat fixture_dir "parlint_broken/lib/consensus/raft.ml")
+      (Filename.concat fixture_dir "parlint_broken/lib/consensus/types.ml")
   in
   Alcotest.(check int)
-    "no findings without anchors" 0
-    (List.length (Parlint.lint_string ~filename:"lib/consensus/raft.ml" src))
+    "no findings without surfaces" 0
+    (List.length (Parlint.lint_string ~filename:"lib/consensus/types.ml" src))
 
 let test_parse_error () =
   let fs = Parlint.lint_string ~filename:"lib/broken.ml" "let let = in" in
@@ -116,30 +85,15 @@ let test_parse_error () =
   Alcotest.(check int) "only the parse error" 1 (List.length fs)
 
 let test_rule_registry () =
-  let ids =
-    List.sort String.compare (List.map (fun r -> r.Lint.id) Parlint.rules)
-  in
   Alcotest.(check (list string))
-    "rule ids"
-    (List.sort String.compare
-       [
-         "wire-coverage";
-         "knob-threading";
-         "handler-parity";
-         "probe-parity";
-         "scenario-parity";
-       ])
-    ids;
+    "rule ids" [ "knob-threading" ]
+    (List.map (fun r -> r.Lint.id) Parlint.rules);
   Alcotest.(check bool)
-    "rule_by_id finds wire-coverage" true
-    (match Parlint.rule_by_id "wire-coverage" with
-    | Some r -> String.equal r.Lint.id "wire-coverage"
-    | None -> false);
+    "rule_by_id finds knob-threading" true
+    (Option.is_some (Parlint.rule_by_id "knob-threading"));
   Alcotest.(check bool)
-    "rule_by_id rejects unknown" true
-    (match Parlint.rule_by_id "no-such-rule" with
-    | Some _ -> false
-    | None -> true)
+    "rule_by_id rejects a retired rule" true
+    (Option.is_none (Parlint.rule_by_id "wire-coverage"))
 
 let test_baseline_roundtrip () =
   let fs = Lazy.force broken in
@@ -176,11 +130,10 @@ let test_baseline_stale () =
 
 let test_clean_tree () =
   if Sys.file_exists "../lib" && Sys.is_directory "../lib" then begin
-    (* collect_files skips lint_fixtures/, so the broken corpus above
-       cannot pollute the real tree's fact base. *)
-    let findings =
-      Parlint.lint_paths [ "../lib"; "../bin"; "../bench"; "../test" ]
-    in
+    (* test/ holds no surface, but scanning it checks that
+       collect_files skips lint_fixtures/: the broken corpus above
+       must not pollute the real tree's fact base. *)
+    let findings = Parlint.lint_paths [ "../lib"; "../bench"; "../test" ] in
     Alcotest.(check string)
       "no parlint findings in the tree" ""
       (String.concat "\n" (List.map Finding.render findings))
@@ -191,14 +144,10 @@ let () =
     [
       ( "corpora",
         [
-          Alcotest.test_case "ok corpus (suppressed site per rule)" `Quick
+          Alcotest.test_case "ok corpus (suppressed constant)" `Quick
             test_ok_corpus;
           Alcotest.test_case "broken corpus total" `Quick test_broken_total;
-          Alcotest.test_case "wire-coverage" `Quick test_broken_wire;
           Alcotest.test_case "knob-threading" `Quick test_broken_knob;
-          Alcotest.test_case "handler-parity" `Quick test_broken_handler;
-          Alcotest.test_case "probe-parity" `Quick test_broken_probe;
-          Alcotest.test_case "scenario-parity" `Quick test_broken_scenario;
         ] );
       ( "plumbing",
         [

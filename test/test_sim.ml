@@ -428,6 +428,20 @@ let test_stats_percentiles () =
   Alcotest.(check int) "min" 1000 (Stats.min_us s);
   Alcotest.(check int) "max" 100_000 (Stats.max_us s)
 
+(* samples arrive out of order and with repeats; every percentile must
+   match the one read off a reference sort *)
+let test_stats_unordered () =
+  let s = Stats.create () in
+  let samples = List.init 997 (fun i -> i * 389 mod 997 / 3 * 10) in
+  List.iteri (fun i l -> Stats.record s ~latency_us:l ~at_us:i) samples;
+  let sorted = Array.of_list (List.sort Int.compare samples) in
+  for k = 0 to 100 do
+    let p = float_of_int k /. 100. in
+    let idx = int_of_float (p *. float_of_int (Array.length sorted - 1)) in
+    Alcotest.(check int)
+      (Printf.sprintf "p%d" k) sorted.(idx) (Stats.percentile_us s p)
+  done
+
 (* the sorted-sample cache must be invalidated by record: a percentile
    read between records must not freeze the distribution *)
 let test_stats_cache_invalidation () =
@@ -524,6 +538,7 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
+          Alcotest.test_case "unordered samples" `Quick test_stats_unordered;
           Alcotest.test_case "cache invalidation" `Quick
             test_stats_cache_invalidation;
           Alcotest.test_case "window" `Quick test_stats_window_throughput;

@@ -13,7 +13,9 @@
    - waterfalls account for everything: per request, the sum of phase
      durations (= last mark - first mark) equals the recorded latency;
    - probes cover every replica: a telemetry run leaves non-zero
-     protocol counters on all five nodes. *)
+     protocol counters on all five nodes;
+   - probe parity: every core registers a probe for each shared event
+     class, modulo reasoned structural exemptions. *)
 
 module Tel = Raftpax_telemetry
 module Telemetry = Tel.Telemetry
@@ -22,6 +24,8 @@ module Span = Tel.Span
 module H = Raftpax_kvstore.Harness
 module W = Raftpax_kvstore.Workload
 module N = Raftpax_nemesis
+module Protocol = Raftpax_kvstore.Protocol
+module Sim = Raftpax_sim
 
 let workload =
   {
@@ -204,6 +208,104 @@ let test_counters_all_nodes () =
     (Metrics.counter_value m "appends_sent" ~node:0 > 0
     || Metrics.counter_value m "appends_sent" ~node:1 > 0)
 
+(* ---- probe parity ----
+
+   The three cores register their probes at creation.  A shared event
+   class is one event spelled per core (the paper's vocabulary
+   translation); each core registers at least one spelling unless the
+   table gives the structural reason it cannot.  The probes every core
+   has by construction ([commits], [acks_sent], [retransmits]) are
+   registered once by the replica base and need no class. *)
+
+let probe_classes =
+  [
+    ("leader-change-started", [ "elections"; "revocations_started" ], []);
+    ( "leader-change-won",
+      [ "leader_wins"; "revocations_value"; "revocations_skip" ],
+      [] );
+    ( "epoch-change",
+      [ "term_changes"; "ballot_changes" ],
+      [
+        ( Protocol.Mencius,
+          "slots are positionally owned; revocation advances no term/ballot \
+           counter" );
+      ] );
+    ( "keepalive",
+      [ "heartbeats"; "skips_announced" ],
+      [
+        ( Protocol.Multipaxos,
+          "the revocation watchdog reads the failure detector; the runtime \
+           sends no keepalive traffic" );
+      ] );
+    ("replicate-sent", [ "appends_sent"; "accepts_sent" ], []);
+    ( "forward",
+      [ "forwards" ],
+      [
+        ( Protocol.Mencius,
+          "every replica leads its own slots; there is no leader to redirect \
+           to" );
+      ] );
+  ]
+
+let counter_names proto =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let net =
+    Sim.Net.create engine
+      ~nodes:(List.init 3 (fun id -> { Sim.Net.id; site = List.nth Sim.Topology.sites id }))
+  in
+  let telemetry = Telemetry.create ~n:3 () in
+  ignore (Protocol.make ~telemetry proto net ~leader:0 : Protocol.runtime);
+  Metrics.counter_names (Telemetry.metrics_of_snapshot (Telemetry.snapshot telemetry))
+
+let cores =
+  lazy
+    (List.map
+       (fun p -> (p, counter_names p))
+       [ Protocol.Raft; Protocol.Mencius; Protocol.Multipaxos ])
+
+let test_probe_parity () =
+  let cores = Lazy.force cores in
+  List.iter
+    (fun (cls, aliases, exempt) ->
+      List.iter
+        (fun (p, names) ->
+          if
+            (not (List.mem_assoc p exempt))
+            && not (List.exists (fun a -> List.mem a names) aliases)
+          then
+            Alcotest.failf "%s registers no probe for shared event class %s (%s)"
+              (Protocol.name p) cls (String.concat "/" aliases))
+        cores)
+    probe_classes;
+  (* Majority vote on names outside the class table: one registered by
+     two cores is missing from the third. *)
+  let classified = List.concat_map (fun (_, aliases, _) -> aliases) probe_classes in
+  List.iter
+    (fun name ->
+      match List.partition (fun (_, names) -> List.mem name names) cores with
+      | [ _; _ ], [ (p, _) ] when not (List.mem name classified) ->
+          Alcotest.failf "%s registers no probe %s; the other two cores do"
+            (Protocol.name p) name
+      | _ -> ())
+    (List.sort_uniq String.compare (List.concat_map snd cores))
+
+(* An exemption is a claim that the core cannot register the class; a
+   core that gains one of its spellings makes the exemption stale. *)
+let test_probe_exemptions () =
+  let cores = Lazy.force cores in
+  List.iter
+    (fun (cls, aliases, exempt) ->
+      List.iter
+        (fun (p, _reason) ->
+          let names = List.assoc p cores in
+          match List.filter (fun a -> List.mem a names) aliases with
+          | [] -> ()
+          | a :: _ ->
+              Alcotest.failf "%s is exempt from %s but registers %s"
+                (Protocol.name p) cls a)
+        exempt)
+    probe_classes
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -217,6 +319,8 @@ let () =
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "disabled zero-alloc" `Quick test_disabled_zero_alloc;
           Alcotest.test_case "counters on all nodes" `Quick test_counters_all_nodes;
+          Alcotest.test_case "probe parity" `Quick test_probe_parity;
+          Alcotest.test_case "probe exemptions" `Quick test_probe_exemptions;
         ] );
       ( "spans",
         [ Alcotest.test_case "waterfall sums" `Quick test_waterfall_sums ] );
