@@ -172,8 +172,8 @@ let fig9c () =
   let raft_star_90 = ref 0.0 and pql_90 = ref 0.0 in
   List.iter
     (fun proto ->
-      (* same sweep H.peak_throughput performs, but through run_recorded
-         so every point lands in the JSON artifact *)
+      (* peak throughput: the best point of a client-count sweep, run
+         through run_recorded so every point lands in the JSON artifact *)
       let peak read_fraction =
         List.fold_left
           (fun best clients ->

@@ -10,7 +10,6 @@
      nemesis     deterministic fault-injection sweep
      mcheck      explicit-state model checking of the real runtimes
      topology    print the WAN model
-     lint        static analysis: detlint + perflint + parlint
      net         real-network loopback demo / sim-vs-net cross-check *)
 
 open Cmdliner
@@ -20,7 +19,6 @@ module KV = Raftpax_kvstore
 module Nem = Raftpax_nemesis
 module MC = Raftpax_mcheck
 module Tel = Raftpax_telemetry
-module Lint = Raftpax_lint
 
 (* ---- shared arguments ---- *)
 
@@ -698,133 +696,6 @@ let topology_cmd =
     (Cmd.info "topology" ~doc:"Print the WAN model.")
     Term.(const run_topology $ const ())
 
-(* ---- lint ---- *)
-
-let run_lint paths baseline perf_baseline par_baseline list_rules json =
-  if list_rules then begin
-    List.iter
-      (fun (p : Lint.Registry.pass) ->
-        Fmt.pr "%s:@." p.tool;
-        List.iter
-          (fun (r : Lint.Lint.rule) ->
-            Fmt.pr "  %-26s %-7s %s@." r.id
-              (Lint.Finding.severity_name r.severity)
-              r.summary)
-          p.rules)
-      Lint.Registry.passes;
-    0
-  end
-  else begin
-    (* All three passes run from the registry.  With no explicit paths
-       each pass scans its own default tree (perflint only judges lib/,
-       parlint lib/ and bench/); explicit paths apply to every pass. *)
-    let baseline_for tool =
-      match tool with
-      | "detlint" -> baseline
-      | "perflint" -> perf_baseline
-      | "parlint" -> par_baseline
-      | _ -> None
-    in
-    let results =
-      List.map
-        (fun (p : Lint.Registry.pass) ->
-          let roots = match paths with [] -> p.default_paths | _ -> paths in
-          let findings = p.lint_paths roots in
-          let bl =
-            match baseline_for p.tool with
-            | None -> Lint.Baseline.empty
-            | Some path -> Lint.Baseline.load path
-          in
-          let unsuppressed =
-            List.filter (fun f -> not (Lint.Baseline.mem bl f)) findings
-          in
-          let grandfathered =
-            List.length findings - List.length unsuppressed
-          in
-          let stale = Lint.Baseline.stale bl findings in
-          let files = List.length (p.collect roots) in
-          (p.tool, files, unsuppressed, grandfathered, stale))
-        Lint.Registry.passes
-    in
-    let unsuppressed =
-      List.sort Lint.Finding.compare
-        (List.concat_map (fun (_, _, u, _, _) -> u) results)
-    in
-    if json then print_endline (Lint.Finding.render_json unsuppressed)
-    else begin
-      List.iter (fun f -> print_endline (Lint.Finding.render f)) unsuppressed;
-      List.iter
-        (fun (tool, files, u, grandfathered, stale) ->
-          List.iter
-            (fun key -> Fmt.pr "%s: stale baseline entry: %s@." tool key)
-            stale;
-          Fmt.pr "%s: %d file(s), %d finding(s) (%d grandfathered)@." tool
-            files (List.length u) grandfathered)
-        results
-    end;
-    let any_stale =
-      List.exists (fun (_, _, _, _, stale) -> stale <> []) results
-    in
-    match (unsuppressed, any_stale) with [], false -> 0 | _ -> 1
-  end
-
-let lint_cmd =
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint.  Default: each pass's own tree \
-             (detlint: lib bin bench; perflint: lib; parlint: lib bench).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~doc:"Grandfathered detlint findings file.")
-  in
-  let perf_baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perf-baseline" ] ~doc:"Grandfathered perflint findings file.")
-  in
-  let par_baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "par-baseline" ] ~doc:"Grandfathered parlint findings file.")
-  in
-  let list_rules =
-    Arg.(
-      value & flag & info [ "list-rules" ] ~doc:"Print every pass's rule table.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the merged unsuppressed findings of all passes as one \
-             sorted JSON array on stdout.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static analysis over the OCaml sources: the determinism & \
-          protocol-discipline pass (detlint), the hot-path cost pass \
-          (perflint) and the cross-file knob-threading pass (parlint), \
-          combined.  Exits 0 when every pass is clean; exits 1 if any pass \
-          reports an unsuppressed finding or a stale baseline entry."
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"every pass clean";
-           Cmd.Exit.info 1
-             ~doc:"unsuppressed findings or stale baseline entries";
-         ])
-    Term.(
-      const run_lint $ paths $ baseline $ perf_baseline $ par_baseline
-      $ list_rules $ json)
-
 (* ---- net: the real-network runtime ---- *)
 
 let net_cmd =
@@ -901,7 +772,7 @@ let net_cmd =
 let subcommand_names =
   [
     "check"; "refine"; "port"; "simulate"; "trace"; "shard"; "nemesis";
-    "mcheck"; "topology"; "lint"; "net";
+    "mcheck"; "topology"; "net";
   ]
 
 let () =
@@ -940,6 +811,5 @@ let () =
             nemesis_cmd;
             mcheck_cmd;
             topology_cmd;
-            lint_cmd;
             net_cmd;
           ]))

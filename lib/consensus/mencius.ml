@@ -590,7 +590,7 @@ and handle t srv msg =
             | Skip, false, Some cmd when committed && not (is_committed srv inst)
               ->
                 set_value srv inst cmd
-            | _ -> ());
+            | (Unknown | Value _ | Skip), _, _ -> ());
             if committed then Vec.set srv.committed inst true)
           slots;
         (* Our own unused turns inside the transferred region are dead:
@@ -619,11 +619,11 @@ and hold_appends t srv from = function
       let refused = from = owner t inst && Hashtbl.mem srv.promised inst in
       (match slot srv inst with
       | Unknown when not refused -> set_value srv inst cmd
-      | _ -> ());
+      | Unknown | Value _ | Skip -> ());
       match slot srv inst with
       | Value held when held.Types.id = cmd.Types.id ->
           inst :: hold_appends t srv from rest
-      | _ -> hold_appends t srv from rest)
+      | Unknown | Value _ | Skip -> hold_appends t srv from rest)
 
 (* Count [from]'s ack of each own turn and commit those reaching a
    majority; the newly committed turns, in ack order. *)
@@ -671,7 +671,7 @@ and watchdog t srv =
               Metrics.add srv.pr.pr_appends (t.n - 1);
               broadcast t srv
                 (MAppend { from = srv.id; items = [ (stuck, cmd) ] })
-          | _ -> ());
+          | Unknown | Value _ | Skip -> ());
           if owner t stuck <> srv.id && srv.id = lowest_live t then begin
             (* Poll the cluster about the blocking slot before deciding. *)
             if not (Hashtbl.mem srv.revocations stuck) then begin
@@ -682,7 +682,9 @@ and watchdog t srv =
                 {
                   seen = Array.make t.n false;
                   found =
-                    (match slot srv stuck with Value c -> Some c | _ -> None);
+                    (match slot srv stuck with
+                     | Value c -> Some c
+                     | Unknown | Skip -> None);
                 }
             end;
             (* Re-broadcast even when a poll is already pending: the earlier
@@ -923,7 +925,7 @@ let invariant_violation t =
                       "skip-soundness: nodes %d,%d slot %d committed as both \
                        %s and Skip"
                       a.id b.id i (Types.render_cmd c)
-                | _ -> ()
+                | (Unknown | Value _ | Skip), _ -> ()
             done)
         t.servers)
     t.servers;
@@ -940,7 +942,7 @@ let invariant_violation t =
                   fail "dup-command: %s committed at slots %d and %d"
                     (Types.render_cmd cmd) j i
               | _ -> Hashtbl.replace placed cmd.Types.id i)
-          | _ -> ())
+          | Unknown | Value _ | Skip -> ())
         s.slots)
     t.servers;
   !violation

@@ -81,7 +81,6 @@ type server = {
   accept_oks : (int, bool array) Hashtbl.t;
       (** instance -> which peers acked (per-sender, so duplicate
           deliveries under fault injection cannot double-count) *)
-  waiters : (int, Types.cmd) Hashtbl.t;  (** instance -> originating cmd *)
   proposed_cmds : (int, unit) Hashtbl.t;
       (** cmd ids this leader already assigned an instance; a duplicated
           [Forward] must not occupy a second instance *)
@@ -251,7 +250,6 @@ and propose t srv (cmd : Types.cmd) =
         it.accepted_bal <- srv.ballot;
         it.accepted_cmd <- Some (Some cmd);
         Hashtbl.replace srv.accept_oks i (Array.make t.n false);
-        Hashtbl.replace srv.waiters i cmd;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
         (* The instance is fully set up above; only its Accept broadcast
@@ -490,7 +488,6 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           prepare_oks = Hashtbl.create 8;
           gathered = Vec.create ();
           accept_oks = Hashtbl.create 16;
-          waiters = Hashtbl.create 16;
           proposed_cmds = Hashtbl.create 16;
           pending_batch = [];
           last_leader_sign = 0;
@@ -615,8 +612,6 @@ let dump_state ?(rename = Fun.id) t ~node =
              (Vec.to_list srv.gathered))));
   tbl "ao" srv.accept_oks (fun (i, a) ->
       Printf.sprintf "%d=%s" i (mask a));
-  tbl "wt" srv.waiters (fun (i, c) ->
-      Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c));
   tbl "pc" srv.proposed_cmds (fun (i, ()) -> string_of_int i);
   (* The held batch is real protocol state the checker must distinguish. *)
   add "|pb:%s"

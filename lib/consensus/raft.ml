@@ -247,7 +247,7 @@ let note_write srv idx (e : Types.entry) =
   | Some { op = Put { key; _ }; _ } ->
       if idx > Itbl.find_or srv.key_last_write key ~default:(-1) then
         Itbl.replace srv.key_last_write key idx
-  | _ -> ()
+  | Some { op = Get _; _ } | None -> ()
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
@@ -490,7 +490,7 @@ and append_cmd t srv (cmd : Types.cmd) =
   let extra =
     match (t.config.read_mode, cmd.op) with
     | Quorum_lease, Put _ -> (p t).cpu_pql_commit_extra_us
-    | _ -> 0
+    | (Log_read | Leader_lease), _ | Quorum_lease, Get _ -> 0
   in
   Cpu.exec srv.node.cpu ~cost_us:((p t).cpu_leader_op_us + extra) (fun () ->
       if srv.role = Leader && not srv.down && Hashtbl.mem srv.appended_cmds cmd.id
@@ -540,7 +540,7 @@ and handle_client t srv (cmd : Types.cmd) =
             end
         | Leader_lease when leader_lease_valid t srv ->
             serve_local_read t srv cmd
-        | _ ->
+        | Log_read | Leader_lease | Quorum_lease ->
             if srv.role = Leader then append_cmd t srv cmd
             else begin
               Metrics.inc srv.pr.pr_forwards;

@@ -197,8 +197,8 @@ let run cfg =
   (* ---- consistency check against the committed order ---- *)
   let committed_order = inst.committed_ops ~node:leader in
   let violations =
-    if committed_order = [] then 0
-    else (Lin_check.check ~committed_order !events).Lin_check.violations |> List.length
+    (Lin_check.check ~committed_order !events).Lin_check.violations
+    |> List.length
   in
   let from_us = cfg.warmup_s * 1_000_000 in
   let until_us = (cfg.duration_s - cfg.cooldown_s) * 1_000_000 in
@@ -229,15 +229,3 @@ let median_throughput ?(trials = 3) cfg =
     |> List.sort Float.compare
   in
   List.nth xs (trials / 2)
-
-let peak_throughput ?(clients = [ 50; 200; 800; 2000 ]) cfg =
-  List.fold_left
-    (fun best c ->
-      let cfg =
-        {
-          cfg with
-          workload = { cfg.workload with Workload.clients_per_region = c };
-        }
-      in
-      max best (median_throughput ~trials:1 cfg))
-    0.0 clients

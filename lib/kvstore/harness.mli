@@ -132,7 +132,3 @@ val run : config -> result
 val median_throughput : ?trials:int -> config -> float
 (** Re-runs with distinct seeds and reports the median throughput (the
     paper reports the median of 5 trials). *)
-
-val peak_throughput : ?clients:int list -> config -> float
-(** Sweeps the client count and returns the best median throughput —
-    "peak throughput" in Fig. 9c / 10a. *)

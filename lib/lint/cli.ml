@@ -1,83 +1,54 @@
-(* Shared flag surface for every lint binary.  A pass supplies its
-   registry record; the driver below owns --baseline/--update-baseline/
-   --rule/--list-rules/--json/-q and the stale-entry gate. *)
+(* The lint driver: every registry pass, one flag surface, one exit
+   code.  The summary lines count files per pass so a pass that
+   silently scanned nothing is visible in the log. *)
 
-let run ~(pass : Registry.pass) () =
-  let tool = pass.Registry.tool in
-  let baseline_path = ref "" in
-  let update_baseline = ref false in
-  let only_rules = ref [] in
+let main () =
   let list_rules = ref false in
   let json = ref false in
-  let quiet = ref false in
   let paths = ref [] in
   let spec =
     [
-      ( "--baseline",
-        Arg.Set_string baseline_path,
-        "FILE grandfathered-findings file (missing file = empty)" );
-      ( "--update-baseline",
-        Arg.Set update_baseline,
-        " rewrite the baseline to the current findings and exit 0" );
-      ( "--rule",
-        Arg.String (fun r -> only_rules := r :: !only_rules),
-        "ID only report this rule (repeatable)" );
-      ("--list-rules", Arg.Set list_rules, " print the rule table and exit");
+      ( "--list-rules",
+        Arg.Set list_rules,
+        " print every pass's rule table and exit" );
       ( "--json",
         Arg.Set json,
-        " print unsuppressed findings as a JSON array on stdout" );
-      ("-q", Arg.Set quiet, " only print the summary line");
+        " print the merged findings as a JSON array on stdout" );
     ]
   in
-  let usage = Printf.sprintf "%s [options] [paths...]" tool in
-  Arg.parse spec (fun p -> paths := p :: !paths) usage;
+  Arg.parse spec
+    (fun p -> paths := p :: !paths)
+    "lint [--list-rules] [--json] [paths...]";
   if !list_rules then begin
     List.iter
-      (fun (r : Lint.rule) ->
-        Printf.printf "%-24s %-7s %s\n" r.id
-          (Finding.severity_name r.severity)
-          r.summary)
-      pass.Registry.rules;
+      (fun (p : Registry.pass) ->
+        List.iter
+          (fun (r : Lint.rule) ->
+            Printf.printf "%-8s %-24s %-7s %s\n" p.tool r.id
+              (Finding.severity_name r.severity)
+              r.summary)
+          p.rules)
+      Registry.passes;
     exit 0
   end;
-  let paths =
-    match List.rev !paths with [] -> pass.Registry.default_paths | ps -> ps
+  let paths = List.rev !paths in
+  let results =
+    List.map
+      (fun (p : Registry.pass) ->
+        let roots = match paths with [] -> p.default_paths | ps -> ps in
+        (p.tool, List.length (p.collect roots), p.lint_paths roots))
+      Registry.passes
   in
-  let findings = pass.Registry.lint_paths paths in
   let findings =
-    match !only_rules with
-    | [] -> findings
-    | ids -> List.filter (fun (f : Finding.t) -> List.mem f.rule ids) findings
+    List.sort Finding.compare (List.concat_map (fun (_, _, fs) -> fs) results)
   in
-  if !update_baseline then begin
-    let path =
-      if !baseline_path = "" then tool ^ ".baseline" else !baseline_path
-    in
-    Baseline.save ~tool path findings;
-    Printf.printf "%s: wrote %d finding(s) to %s\n" tool
-      (List.length findings) path;
-    exit 0
-  end;
-  let baseline =
-    if !baseline_path = "" then Baseline.empty else Baseline.load !baseline_path
-  in
-  let unsuppressed, grandfathered =
-    List.partition (fun f -> not (Baseline.mem baseline f)) findings
-  in
-  let stale = Baseline.stale baseline findings in
-  if !json then print_endline (Finding.render_json unsuppressed)
+  if !json then print_endline (Finding.render_json findings)
   else begin
-    if not !quiet then
-      List.iter (fun f -> print_endline (Finding.render f)) unsuppressed;
+    List.iter (fun f -> print_endline (Finding.render f)) findings;
     List.iter
-      (fun key -> Printf.printf "%s: stale baseline entry: %s\n" tool key)
-      stale;
-    Printf.printf "%s: %d file(s), %d finding(s) (%d grandfathered)\n" tool
-      (List.length (pass.Registry.collect paths))
-      (List.length unsuppressed)
-      (List.length grandfathered)
+      (fun (tool, files, fs) ->
+        Printf.printf "%s: %d file(s), %d finding(s)\n" tool files
+          (List.length fs))
+      results
   end;
-  (* Stale entries gate too: the baseline may only shrink. *)
-  exit (if unsuppressed = [] && stale = [] then 0 else 1)
-
-let main tool = run ~pass:(Registry.find tool) ()
+  exit (if findings = [] then 0 else 1)

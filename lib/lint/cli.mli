@@ -1,16 +1,13 @@
-(** Shared command-line driver for the lint binaries.
+(** The one command-line driver for every lint pass ([bin/lint.exe]).
 
-    Every pass exposes the same interface — paths in, findings out, a
-    baseline gate, [--json] for machine consumption — so the whole
-    argument loop lives here and each binary is a one-call wrapper
-    around its {!Registry} record. *)
+    Every {!Registry} pass runs on its own default roots, or on the
+    explicit paths when any are given.  The findings of all passes are
+    merged, sorted and printed, followed by one summary line per pass.
+    Any finding fails: there is no grandfathering, so a site is either
+    fixed or carries a reasoned [[@lint.allow]]/[[@perf.allow]]. *)
 
-val run : pass:Registry.pass -> unit -> unit
-(** Parse [Sys.argv], lint, report, and [exit] — 0 when every finding
-    is baselined or there are none, 1 otherwise (stale baseline entries
-    also gate).  Flags: [--baseline] FILE, [--update-baseline], [--rule]
-    ID (repeatable), [--list-rules], [--json], [-q]. *)
-
-val main : string -> unit
-(** [main tool] looks the pass up in {!Registry.passes} and runs it:
-    the whole body of a lint executable. *)
+val main : unit -> unit
+(** Parse [Sys.argv], lint, report, and [exit] 0 when no pass has a
+    finding, 1 otherwise.  Flags: [--list-rules] prints every pass's
+    rule table and exits 0; [--json] prints the merged findings as one
+    JSON array instead of the text report. *)

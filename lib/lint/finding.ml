@@ -14,8 +14,6 @@ let severity_name = function Error -> "error" | Warning -> "warning"
 let render f =
   Printf.sprintf "%s:%d:%d [%s] %s" f.file f.line f.col f.rule f.message
 
-let key f = Printf.sprintf "%s:%d:%d:%s" f.file f.line f.col f.rule
-
 let compare a b =
   let c = String.compare a.file b.file in
   if c <> 0 then c

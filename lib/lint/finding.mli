@@ -16,9 +16,6 @@ val severity_name : severity -> string
 val render : t -> string
 (** [file:line:col [rule-id] message], the format CI greps for. *)
 
-val key : t -> string
-(** Stable identity used by the baseline file: [file:line:col:rule]. *)
-
 val compare : t -> t -> int
 (** Order by file, line, col, rule — a deterministic report order. *)
 
@@ -28,4 +25,4 @@ val to_json : t -> string
 
 val render_json : t list -> string
 (** A findings list as a JSON array, one object per line — the
-    [--json] output of the lint CLIs, stable enough for CI to diff. *)
+    [--json] output of the lint driver, stable enough for CI to diff. *)

@@ -39,7 +39,6 @@ let everywhere _ = true
 let r_forbidden = "forbidden-effects"
 let r_unordered = "unordered-iteration"
 let r_polycmp = "polymorphic-compare"
-let r_wildcard = "wildcard-message-match"
 let r_escaping = "escaping-mutable-state"
 let r_parse = "parse-error"
 
@@ -71,15 +70,6 @@ let rules =
          monomorphic comparator (Int.compare, String.compare, a \
          dedicated one) — crash-proof and faster in hot sorts";
       applies = everywhere;
-    };
-    {
-      id = r_wildcard;
-      severity = Finding.Error;
-      summary =
-        "catch-all case in a protocol message/timeout dispatch in \
-         lib/consensus: a newly added constructor must fail `dune build \
-         @check`, not be silently dropped";
-      applies = in_consensus;
     };
     {
       id = r_escaping;
@@ -161,7 +151,6 @@ type ctx = {
   mutable allow_stack : string list list;
   mutable file_allows : string list list;  (* consed, one per attribute *)
   mutable ancestors : expression list;  (* innermost first *)
-  msg_constructors : (string, unit) Hashtbl.t;
   mutable compare_shadowed : bool;
 }
 
@@ -404,52 +393,7 @@ let check_polycmp ctx e =
          runtime"
   | _ -> ()
 
-(* ---- rule 4: wildcard message match ---- *)
-
-let rec pattern_mentions ctx p =
-  match p.ppat_desc with
-  | Ppat_construct (lid, arg) ->
-      Hashtbl.mem ctx.msg_constructors
-        (last (try Longident.flatten lid.txt with _ -> []))
-      || (match arg with
-         | Some (_, inner) -> pattern_mentions ctx inner
-         | None -> false)
-  | Ppat_or (a, b) -> pattern_mentions ctx a || pattern_mentions ctx b
-  | Ppat_alias (inner, _) | Ppat_constraint (inner, _) ->
-      pattern_mentions ctx inner
-  | Ppat_tuple ps -> List.exists (pattern_mentions ctx) ps
-  | _ -> false
-
-let rec catch_all p =
-  match p.ppat_desc with
-  | Ppat_any | Ppat_var _ -> true
-  | Ppat_alias (inner, _) | Ppat_constraint (inner, _) -> catch_all inner
-  | Ppat_or (a, b) -> catch_all a || catch_all b
-  | _ -> false
-
-let check_wildcard ctx e =
-  let cases =
-    match e.pexp_desc with
-    | Pexp_match (_, cases) | Pexp_function cases -> cases
-    | _ -> []
-  in
-  if
-    cases <> []
-    && Hashtbl.length ctx.msg_constructors > 0
-    && List.exists (fun c -> pattern_mentions ctx c.pc_lhs) cases
-  then
-    List.iter
-      (fun c ->
-        if catch_all c.pc_lhs then
-          let allows = allows_of_attrs c.pc_lhs.ppat_attributes in
-          if not (List.mem r_wildcard allows || List.mem "all" allows) then
-            report ctx r_wildcard ~loc:c.pc_lhs.ppat_loc
-              "catch-all case in a message/timeout dispatch: enumerate the \
-               constructors so a new message fails `dune build @check' \
-               instead of being silently dropped")
-      cases
-
-(* ---- rule 5: escaping mutable state ---- *)
+(* ---- rule 4: escaping mutable state ---- *)
 
 let mutable_creator path =
   match strip_stdlib path with
@@ -511,24 +455,12 @@ let check_escaping ctx vb =
                  (bound_name vb.pvb_pat) creator)
         | None -> ())
 
-(* ---- prepass: msg constructors & compare shadowing ---- *)
-
-let msg_type_names = [ "msg"; "message"; "timeout"; "event" ]
+(* ---- prepass: compare shadowing ---- *)
 
 let prepass ctx structure =
   let it =
     {
       Ast_iterator.default_iterator with
-      type_declaration =
-        (fun it td ->
-          (if List.mem td.ptype_name.txt msg_type_names then
-             match td.ptype_kind with
-             | Ptype_variant ctors ->
-                 List.iter
-                   (fun cd -> Hashtbl.replace ctx.msg_constructors cd.pcd_name.txt ())
-                   ctors
-             | _ -> ());
-          Ast_iterator.default_iterator.type_declaration it td);
       value_binding =
         (fun it vb ->
           (match vb.pvb_pat.ppat_desc with
@@ -553,7 +485,6 @@ let main_iterator ctx =
         check_forbidden ctx e;
         check_unordered ctx e;
         check_polycmp ctx e;
-        check_wildcard ctx e;
         ctx.ancestors <- e :: ctx.ancestors;
         super.expr it e;
         ctx.ancestors <- List.tl ctx.ancestors;
@@ -616,7 +547,6 @@ let lint_string ~filename source =
       allow_stack = [];
       file_allows = [];
       ancestors = [];
-      msg_constructors = Hashtbl.create 16;
       compare_shadowed = false;
     }
   in

@@ -9,9 +9,8 @@
     [[@@lint.allow "rule-id"]] to a value binding, or a floating
     [[@@@lint.allow "rule-id"]] anywhere in a module to exempt the whole
     file.  Multiple ids may be given ([[@lint.allow "a" "b"]]); the id
-    ["all"] matches every rule.  Grandfathered sites can instead be
-    listed in a checked-in {!Baseline} file, which is expected to stay
-    empty. *)
+    ["all"] matches every rule.  There is no baseline: every
+    unsuppressed finding fails the gate. *)
 
 type rule = {
   id : string;

@@ -5,7 +5,8 @@
    surface can reach it.
 
    The other parity obligations of the paper's porting discipline live
-   where they are enforced by construction: exhaustive wildcard-free
+   where they are enforced by construction: warning 4 (fragile match)
+   in lib/consensus (message dispatch), exhaustive wildcard-free
    matches in test_netcore.ml (wire coverage and message roles), the
    probe table in test_telemetry.ml, and the scope and protocol lists
    that Scenario and Cluster derive from one source (DESIGN.md "Porting

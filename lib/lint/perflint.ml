@@ -20,8 +20,7 @@
    Suppression mirrors detlint with its own attribute namespace:
    [[@perf.allow "rule-id"]] on an expression, [[@@perf.allow ...]] on a
    binding, or a floating [[@@@perf.allow ...]] for the file; the id
-   ["all"] matches every rule.  Grandfathered sites go in
-   [perflint.baseline] with the same stale-entry gating. *)
+   ["all"] matches every rule. *)
 
 open Parsetree
 

@@ -16,8 +16,8 @@
     Suppression mirrors detlint with its own namespace:
     [[@perf.allow "rule-id"]] on an expression, [[@@perf.allow ...]] on
     a binding, or a floating [[@@@perf.allow ...]] for the whole file;
-    the id ["all"] matches every rule.  Grandfathered sites go in a
-    {!Baseline} file (conventionally [perflint.baseline]). *)
+    the id ["all"] matches every rule.  There is no baseline: every
+    unsuppressed finding fails the gate. *)
 
 val rules : Lint.rule list
 (** All rules, in the order they are documented. *)

@@ -1,7 +1,6 @@
-(* The pass registry: one record per static-analysis pass, so the bin
-   entry points and `repro lint` iterate data instead of duplicating
-   flag plumbing — adding a fourth pass is one record here plus a
-   one-line executable. *)
+(* The pass registry: one record per static-analysis pass, so the
+   driver iterates data instead of duplicating flag plumbing — adding a
+   fourth pass is one record here. *)
 
 type pass = {
   tool : string;
@@ -35,5 +34,3 @@ let passes =
       collect = Parlint.collect_files;
     };
   ]
-
-let find tool = List.find (fun p -> p.tool = tool) passes

@@ -1,9 +1,9 @@
 (** The pass registry: one record per static-analysis pass (detlint,
-    perflint, parlint), so binaries and [repro lint] iterate data
+    perflint, parlint), so the one driver ({!Cli}) iterates data
     instead of duplicating flag plumbing. *)
 
 type pass = {
-  tool : string;  (** binary name; also the default baseline stem *)
+  tool : string;  (** pass name, printed in summaries and rule tables *)
   default_paths : string list;
   rules : Lint.rule list;
   lint_paths : string list -> Finding.t list;
@@ -11,6 +11,3 @@ type pass = {
 }
 
 val passes : pass list
-
-val find : string -> pass
-(** Look a pass up by [tool] name.  @raise Not_found on an unknown name. *)

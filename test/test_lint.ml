@@ -2,13 +2,12 @@
 
    Each fixture under lint_fixtures/ is linted with a synthetic filename
    that puts the rule under test in scope (rules are path-scoped, e.g.
-   wildcard-message-match only runs under lib/consensus/).  Fixtures pair
+   forbidden-effects only runs under lib/).  Fixtures pair
    positive sites with suppressed negatives, so these tests pin both the
    detection and every suppression mechanism. *)
 
 module Lint = Raftpax_lint.Lint
 module Finding = Raftpax_lint.Finding
-module Baseline = Raftpax_lint.Baseline
 
 let read_file path =
   let ic = open_in_bin path in
@@ -73,17 +72,6 @@ let test_polycmp_shadowed () =
   let fs = Lint.lint_string ~filename:"lib/shadow.ml" src in
   check_rule_count ~rule:"polymorphic-compare" ~expect:0 fs
 
-let test_wildcard () =
-  let fs =
-    lint_fixture ~filename:"lib/consensus/fx_wildcard.ml" "wildcard_match.ml"
-  in
-  check_rule_count ~rule:"wildcard-message-match" ~expect:2 fs
-
-let test_wildcard_scoping () =
-  (* Outside lib/consensus/ the dispatch rule is silent. *)
-  let fs = lint_fixture ~filename:"lib/fx_wildcard.ml" "wildcard_match.ml" in
-  check_rule_count ~rule:"wildcard-message-match" ~expect:0 fs
-
 let test_socket_effects () =
   (* The wire codec layer (lib/netcore) must stay socket-free. *)
   let fs = lint_fixture ~filename:"lib/netcore/fx_socket.ml" "socket_effects.ml" in
@@ -130,7 +118,6 @@ let test_rule_registry () =
          "forbidden-effects";
          "unordered-iteration";
          "polymorphic-compare";
-         "wildcard-message-match";
          "escaping-mutable-state";
        ])
     ids
@@ -138,31 +125,10 @@ let test_rule_registry () =
 let test_render_format () =
   match Lint.lint_string ~filename:"lib/a.ml" "let f () = Random.int 3\n" with
   | [ f ] ->
-      Alcotest.(check string)
-        "finding key" "lib/a.ml:1:11:forbidden-effects" (Finding.key f);
       Alcotest.(check bool)
         "render prefix" true
         (contains ~sub:"lib/a.ml:1:11 [forbidden-effects]" (Finding.render f))
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
-
-let test_baseline_roundtrip () =
-  let findings = lint_fixture ~filename:"lib/fx_escaping.ml" "escaping_state.ml" in
-  Alcotest.(check int) "fixture findings" 3 (List.length findings);
-  let path = "detlint_test.baseline.tmp" in
-  Baseline.save path findings;
-  let b = Baseline.load path in
-  Alcotest.(check int) "size" 3 (Baseline.size b);
-  List.iter
-    (fun f -> Alcotest.(check bool) "mem" true (Baseline.mem b f))
-    findings;
-  (match findings with
-  | keep :: dropped ->
-      Alcotest.(check int)
-        "stale entries" (List.length dropped)
-        (List.length (Baseline.stale b [ keep ]))
-  | [] -> ());
-  Sys.remove path;
-  Alcotest.(check int) "missing file = empty" 0 (Baseline.size (Baseline.load path))
 
 (* --- the tree itself must be clean --- *)
 
@@ -209,6 +175,152 @@ let test_netcore_pure () =
       (ml_files "../lib")
   end
 
+(* --- the one driver, bin/lint.exe, spawned as CI runs it --- *)
+
+let lint_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/lint.exe"
+
+let run_lint args =
+  let out = Filename.temp_file "lint_test" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>&1" (Filename.quote lint_exe) args
+         (Filename.quote out))
+  in
+  let lines = String.split_on_char '\n' (read_file out) in
+  Sys.remove out;
+  (code, List.filter (fun l -> not (String.equal l "")) lines)
+
+let corpus name = Filename.quote (Filename.concat fixture_dir name)
+
+(* A summary line, less its file count (a build directory may hold
+   stale fixture copies), which must still be positive. *)
+let summary line =
+  Scanf.sscanf line "%s@: %d file(s), %d finding(s)%!" (fun tool files n ->
+      Alcotest.(check bool) (tool ^ " scanned files") true (files > 0);
+      Printf.sprintf "%s: %d finding(s)" tool n)
+
+let test_driver_ok () =
+  let code, lines = run_lint (corpus "parlint_ok") in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check (list string))
+    "summaries only"
+    [ "detlint: 0 finding(s)"; "perflint: 0 finding(s)"; "parlint: 0 finding(s)" ]
+    (List.map summary lines)
+
+let test_driver_broken () =
+  let code, lines = run_lint (corpus "parlint_broken") in
+  Alcotest.(check int) "exit code" 1 code;
+  match lines with
+  | [ finding; det; perf; par ] ->
+      Alcotest.(check bool)
+        "the one finding is knob-threading" true
+        (contains ~sub:"[knob-threading] params field new_knob" finding);
+      Alcotest.(check (list string))
+        "per-pass summaries"
+        [
+          "detlint: 0 finding(s)"; "perflint: 0 finding(s)"; "parlint: 1 finding(s)";
+        ]
+        (List.map summary [ det; perf; par ])
+  | _ -> Alcotest.failf "unexpected report:\n%s" (String.concat "\n" lines)
+
+let test_driver_list_rules () =
+  let code, lines = run_lint "--list-rules" in
+  Alcotest.(check int) "exit code" 0 code;
+  let listed =
+    List.map
+      (fun l ->
+        match
+          List.filter
+            (fun w -> not (String.equal w ""))
+            (String.split_on_char ' ' l)
+        with
+        | tool :: id :: _ -> tool ^ " " ^ id
+        | _ -> l)
+      lines
+  in
+  Alcotest.(check (list string))
+    "every rule exactly once"
+    [
+      "detlint forbidden-effects";
+      "detlint unordered-iteration";
+      "detlint polymorphic-compare";
+      "detlint escaping-mutable-state";
+      "perflint quadratic-accumulate";
+      "perflint length-in-hot-path";
+      "perflint assoc-scan";
+      "perflint alloc-in-handler";
+      "perflint sort-in-loop";
+      "perflint string-build-in-hot-path";
+      "parlint knob-threading";
+    ]
+    listed
+
+(* Findings of [rule] in a report, the summary lines aside. *)
+let rule_hits rule lines =
+  List.length (List.filter (contains ~sub:("[" ^ rule ^ "]")) lines)
+
+let test_driver_json () =
+  let code, lines = run_lint ("--json " ^ corpus "parlint_broken") in
+  Alcotest.(check int) "broken exit code" 1 code;
+  (match lines with
+  | [ "["; obj; "]" ] ->
+      Alcotest.(check bool)
+        "one knob-threading object" true
+        (contains ~sub:{|"rule":"knob-threading"|} obj
+        && contains ~sub:{|"severity":"error"|} obj)
+  | _ -> Alcotest.failf "unexpected JSON:\n%s" (String.concat "\n" lines));
+  let code, lines = run_lint ("--json " ^ corpus "parlint_ok") in
+  Alcotest.(check int) "ok exit code" 0 code;
+  Alcotest.(check (list string)) "empty array, no summaries" [ "[]" ] lines
+
+let test_driver_detlint_fixture () =
+  (* unordered-iteration is not path-scoped, so the fixture fires where
+     it lies; no other pass reports anything on it. *)
+  let code, lines = run_lint (corpus "unordered_iteration.ml") in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check int) "unordered-iteration" 2 (rule_hits "unordered-iteration" lines);
+  Alcotest.(check int) "lines" 5 (List.length lines)
+
+let test_driver_perflint_fixture () =
+  (* perflint only scans lib/ files, so the fixture is copied into a
+     lib/ directory of its own, as a regression would land. *)
+  let root = Filename.temp_file "lint_test" ".d" in
+  Sys.remove root;
+  let lib = Filename.concat root "lib" in
+  let file = Filename.concat lib "fx_sort.ml" in
+  Sys.mkdir root 0o755;
+  Sys.mkdir lib 0o755;
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (read_file (Filename.concat fixture_dir "perf_sort.ml")));
+  let code, lines =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove file;
+        Sys.rmdir lib;
+        Sys.rmdir root)
+      (fun () -> run_lint (Filename.quote root))
+  in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check int) "sort-in-loop" 2 (rule_hits "sort-in-loop" lines);
+  Alcotest.(check (list string))
+    "per-pass summaries"
+    [ "detlint: 0 finding(s)"; "perflint: 2 finding(s)"; "parlint: 0 finding(s)" ]
+    (List.map summary (List.filteri (fun i _ -> i >= 2) lines))
+
+let test_driver_retired_flags () =
+  (* No grandfathering: a baseline or rule-filter flag is a usage error
+     (exit 2), never silently ignored. *)
+  List.iter
+    (fun flag ->
+      let code, lines = run_lint (flag ^ " x") in
+      Alcotest.(check int) (flag ^ " exit code") 2 code;
+      Alcotest.(check bool)
+        (flag ^ " is unknown") true
+        (List.exists (contains ~sub:"unknown option") lines))
+    [ "--baseline"; "--update-baseline"; "--perf-baseline"; "--par-baseline";
+      "--rule"; "-q" ]
+
 let () =
   Alcotest.run "lint"
     [
@@ -221,9 +333,6 @@ let () =
           Alcotest.test_case "polymorphic-compare" `Quick test_polycmp;
           Alcotest.test_case "polymorphic-compare shadowed" `Quick
             test_polycmp_shadowed;
-          Alcotest.test_case "wildcard-message-match" `Quick test_wildcard;
-          Alcotest.test_case "wildcard-message-match scoping" `Quick
-            test_wildcard_scoping;
           Alcotest.test_case "escaping-mutable-state" `Quick test_escaping;
           Alcotest.test_case "socket effects in lib/netcore" `Quick
             test_socket_effects;
@@ -240,7 +349,19 @@ let () =
         [
           Alcotest.test_case "rule registry" `Quick test_rule_registry;
           Alcotest.test_case "render format" `Quick test_render_format;
-          Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "parlint_ok corpus exits 0" `Quick test_driver_ok;
+          Alcotest.test_case "parlint_broken corpus exits 1" `Quick
+            test_driver_broken;
+          Alcotest.test_case "list-rules" `Quick test_driver_list_rules;
+          Alcotest.test_case "json output" `Quick test_driver_json;
+          Alcotest.test_case "detlint fixture" `Quick test_driver_detlint_fixture;
+          Alcotest.test_case "perflint fixture" `Quick
+            test_driver_perflint_fixture;
+          Alcotest.test_case "retired flags rejected" `Quick
+            test_driver_retired_flags;
         ] );
       ( "tree",
         [

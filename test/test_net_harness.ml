@@ -86,7 +86,7 @@ let test_unknown_subcommand () =
       Alcotest.(check bool) ("usage lists " ^ sub) true (contains ~sub err))
     [
       "check"; "refine"; "port"; "simulate"; "trace"; "shard"; "nemesis";
-      "mcheck"; "topology"; "lint"; "net";
+      "mcheck"; "topology"; "net";
     ]
 
 (* Every protocol-name error lists the one name table, all six CLI

@@ -267,8 +267,8 @@ let test_bad_version () =
    exactly the example tags, that the QCheck generators build every
    constructor, and that each core has a replicate, an ack and a commit
    message.  That every message is dispatched needs no test: each
-   core's [handle] is an exhaustive match, and detlint's
-   wildcard-message-match bans catch-alls there. *)
+   core's [handle] is an exhaustive match, and warning 4 (fragile
+   match, an error in lib/consensus) bans catch-alls there. *)
 
 type role = Replicates | Acks | Commits
 

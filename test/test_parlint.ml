@@ -10,7 +10,6 @@
 module Parlint = Raftpax_lint.Parlint
 module Lint = Raftpax_lint.Lint
 module Finding = Raftpax_lint.Finding
-module Baseline = Raftpax_lint.Baseline
 
 let read_file path =
   let ic = open_in_bin path in
@@ -95,37 +94,6 @@ let test_rule_registry () =
     "rule_by_id rejects a retired rule" true
     (Option.is_none (Parlint.rule_by_id "wire-coverage"))
 
-let test_baseline_roundtrip () =
-  let fs = Lazy.force broken in
-  let path = "parlint_test.baseline.tmp" in
-  Baseline.save ~tool:"parlint" path fs;
-  let b = Baseline.load path in
-  Sys.remove path;
-  Alcotest.(check int) "baseline size" (List.length fs) (Baseline.size b);
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "baseline grandfathers %s" (Finding.key f))
-        true (Baseline.mem b f))
-    fs;
-  Alcotest.(check int) "no stale entries" 0 (List.length (Baseline.stale b fs))
-
-let test_baseline_stale () =
-  (* A fixed finding leaves its baseline key dangling: [stale] reports
-     it so the baseline can only shrink. *)
-  let fs = Lazy.force broken in
-  let path = "parlint_test.baseline.tmp" in
-  Baseline.save ~tool:"parlint" path fs;
-  let b = Baseline.load path in
-  Sys.remove path;
-  let fixed = List.tl fs in
-  let stale = Baseline.stale b fixed in
-  Alcotest.(check int) "one stale key" 1 (List.length stale);
-  Alcotest.(check string)
-    "the fixed finding's key"
-    (Finding.key (List.hd fs))
-    (List.hd stale)
-
 (* --- the tree itself must be clean --- *)
 
 let test_clean_tree () =
@@ -154,9 +122,6 @@ let () =
           Alcotest.test_case "single-file self-gate" `Quick test_self_gate;
           Alcotest.test_case "parse error" `Quick test_parse_error;
           Alcotest.test_case "rule registry" `Quick test_rule_registry;
-          Alcotest.test_case "baseline roundtrip" `Quick
-            test_baseline_roundtrip;
-          Alcotest.test_case "baseline stale entry" `Quick test_baseline_stale;
         ] );
       ( "tree",
         [ Alcotest.test_case "clean tree" `Quick test_clean_tree ] );

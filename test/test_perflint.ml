@@ -8,7 +8,6 @@
 module Perflint = Raftpax_lint.Perflint
 module Lint = Raftpax_lint.Lint
 module Finding = Raftpax_lint.Finding
-module Baseline = Raftpax_lint.Baseline
 
 let read_file path =
   let ic = open_in_bin path in
@@ -161,16 +160,6 @@ let test_json_render () =
     "escaped" true
     (contains ~sub:{|say \"hi\"\nand \\ more|} (Finding.to_json f))
 
-let test_baseline_tool_header () =
-  let path = "perflint_test.baseline.tmp" in
-  Baseline.save ~tool:"perflint" path [];
-  let header = read_file path in
-  Sys.remove path;
-  Alcotest.(check bool) "names the tool" true (contains ~sub:"perflint" header);
-  Alcotest.(check bool)
-    "points at perf.allow" true
-    (contains ~sub:"perf.allow" header)
-
 (* --- the tree itself must be clean --- *)
 
 let test_clean_tree () =
@@ -208,8 +197,6 @@ let () =
         [
           Alcotest.test_case "rule registry" `Quick test_rule_registry;
           Alcotest.test_case "json render" `Quick test_json_render;
-          Alcotest.test_case "baseline tool header" `Quick
-            test_baseline_tool_header;
         ] );
       ( "tree",
         [ Alcotest.test_case "clean tree" `Quick test_clean_tree ] );
