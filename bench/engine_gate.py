@@ -4,17 +4,18 @@
     python3 bench/engine_gate.py COMMITTED.json FRESH.json
 
 Compares every row of a fresh `bench/main.exe engine` artifact with the
-committed BENCH_engine.json.  `sim_events`, `ops` and `throughput_ops`
-are pure functions of the binary and the seed, so any difference means
-the simulated behaviour changed and the artifact must be regenerated in
-the same change.  The events/s floor cannot catch this: wasted events
-raise it.  Exits 1 on a mismatch, a missing row or an extra row.
+committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops` and
+`minor_words_per_op` are pure functions of the binary and the seed, so
+any difference means the simulated behaviour or its allocation changed
+and the artifact must be regenerated in the same change.  The events/s
+floor cannot catch this: wasted events raise it.  Exits 1 on a
+mismatch, a missing row or an extra row.
 """
 
 import json
 import sys
 
-FIELDS = ("sim_events", "ops", "throughput_ops")
+FIELDS = ("sim_events", "ops", "throughput_ops", "minor_words_per_op")
 
 
 def rows(path):

@@ -220,12 +220,3 @@ let run cfg =
     sim_events;
     minor_words;
   }
-
-let median_throughput ?(trials = 3) cfg =
-  let xs =
-    List.init trials (fun i ->
-        (run { cfg with seed = Int64.add cfg.seed (Int64.of_int i) })
-          .throughput_ops)
-    |> List.sort Float.compare
-  in
-  List.nth xs (trials / 2)

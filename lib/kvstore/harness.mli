@@ -1,6 +1,7 @@
 (** Experiment harness reproducing the paper's Section-5 methodology:
     closed-loop clients per region, a measurement window with warm-up and
-    cool-down trimmed, medians over several seeded trials. *)
+    cool-down trimmed.  [bench/main.ml] takes the medians over seeded
+    trials. *)
 
 type protocol = Protocol.t =
   | Raft
@@ -129,6 +130,3 @@ val make_wired :
 
 val run : config -> result
 
-val median_throughput : ?trials:int -> config -> float
-(** Re-runs with distinct seeds and reports the median throughput (the
-    paper reports the median of 5 trials). *)

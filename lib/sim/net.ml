@@ -106,6 +106,21 @@ let node_down t id = t.down.(id)
 let cut t src dst =
   match t.partition with Some p -> p src dst | None -> false
 
+(* Top level rather than local to [send], so a send allocates only the
+   delivery closure, not a helper closure as well. *)
+let deliver_at t ~now ~src ~dst deliver when_us =
+  Engine.schedule ~kind:Engine.Message t.engine ~delay:(when_us - now)
+    (fun () ->
+      (* Faults are evaluated at delivery time as well, so a node that
+         crashes (or a link that is cut) mid-flight loses the message. *)
+      if t.down.(dst) || t.down.(src) || cut t src dst then begin
+        t.dropped <- t.dropped + 1;
+        match t.probes with
+        | Some p -> Metrics.inc p.dropped_c.(src)
+        | None -> ()
+      end
+      else deliver ())
+
 let send ?(info = fun _ -> "") t ~src ~dst ~size deliver =
   match t.capture with
   | Some hook ->
@@ -169,26 +184,13 @@ let send ?(info = fun _ -> "") t ~src ~dst ~size deliver =
         if dropped_at_send then Metrics.inc p.dropped_c.(src)
         else Metrics.observe p.flight.(src) (arrival - departure)
     | None -> ());
-    let deliver_at when_us =
-      Engine.schedule ~kind:Engine.Message t.engine ~delay:(when_us - now)
-        (fun () ->
-          (* Faults are evaluated at delivery time as well, so a node that
-             crashes (or a link that is cut) mid-flight loses the message. *)
-          if t.down.(dst) || t.down.(src) || cut t src dst then begin
-            t.dropped <- t.dropped + 1;
-            match t.probes with
-            | Some p -> Metrics.inc p.dropped_c.(src)
-            | None -> ()
-          end
-          else deliver ())
-    in
     if dropped_at_send then t.dropped <- t.dropped + 1
     else begin
-      deliver_at arrival;
+      deliver_at t ~now ~src ~dst deliver arrival;
       if duplicate then
         (* The copy takes its own (unclamped) path, arriving a little
            later — or, relative to subsequent traffic, out of order. *)
-        deliver_at (arrival + 1 + Rng.int t.rng 50_000)
+        deliver_at t ~now ~src ~dst deliver (arrival + 1 + Rng.int t.rng 50_000)
     end
   end
 

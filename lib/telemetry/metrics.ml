@@ -86,14 +86,19 @@ let histogram t name ~node =
     cells.(node)
   end
 
+(* The index of [v]'s highest set bit (0 below 2), capped at the last
+   bucket: a binary search over bit ranges, six halving steps whatever
+   the value. *)
 let bucket_of v =
   if v < 2 then 0
   else begin
-    (* index of the highest set bit *)
-    let i = ref 0 and v = ref v in
-    while !v > 1 do
-      v := !v lsr 1;
-      incr i
+    let i = ref 0 and v = ref v and bits = ref 32 in
+    while !bits > 0 do
+      if !v lsr !bits <> 0 then begin
+        v := !v lsr !bits;
+        i := !i + !bits
+      end;
+      bits := !bits lsr 1
     done;
     min !i (n_buckets - 1)
   end

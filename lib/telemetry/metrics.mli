@@ -49,6 +49,10 @@ val histogram : t -> string -> node:int -> histogram
 val observe : histogram -> int -> unit
 (** Record a sample (µs, bytes, …).  Negative samples clamp to 0. *)
 
+val bucket_of : int -> int
+(** The bucket a sample falls in: the index of its highest set bit, 0
+    below 2, capped at the last bucket.  Constant time. *)
+
 val quantile : histogram -> float -> int
 (** [quantile h 0.99]: an upper bound on the exact percentile with
     power-of-two bucket resolution — for a sample x at that rank,

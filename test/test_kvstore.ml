@@ -207,11 +207,6 @@ let test_pql_beats_raft_on_reads () =
   Alcotest.(check bool) "follower reads much faster under PQL" true
     (p90 r_pql.Harness.read_follower * 10 < p90 r_raft.Harness.read_follower)
 
-let test_median_throughput () =
-  let cfg = quick_cfg Harness.Raft_star in
-  let m = Harness.median_throughput ~trials:3 cfg in
-  Alcotest.(check bool) "median positive" true (m > 10.0)
-
 (* ---- sharded serving layer ---- *)
 
 let shard_workload =
@@ -393,7 +388,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_harness_seed_changes_run;
           Alcotest.test_case "pql read advantage" `Slow test_pql_beats_raft_on_reads;
-          Alcotest.test_case "median" `Slow test_median_throughput;
         ] );
       ( "shard",
         [

@@ -58,7 +58,9 @@ let test_nested_scheduling () =
 (* ---- engine against a reference model ---- *)
 
 (* The reference queue: a list kept stably sorted by time, so in
-   (time, seq) order since seq is insertion order.  Cancelled entries
+   (time, seq) order since seq is insertion order.  Only ids scheduled
+   as cancellable can be cancelled; the others stand for plain
+   [Engine.schedule] events, which have no handle.  Cancelled entries
    stay queued until popped, and a push first drops them by the
    engine's documented sweep rule (every [max 1024 len] pushes, when at
    least a quarter are cancelled), so [pending] is compared exactly. *)
@@ -69,8 +71,13 @@ module Model = struct
     mutable clock : int;
     mutable queue : entry list;
     mutable pushes : int;
-    mutable sweeps : int;  (* sweeps that dropped at least one entry *)
+    mutable mixed_sweeps : int;
+        (* sweeps that dropped an entry and kept a plain one *)
     mutable peak : int;  (* most entries queued at once *)
+    mutable reuses : int;
+        (* pushes with fewer entries queued than [peak]: the engine
+           hands these a slot an earlier entry freed *)
+    cancellable : (int, unit) Hashtbl.t;
     cancelled : (int, unit) Hashtbl.t;
   }
 
@@ -79,14 +86,20 @@ module Model = struct
       clock = 0;
       queue = [];
       pushes = 0;
-      sweeps = 0;
+      mixed_sweeps = 0;
       peak = 0;
+      reuses = 0;
+      cancellable = Hashtbl.create 64;
       cancelled = Hashtbl.create 64;
     }
 
   let live m e = not (Hashtbl.mem m.cancelled e.id)
+  let plain m e = not (Hashtbl.mem m.cancellable e.id)
 
-  let schedule m ~delay id fire =
+  let cancel m id =
+    if Hashtbl.mem m.cancellable id then Hashtbl.replace m.cancelled id ()
+
+  let schedule m ~delay ~cancellable id fire =
     m.pushes <- m.pushes + 1;
     let len = List.length m.queue in
     if m.pushes >= max 1024 len then begin
@@ -95,9 +108,12 @@ module Model = struct
       let dead = len - List.length live_q in
       if dead * 4 >= len then begin
         m.queue <- live_q;
-        if dead > 0 then m.sweeps <- m.sweeps + 1
+        if dead > 0 && List.exists (plain m) live_q then
+          m.mixed_sweeps <- m.mixed_sweeps + 1
       end
     end;
+    if cancellable then Hashtbl.replace m.cancellable id ();
+    if List.length m.queue < m.peak then m.reuses <- m.reuses + 1;
     let e = { time = m.clock + delay; id; fire } in
     let rec insert = function
       | x :: rest when x.time <= e.time -> x :: insert rest
@@ -118,7 +134,7 @@ end
 
 (* One interface over both queues, so a single script drives each. *)
 type world = {
-  schedule : delay:int -> int -> (unit -> unit) -> unit;
+  schedule : delay:int -> cancellable:bool -> int -> (unit -> unit) -> unit;
   cancel : int -> unit;
   run : until:int -> unit;
   now : unit -> int;
@@ -131,8 +147,10 @@ let engine_world () =
   let timers = Hashtbl.create 64 in
   {
     schedule =
-      (fun ~delay id f ->
-        Hashtbl.replace timers id (Engine.schedule_cancellable e ~delay f));
+      (fun ~delay ~cancellable id f ->
+        if cancellable then
+          Hashtbl.replace timers id (Engine.schedule_cancellable e ~delay f)
+        else Engine.schedule e ~delay f);
     cancel = (fun id -> Option.iter Engine.cancel (Hashtbl.find_opt timers id));
     run = (fun ~until -> Engine.run e ~until);
     now = (fun () -> Engine.now e);
@@ -143,8 +161,9 @@ let engine_world () =
 let model_world () =
   let m = Model.create () in
   ( {
-      schedule = (fun ~delay id f -> Model.schedule m ~delay id f);
-      cancel = (fun id -> Hashtbl.replace m.Model.cancelled id ());
+      schedule =
+        (fun ~delay ~cancellable id f -> Model.schedule m ~delay ~cancellable id f);
+      cancel = (fun id -> Model.cancel m id);
       run = (fun ~until -> Model.run m ~until);
       now = (fun () -> m.Model.clock);
       pending = (fun () -> List.length m.Model.queue);
@@ -154,15 +173,16 @@ let model_world () =
     },
     m )
 
-(* A seeded script of at least [min_pushes] schedules: bursts from
-   outside (hundreds at once, so the engine outgrows its initial
-   capacity), delays drawn to collide often at one instant or to sit
-   far in the future, events that schedule children (0.8 on average, so
-   the drain ends) and cancel earlier ids when they fire, and
-   [run ~until] at random boundaries, a third of them exactly on the
-   earliest queued time.  Returns what it observed: [pending]
-   after every push, each firing with its clock, and after every run
-   the clock, [pending] and [next_deadline]. *)
+(* A seeded script of at least [min_pushes] schedules, half of them
+   cancellable and half plain: bursts from outside (hundreds at once,
+   so the engine outgrows its initial capacity) followed by cancels
+   aimed at the burst, delays drawn to collide often at one instant or
+   to sit far in the future, events that schedule children (0.8 on
+   average, so the drain ends) and cancel recent ids when they fire,
+   and [run ~until] at random boundaries, a third of them exactly on
+   the earliest queued time.  Returns what it observed: [pending] after
+   every push, each firing with its clock, and after every run the
+   clock, [pending] and [next_deadline]. *)
 let script ~seed ~min_pushes w =
   let obs = ref [] in
   let note x = obs := x :: !obs in
@@ -178,7 +198,9 @@ let script ~seed ~min_pushes w =
   let rec spawn r =
     let id = !next_id in
     incr next_id;
-    w.schedule ~delay:(delay r) id (fire id);
+    let delay = delay r in
+    let cancellable = Random.State.bool r in
+    w.schedule ~delay ~cancellable id (fire id);
     note (w.pending ())
   and fire id () =
     note id;
@@ -190,18 +212,20 @@ let script ~seed ~min_pushes w =
     for _ = 1 to children do
       spawn r
     done;
-    if Random.State.int r 3 = 0 then w.cancel (Random.State.int r !next_id)
+    if Random.State.int r 3 > 0 then
+      w.cancel (!next_id - 1 - Random.State.int r 200)
   in
   while !next_id < min_pushes do
+    let first = !next_id in
     for _ = 1 to Random.State.int outside 400 do
       spawn outside
     done;
-    for _ = 1 to Random.State.int outside 200 do
-      (* An empty first burst leaves nothing to cancel: id 0 is not yet
-         scheduled, so the engine world ignores it and the model would
-         not. *)
-      let victim = Random.State.int outside (max 1 !next_id) in
-      if victim < !next_id then w.cancel victim
+    let burst = !next_id - first in
+    for _ = 1 to Random.State.int outside ((2 * burst) + 1) do
+      (* Victims from the burst just pushed, all still queued; about
+         half are plain, which both worlds must ignore.  An empty burst
+         names an id not yet scheduled, which both ignore too. *)
+      w.cancel (first + Random.State.int outside (max 1 burst))
     done;
     let until =
       match (Random.State.int outside 3, w.next_deadline ()) with
@@ -235,13 +259,25 @@ let prop_engine_matches_model =
           QCheck.Test.fail_reportf "observation %d: engine %d, model %d" i a b)
 
 let test_model_covers_sweep () =
-  (* The property proves only what its scripts reach: check they reach
-     growth well past the initial 64 slots and a sweep that drops
-     entries. *)
-  let w, m = model_world () in
-  ignore (script ~seed:1 ~min_pushes:3000 w);
-  Alcotest.(check bool) "grows past 256 pending" true (m.Model.peak > 256);
-  Alcotest.(check bool) "a sweep drops cancelled entries" true (m.Model.sweeps > 0)
+  (* The property proves only what its scripts reach: check that three
+     seeds reach growth well past the initial 32 slots, pushes into
+     freed slots, and a sweep that drops cancelled entries while plain
+     ones stay queued. *)
+  let runs =
+    List.map
+      (fun seed ->
+        let w, m = model_world () in
+        ignore (script ~seed ~min_pushes:3000 w);
+        m)
+      [ 1; 2; 3 ]
+  in
+  let all f = List.for_all f runs and some f = List.exists f runs in
+  Alcotest.(check bool) "grows past 256 pending" true
+    (all (fun m -> m.Model.peak > 256));
+  Alcotest.(check bool) "pushes reuse freed slots" true
+    (all (fun m -> m.Model.reuses > 1000));
+  Alcotest.(check bool) "a sweep keeps plain entries" true
+    (some (fun m -> m.Model.mixed_sweeps > 0))
 
 let test_sweep_to_live_count () =
   let e = Engine.create () in
@@ -420,6 +456,41 @@ let test_cpu_idle_gap () =
   Engine.run_all e;
   Alcotest.(check int) "no queueing after idle" 1010 !t
 
+(* ---- allocation per hop ---- *)
+
+(* A closed system of 100 messages, each hop a [Net.send] whose
+   delivery runs a [Cpu.exec] whose completion sends the next hop.  The
+   minor words per hop are a pure function of the code, so they are
+   pinned at the figure this engine reaches, 26: the test's own two
+   closures (11 words), the delivery closure (7) and the drop draw of a
+   send (8: [Rng] boxes its [int64] state and result and the [float]).
+   The queue entries allocate nothing: with an [event] record per entry
+   (7 words, two entries a hop) and a helper closure per send (8) the
+   figure was 48. *)
+let test_hop_alloc () =
+  let e, net = mk_net () in
+  let cpus = Array.init (Net.size net) (fun _ -> Cpu.create e) in
+  let sends = ref 0 and warm = 10_000 and total = 50_000 in
+  let words_at_warm = ref 0.0 in
+  let rec hop src =
+    incr sends;
+    if !sends = warm then words_at_warm := Gc.minor_words ();
+    if !sends <= total then begin
+      let dst = (src + 1) mod Net.size net in
+      Net.send net ~src ~dst ~size:100 (fun () ->
+          Cpu.exec cpus.(dst) ~cost_us:5 (fun () -> hop dst))
+    end
+  in
+  for i = 0 to 99 do
+    hop (i mod Net.size net)
+  done;
+  Engine.run_all e;
+  let per_hop =
+    (Gc.minor_words () -. !words_at_warm) /. float_of_int (total - warm)
+  in
+  if per_hop > 26.5 then
+    Alcotest.failf "%.2f minor words per hop, more than 26" per_hop
+
 (* ---- stats ---- *)
 
 let test_stats_percentiles () =
@@ -539,6 +610,8 @@ let () =
           Alcotest.test_case "queueing" `Quick test_cpu_queueing;
           Alcotest.test_case "idle gap" `Quick test_cpu_idle_gap;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "words per hop" `Quick test_hop_alloc ] );
       ( "stats",
         [
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;

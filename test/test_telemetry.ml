@@ -152,6 +152,27 @@ let test_histogram_quantiles () =
           exact)
     [ 0.50; 0.90; 0.99 ]
 
+(* The shift loop [Metrics.bucket_of] replaced: one turn per bit. *)
+let bucket_by_shifts v =
+  if v < 2 then 0
+  else begin
+    let i = ref 0 and v = ref v in
+    while !v > 1 do
+      v := !v lsr 1;
+      incr i
+    done;
+    min !i 61
+  end
+
+let prop_bucket_of =
+  QCheck.Test.make ~name:"bucket_of equals the shift loop" ~count:2000
+    QCheck.(pair int (int_bound 62))
+    (fun (x, k) ->
+      (* [x lsr k] spreads the samples over every bit width. *)
+      List.for_all
+        (fun v -> Metrics.bucket_of v = bucket_by_shifts v)
+        [ 0; 1; max_int; min_int; x; x lsr k; 1 lsl k; (1 lsl k) - 1 ])
+
 (* ---- disabled telemetry allocates nothing ---- *)
 
 let test_disabled_zero_alloc () =
@@ -317,6 +338,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
+          QCheck_alcotest.to_alcotest prop_bucket_of;
           Alcotest.test_case "disabled zero-alloc" `Quick test_disabled_zero_alloc;
           Alcotest.test_case "counters on all nodes" `Quick test_counters_all_nodes;
           Alcotest.test_case "probe parity" `Quick test_probe_parity;
