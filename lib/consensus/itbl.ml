@@ -66,13 +66,20 @@ let find_opt t k =
   let i = slot cells (mask cells) k (home t.shift k) in
   if cells.(2 * i) = reserved then None else Some cells.((2 * i) + 1)
 
-let render t =
+let mem t k =
+  let cells = t.cells in
+  cells.(2 * slot cells (mask cells) k (home t.shift k)) <> reserved
+
+let sorted_bindings t =
   let acc = ref [] in
   for i = mask t.cells downto 0 do
     let k = t.cells.(2 * i) in
     if k <> reserved then acc := (k, t.cells.((2 * i) + 1)) :: !acc
   done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+
+let sorted_keys t = List.map fst (sorted_bindings t)
+
+let render t =
   String.concat ";"
-    (List.map
-       (fun (k, v) -> Printf.sprintf "%d=%d" k v)
-       (List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc))
+    (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) (sorted_bindings t))

@@ -1,11 +1,13 @@
-(** An int-keyed, int-valued hash table for the replicas' applied state.
+(** An int-keyed, int-valued hash table: the replicas' applied state,
+    and the cores' sets of command ids already placed in the log.
 
     Keys and values sit side by side in one flat [int] array, probed
     linearly from a multiplicative hash of the key.  Unlike
     [Stdlib.Hashtbl] it calls no C hash or compare and allocates nothing
     per new key; the array doubles once more than 4/5 of its slots are
     taken, so it holds at most 5 words per binding (see DESIGN.md,
-    "Replica base").  There is no removal and no unordered iteration. *)
+    "Replica base").  There is no removal and no unordered iteration:
+    keys come out only in ascending order. *)
 
 type t
 
@@ -22,6 +24,11 @@ val find_opt : t -> int -> int option
 
 val find_or : t -> int -> default:int -> int
 (** {!find_opt} without the option. *)
+
+val mem : t -> int -> bool
+
+val sorted_keys : t -> int list
+(** The keys in ascending order, so independent of insertion history. *)
 
 val render : t -> string
 (** The bindings as [k=v], joined by [';'] in ascending key order, so

@@ -105,7 +105,9 @@ type server = {
   mutable next_own : int;
   mutable known_frontier : int;  (** all slots < this are Value or Skip *)
   mutable commit_frontier : int;  (** all slots < this are committed *)
-  acks : (int, bool array) Hashtbl.t;  (** own instance -> acked peers *)
+  acks : int Vec.t;
+      (** per slot, the tally of peers that acked our append to it (see
+          {!Replica.no_tally}); grown with [slots] *)
   revocations : (int, revocation) Hashtbl.t;
   promised : (int, unit) Hashtbl.t;
       (** slots whose revocation poll we answered: the poll is a Paxos
@@ -174,7 +176,8 @@ let msg_size t = function
 let ensure srv inst =
   while Vec.length srv.slots <= inst do
     Vec.push srv.slots Unknown;
-    Vec.push srv.committed false
+    Vec.push srv.committed false;
+    Vec.push srv.acks Replica.no_tally
   done
 
 let slot srv inst =
@@ -539,7 +542,7 @@ and handle t srv msg =
                     ~phase:"revoke_value" ~now:(Engine.now t.engine);
                   ensure srv inst;
                   if slot srv inst = Unknown then set_value srv inst cmd;
-                  Hashtbl.replace srv.acks inst (Array.make t.n false);
+                  Vec.set srv.acks inst 0;
                   Metrics.add srv.pr.pr_appends (t.n - 1);
                   broadcast t srv
                     (MAppend { from = srv.id; items = [ (inst, cmd) ] });
@@ -629,20 +632,22 @@ and hold_appends t srv from = function
    majority; the newly committed turns, in ack order. *)
 and tally_acks t srv from = function
   | [] -> []
-  | inst :: rest -> (
-      match Hashtbl.find_opt srv.acks inst with
-      | None -> tally_acks t srv from rest
-      | Some acked ->
-          acked.(from) <- true;
-          let count =
-            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-          in
-          if count + 1 >= majority t && not (is_committed srv inst) then begin
-            ensure srv inst;
-            Vec.set srv.committed inst true;
-            inst :: tally_acks t srv from rest
-          end
-          else tally_acks t srv from rest)
+  | inst :: rest when inst >= Vec.length srv.acks ->
+      (* a slot past the log's end has no tally *)
+      tally_acks t srv from rest
+  | inst :: rest ->
+      let acks = Vec.get srv.acks inst in
+      if acks = Replica.no_tally then tally_acks t srv from rest
+      else begin
+        let acks = acks lor (1 lsl from) in
+        Vec.set srv.acks inst acks;
+        if Replica.popcount acks + 1 >= majority t && not (is_committed srv inst)
+        then begin
+          Vec.set srv.committed inst true;
+          inst :: tally_acks t srv from rest
+        end
+        else tally_acks t srv from rest
+      end
 
 (* Frontier watchdog: if the committed prefix stalls on a dead replica's
    slot, the lowest live replica revokes it with no-ops. *)
@@ -664,9 +669,9 @@ and watchdog t srv =
           | Value cmd when owner t stuck = srv.id && not (is_committed srv stuck)
             ->
               (* Our own append lost its acks in transit: retransmit.
-                 [MAck] replies dedupe through the per-sender flag array. *)
-              if not (Hashtbl.mem srv.acks stuck) then
-                Hashtbl.replace srv.acks stuck (Array.make t.n false);
+                 [MAck] replies dedupe through the per-peer tally. *)
+              if Vec.get srv.acks stuck = Replica.no_tally then
+                Vec.set srv.acks stuck 0;
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_appends (t.n - 1);
               broadcast t srv
@@ -720,7 +725,7 @@ and hold_own_slot t srv (cmd : Types.cmd) =
   srv.next_own <- inst + t.n;
   ensure srv inst;
   set_value srv inst cmd;
-  Hashtbl.replace srv.acks inst (Array.make t.n false);
+  Vec.set srv.acks inst 0;
   push_waiting srv.waiting inst cmd;
   Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id ~phase:"append"
     ~now:(Engine.now t.engine);
@@ -749,6 +754,7 @@ let submit_cmd t srv (cmd : Types.cmd) =
 let create ?(telemetry = Telemetry.disabled) config net =
   let engine = Net.engine net in
   let n = Net.size net in
+  Replica.check_tally_width ~who:"Mencius.create" n;
   let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
@@ -759,7 +765,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           next_own = id;
           known_frontier = 0;
           commit_frontier = 0;
-          acks = Hashtbl.create 16;
+          acks = Vec.create ();
           revocations = Hashtbl.create 8;
           promised = Hashtbl.create 8;
           key_writes = Hashtbl.create 16;
@@ -854,8 +860,8 @@ let dump_state ?(rename = Fun.id) t ~node =
       (String.concat ";" (List.map render (Replica.sorted_bindings tbl)))
   in
   let mask = Replica.mask ~rename in
-  tbl "ak" srv.acks (fun (i, a) ->
-      Printf.sprintf "%d=%s" i (mask a));
+  add "|ak:%s"
+    (Replica.render_tallies ~rename ~n:t.n (fun f -> Vec.iteri f srv.acks));
   tbl "rv" srv.revocations (fun (i, r) ->
       Printf.sprintf "%d=%s/%s" i
         (mask r.seen)

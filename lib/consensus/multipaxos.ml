@@ -28,6 +28,10 @@ type inst = {
   mutable accepted_cmd : Types.cmd option option;
       (** [None] = nothing accepted; [Some c] = accepted (c = None is noop) *)
   mutable chosen : bool;
+  mutable acks : int;
+      (** the leader's tally of the peers that acked it (see
+          {!Replica.no_tally}); per peer, so a duplicated [AcceptOk]
+          under fault injection cannot count twice *)
 }
 
 type msg =
@@ -78,12 +82,10 @@ type server = {
   mutable executed : int;  (** prefix [0..executed) applied to the store *)
   prepare_oks : (int, int) Hashtbl.t;  (** voter -> 1 (set) *)
   gathered : (int * int * Types.cmd option) Vec.t;
-  accept_oks : (int, bool array) Hashtbl.t;
-      (** instance -> which peers acked (per-sender, so duplicate
-          deliveries under fault injection cannot double-count) *)
-  proposed_cmds : (int, unit) Hashtbl.t;
-      (** cmd ids this leader already assigned an instance; a duplicated
-          [Forward] must not occupy a second instance *)
+  proposed_cmds : Itbl.t;
+      (** cmd ids this leader already assigned an instance (a set: the
+          values are unused); a duplicated [Forward] must not occupy a
+          second instance *)
   (* leader side: instances assigned but whose Accept broadcast is held
      for the current batch *)
   mutable pending_batch : (int * Types.cmd option) list;  (** reversed *)
@@ -127,7 +129,13 @@ let msg_size t = function
 
 let ensure srv i =
   while Vec.length srv.insts <= i do
-    Vec.push srv.insts { accepted_bal = -1; accepted_cmd = None; chosen = false }
+    Vec.push srv.insts
+      {
+        accepted_bal = -1;
+        accepted_cmd = None;
+        chosen = false;
+        acks = Replica.no_tally;
+      }
   done
 
 let inst srv i =
@@ -240,16 +248,16 @@ and choose_all srv = function
 
 and propose t srv (cmd : Types.cmd) =
   Cpu.exec srv.node.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
-      if srv.is_leader && not srv.down && Hashtbl.mem srv.proposed_cmds cmd.id
+      if srv.is_leader && not srv.down && Itbl.mem srv.proposed_cmds cmd.id
       then () (* duplicate Forward: already has an instance *)
       else if srv.is_leader && not srv.down then begin
-        Hashtbl.replace srv.proposed_cmds cmd.id ();
+        Itbl.replace srv.proposed_cmds cmd.id 0;
         let i = srv.next_inst in
         srv.next_inst <- i + 1;
         let it = inst srv i in
         it.accepted_bal <- srv.ballot;
         it.accepted_cmd <- Some (Some cmd);
-        Hashtbl.replace srv.accept_oks i (Array.make t.n false);
+        it.acks <- 0;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
         (* The instance is fully set up above; only its Accept broadcast
@@ -321,7 +329,7 @@ and become_leader t srv =
       in
       it.accepted_bal <- srv.ballot;
       it.accepted_cmd <- Some value;
-      Hashtbl.replace srv.accept_oks i (Array.make t.n false);
+      it.acks <- 0;
       Metrics.add srv.pr.pr_accepts (t.n - 1);
       broadcast t srv
         (Accept { bal = srv.ballot; from = srv.id; items = [ (i, value) ] })
@@ -407,22 +415,21 @@ and accept_items srv bal = function
    majority; the newly chosen (instance, value) pairs, in ack order. *)
 and tally_acks t srv from = function
   | [] -> []
-  | i :: rest -> (
-      match Hashtbl.find_opt srv.accept_oks i with
-      | None -> tally_acks t srv from rest
-      | Some acked ->
-          acked.(from) <- true;
-          let count =
-            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-          in
-          if count + 1 >= majority t && not (inst srv i).chosen then begin
-            let cmd =
-              match (inst srv i).accepted_cmd with Some c -> c | None -> None
-            in
-            ignore (choose srv i cmd);
-            (i, cmd) :: tally_acks t srv from rest
-          end
-          else tally_acks t srv from rest)
+  | i :: rest when i >= Vec.length srv.insts ->
+      (* an instance past the log's end has no tally *)
+      tally_acks t srv from rest
+  | i :: rest ->
+      let it = Vec.get srv.insts i in
+      if it.acks = Replica.no_tally then tally_acks t srv from rest
+      else begin
+        it.acks <- it.acks lor (1 lsl from);
+        if Replica.popcount it.acks + 1 >= majority t && not it.chosen then begin
+          let cmd = match it.accepted_cmd with Some c -> c | None -> None in
+          ignore (choose srv i cmd);
+          (i, cmd) :: tally_acks t srv from rest
+        end
+        else tally_acks t srv from rest
+      end
 
 (* Leader-failure watchdog: lowest live replica takes over.  The same
    tick is the leader's repair timer: an [Accept] or its [AcceptOk]s can
@@ -450,8 +457,7 @@ and watchdog t srv =
               in
               it.accepted_bal <- srv.ballot;
               it.accepted_cmd <- Some cmd;
-              if not (Hashtbl.mem srv.accept_oks i) then
-                Hashtbl.replace srv.accept_oks i (Array.make t.n false);
+              if it.acks = Replica.no_tally then it.acks <- 0;
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_accepts (t.n - 1);
               broadcast t srv
@@ -474,6 +480,7 @@ and watchdog t srv =
 let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
   let engine = Net.engine net in
   let n = Net.size net in
+  Replica.check_tally_width ~who:"Multipaxos.create" n;
   let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
@@ -487,8 +494,7 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           executed = 0;
           prepare_oks = Hashtbl.create 8;
           gathered = Vec.create ();
-          accept_oks = Hashtbl.create 16;
-          proposed_cmds = Hashtbl.create 16;
+          proposed_cmds = Itbl.create ();
           pending_batch = [];
           last_leader_sign = 0;
           down = false;
@@ -588,11 +594,6 @@ let dump_state ?(rename = Fun.id) t ~node =
         | Some c -> Types.render_cmd_opt ~rename c)
         (if it.chosen then "!" else ""))
     srv.insts;
-  let tbl name tbl render =
-    add "|%s:%s" name
-      (String.concat ";" (List.map render (Replica.sorted_bindings tbl)))
-  in
-  let mask = Replica.mask ~rename in
   add "%s" (Replica.render_store srv.node);
   (* keyed by voter node id: sort after renaming, or two symmetric
      states would render their voter sets in different orders *)
@@ -610,9 +611,12 @@ let dump_state ?(rename = Fun.id) t ~node =
                Printf.sprintf "%d:b%d:%s" i (rb b)
                  (Types.render_cmd_opt ~rename c))
              (Vec.to_list srv.gathered))));
-  tbl "ao" srv.accept_oks (fun (i, a) ->
-      Printf.sprintf "%d=%s" i (mask a));
-  tbl "pc" srv.proposed_cmds (fun (i, ()) -> string_of_int i);
+  add "|ao:%s"
+    (Replica.render_tallies ~rename ~n:t.n (fun f ->
+         Vec.iteri (fun i it -> f i it.acks) srv.insts));
+  add "|pc:%s"
+    (String.concat ";"
+       (List.map string_of_int (Itbl.sorted_keys srv.proposed_cmds)));
   (* The held batch is real protocol state the checker must distinguish. *)
   add "|pb:%s"
     (String.concat ";"

@@ -115,9 +115,10 @@ type server = {
   mutable commit_index : int;
   mutable last_applied : int;
   key_last_write : Itbl.t;
-  appended_cmds : (int, unit) Hashtbl.t;
-      (** cmd ids this leader already appended; a duplicated or re-routed
-          [Forward] must not enter the log twice *)
+  appended_cmds : Itbl.t;
+      (** cmd ids this leader already appended (a set: the values are
+          unused); a duplicated or re-routed [Forward] must not enter the
+          log twice *)
   (* leader bookkeeping *)
   next_index : int array;
   match_index : int array;
@@ -493,10 +494,10 @@ and append_cmd t srv (cmd : Types.cmd) =
     | (Log_read | Leader_lease), _ | Quorum_lease, Get _ -> 0
   in
   Cpu.exec srv.node.cpu ~cost_us:((p t).cpu_leader_op_us + extra) (fun () ->
-      if srv.role = Leader && not srv.down && Hashtbl.mem srv.appended_cmds cmd.id
+      if srv.role = Leader && not srv.down && Itbl.mem srv.appended_cmds cmd.id
       then () (* duplicate Forward: already in the log *)
       else if srv.role = Leader && not srv.down then begin
-        Hashtbl.replace srv.appended_cmds cmd.id ();
+        Itbl.replace srv.appended_cmds cmd.id 0;
         let entry = { Types.term = srv.term; cmd = Some cmd } in
         Vec.push srv.log (entry, srv.term);
         note_write srv (last_index srv) entry;
@@ -971,7 +972,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           commit_index = -1;
           last_applied = -1;
           key_last_write = Itbl.create ();
-          appended_cmds = Hashtbl.create 16;
+          appended_cmds = Itbl.create ();
           next_index = Array.make n 0;
           match_index = Array.make n (-1);
           inflight = Array.make n 0;
@@ -1124,8 +1125,7 @@ let dump_state ?(rename = Fun.id) t ~node =
   add "|kw:%s" (Itbl.render srv.key_last_write);
   add "|ap:%s"
     (String.concat ","
-       (List.map string_of_int
-          (sorted_ints (Hashtbl.fold (fun k () acc -> k :: acc) srv.appended_cmds []))));
+       (List.map string_of_int (Itbl.sorted_keys srv.appended_cmds)));
   let ints name a =
     add "|%s:%s" name
       (String.concat "," (Array.to_list (Array.map string_of_int a)))

@@ -185,6 +185,18 @@ let apply nd ~key value = Itbl.replace nd.store key value
 let read nd ~key = Itbl.find_opt nd.store key
 let applied_value b ~node ~key = read b.nodes.(node) ~key
 
+(* ---- ack tallies ---- *)
+
+let no_tally = -1
+
+let check_tally_width ~who n =
+  if n > Sys.int_size - 1 then
+    invalid_arg
+      (Printf.sprintf "%s: %d replicas, an ack tally holds at most %d" who n
+         (Sys.int_size - 1))
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
 (* ---- model-checker fingerprints ---- *)
 
 let permuted ~rename a =
@@ -196,6 +208,16 @@ let mask ~rename a =
   String.concat ""
     (Array.to_list
        (Array.map (fun b -> if b then "1" else "0") (permuted ~rename a)))
+
+let render_tallies ~rename ~n iteri =
+  let open_ = ref [] in
+  iteri (fun i acks ->
+      if acks <> no_tally then
+        open_ :=
+          Printf.sprintf "%d=%s" i
+            (mask ~rename (Array.init n (fun p -> acks land (1 lsl p) <> 0)))
+          :: !open_);
+  String.concat ";" (List.rev !open_)
 
 let sorted_bindings tbl =
   List.sort

@@ -2,7 +2,12 @@
 
     Every simulation source of randomness goes through an explicit [Rng.t]
     seeded by the experiment, so runs replay bit-for-bit — the property the
-    test suite relies on. *)
+    test suite relies on.
+
+    The state after [k] draws is [seed + k * golden] (mod 2^64), so a
+    generator holds its seed and a mutable draw count: a draw stores an
+    immediate [int], boxes no [int64], and allocates nothing.  The
+    stream is the classic one, bit for bit. *)
 
 type t
 

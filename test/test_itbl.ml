@@ -1,7 +1,8 @@
-(* Model test for [Itbl], the replicas' int-keyed applied store: every
-   random sequence of [replace]/[find_opt] must agree with
-   [Stdlib.Hashtbl] step by step, through many resizes, and end with the
-   same bindings in the same sorted rendering. *)
+(* Model test for [Itbl], the replicas' int-keyed applied store and
+   dedupe sets: every random sequence of [replace]/[find_opt]/[mem] must
+   agree with [Stdlib.Hashtbl] step by step, through many resizes, and
+   end with the same bindings in the same sorted rendering and the same
+   sorted keys. *)
 
 open Raftpax_consensus
 
@@ -54,9 +55,12 @@ let agrees_with_hashtbl =
           | Find k ->
               Itbl.find_opt t k = Hashtbl.find_opt m k
               && Itbl.find_or t k ~default:(-7)
-                 = Option.value ~default:(-7) (Hashtbl.find_opt m k))
+                 = Option.value ~default:(-7) (Hashtbl.find_opt m k)
+              && Itbl.mem t k = Hashtbl.mem m k)
         ops
-      && Itbl.render t = model_render m)
+      && Itbl.render t = model_render m
+      && Itbl.sorted_keys t
+         = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) m []))
 
 (* A dense key range, as a workload's [0, records) writes it, through
    sixteen doublings. *)
@@ -74,6 +78,7 @@ let test_dense_range () =
     if Itbl.find_opt t k <> Some (-k) then Alcotest.failf "key %d" k
   done;
   Alcotest.(check (option int)) "absent" None (Itbl.find_opt t n);
+  Alcotest.(check (list int)) "keys" (List.init n Fun.id) (Itbl.sorted_keys t);
   Alcotest.(check string)
     "sorted" (render (List.init n (fun k -> (k, -k)))) (Itbl.render t)
 
@@ -83,6 +88,7 @@ let test_reserved () =
   Alcotest.check_raises "replace raises" (Invalid_argument "Itbl.replace: reserved key")
     (fun () -> Itbl.replace t Itbl.reserved 2);
   Alcotest.(check (option int)) "never found" None (Itbl.find_opt t Itbl.reserved);
+  Alcotest.(check bool) "never a member" false (Itbl.mem t Itbl.reserved);
   Alcotest.(check int) "default" 9 (Itbl.find_or t Itbl.reserved ~default:9);
   Alcotest.(check string) "unchanged" "0=1" (Itbl.render t)
 

@@ -246,6 +246,37 @@ let prop_mencius_consistency =
          closed loop must terminate without retries *)
       r.Harness.retries = 0)
 
+let every_message_twice =
+  { Net.delay_us = 0; dup_probability = 1.0; drop_probability = 0.0; reorder = false }
+
+(* With three of five replicas down, node 0's one live peer acks every
+   append to node 0's turn twice: a tally that counted deliveries would
+   reach a majority of three on that one peer.  A third live replica
+   does. *)
+let test_duplicate_acks_count_once () =
+  let engine, net, t = mk () in
+  List.iter (fun node -> Mencius.crash t ~node) [ 2; 3; 4 ];
+  Net.set_chaos net (Some every_message_twice);
+  Mencius.submit t ~node:0 (put 1) (fun _ -> ());
+  run_ms engine 8000;
+  Alcotest.(check int) "turn 0 not committed on one peer's acks" 0
+    (Mencius.commit_frontier t ~node:0);
+  Mencius.restart t ~node:2;
+  run_ms engine 8000;
+  Alcotest.(check bool) "committed once a third node acks" true
+    (Mencius.commit_frontier t ~node:0 >= 1)
+
+(* A tally has one bit per replica and keeps the sign bit free. *)
+let test_tally_width () =
+  let net n =
+    Net.create (Engine.create ~seed:1L ())
+      ~nodes:(List.init n (fun i -> { Net.id = i; site = List.hd Topology.sites }))
+  in
+  ignore (Mencius.create Mencius.default_config (net (Sys.int_size - 1)));
+  match Mencius.create Mencius.default_config (net Sys.int_size) with
+  | _ -> Alcotest.fail "a cluster wider than a tally was accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "mencius_runtime"
     [
@@ -268,6 +299,9 @@ let () =
           Alcotest.test_case "restart" `Quick test_restart_rejoins;
           Alcotest.test_case "revoked own op never acknowledged" `Quick
             test_revoked_own_op_never_acknowledged;
+          Alcotest.test_case "duplicate acks count once" `Quick
+            test_duplicate_acks_count_once;
+          Alcotest.test_case "tally width" `Quick test_tally_width;
         ] );
       ( "consistency",
         List.map QCheck_alcotest.to_alcotest [ prop_mencius_consistency ] );

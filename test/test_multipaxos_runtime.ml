@@ -102,6 +102,38 @@ let test_chosen_counts_propagate () =
       (Multipaxos.chosen_count t ~node)
   done
 
+let every_message_twice =
+  { Net.delay_us = 0; dup_probability = 1.0; drop_probability = 0.0; reorder = false }
+
+(* With three of five acceptors down, the leader's one live peer acks
+   every [Accept] twice: a tally that counted deliveries would reach a
+   majority of three on that one peer.  A third live acceptor does. *)
+let test_duplicate_acks_count_once () =
+  let engine, net, t = mk () in
+  List.iter (fun node -> Multipaxos.crash t ~node) [ 2; 3; 4 ];
+  Net.set_chaos net (Some every_message_twice);
+  let ok = ref false in
+  Multipaxos.submit t ~node:0 (put 1) (fun _ -> ok := true);
+  run_ms engine 8000;
+  Alcotest.(check int) "not chosen on one peer's acks" 0
+    (Multipaxos.chosen_count t ~node:0);
+  Alcotest.(check bool) "no reply" false !ok;
+  Multipaxos.restart t ~node:2;
+  run_ms engine 8000;
+  Alcotest.(check bool) "chosen once a third node acks" true !ok;
+  Alcotest.(check int) "executed" 1 (Multipaxos.executed_prefix t ~node:0)
+
+(* A tally has one bit per replica and keeps the sign bit free. *)
+let test_tally_width () =
+  let net n =
+    Net.create (Engine.create ~seed:1L ())
+      ~nodes:(List.init n (fun i -> { Net.id = i; site = List.hd Topology.sites }))
+  in
+  ignore (Multipaxos.create Multipaxos.default_config (net (Sys.int_size - 1)));
+  match Multipaxos.create Multipaxos.default_config (net Sys.int_size) with
+  | _ -> Alcotest.fail "a cluster wider than a tally was accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "multipaxos_runtime"
     [
@@ -117,5 +149,11 @@ let () =
           Alcotest.test_case "takeover" `Quick test_failover;
           Alcotest.test_case "chosen preserved" `Quick test_new_leader_preserves_chosen;
           Alcotest.test_case "ballot uniqueness" `Quick test_ballots_unique_per_server;
+        ] );
+      ( "ack tally",
+        [
+          Alcotest.test_case "duplicate acks count once" `Quick
+            test_duplicate_acks_count_once;
+          Alcotest.test_case "width" `Quick test_tally_width;
         ] );
     ]
