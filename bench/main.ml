@@ -510,6 +510,24 @@ let micro () =
     @ List.init 10_000 (fun t ->
           Lin_check.Read { key = 0; started_us = t; returned = Some (t / 10) })
   in
+  (* A queue held at [n] pending events: each fires and reschedules
+     itself [1, 2n) µs ahead, n on average, so a run of 1 µs fires one
+     event on average and the row reads ns per fire-and-reschedule at
+     that depth. *)
+  let queue_steady n =
+    let e = Sim.Engine.create () in
+    let state = ref 1 in
+    let rec tick () =
+      state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+      Sim.Engine.schedule e ~delay:(1 + ((!state lsr 8) mod ((2 * n) - 1))) tick
+    in
+    for _ = 1 to n do
+      tick ()
+    done;
+    Test.make
+      ~name:(Printf.sprintf "sim/queue-steady-%d" n)
+      (Staged.stage (fun () -> Sim.Engine.run e ~until:(Sim.Engine.now e + 1)))
+  in
   let tests =
     [
       Test.make ~name:"spec/multipaxos-successors"
@@ -527,6 +545,9 @@ let micro () =
              let e = Sim.Engine.create () in
              Sim.Engine.schedule e ~delay:1 ignore;
              Sim.Engine.run_all e));
+      queue_steady 10;
+      queue_steady 1_500;
+      queue_steady 12_000;
       Test.make ~name:"kvstore/lin-check-hot-key"
         (Staged.stage (fun () ->
              ignore (Lin_check.check ~committed_order:hot_order hot_events)));

@@ -109,10 +109,12 @@ type server = {
       (** per slot, the tally of peers that acked our append to it (see
           {!Replica.no_tally}); grown with [slots] *)
   revocations : (int, revocation) Hashtbl.t;
-  promised : (int, unit) Hashtbl.t;
-      (** slots whose revocation poll we answered: the poll is a Paxos
-          phase 1, so afterwards the owner's own (ballot-0) append must
-          be refused or the revocation's decision could lose the race *)
+  promised : bool Vec.t;
+      (** per slot, whether we answered its revocation poll: the poll is
+          a Paxos phase 1, so afterwards the owner's own (ballot-0)
+          append must be refused or the revocation's decision could lose
+          the race; grown only up to the last slot polled, so a run
+          without revocations keeps it empty *)
   key_writes : (int, int list ref) Hashtbl.t;
       (** the unapplied slots that hold a write of each key — what a
           commutative read must see applied before replying early *)
@@ -513,7 +515,10 @@ and handle t srv msg =
         advance_frontiers t srv
     | MRevoke { from; inst } ->
         ensure srv inst;
-        Hashtbl.replace srv.promised inst ();
+        while Vec.length srv.promised <= inst do
+          Vec.push srv.promised false
+        done;
+        Vec.set srv.promised inst true;
         let value =
           match slot srv inst with Value cmd -> Some cmd | Unknown | Skip -> None
         in
@@ -619,7 +624,11 @@ and hold_appends t srv from = function
   | [] -> []
   | (inst, (cmd : Types.cmd)) :: rest -> (
       ensure srv inst;
-      let refused = from = owner t inst && Hashtbl.mem srv.promised inst in
+      let refused =
+        from = owner t inst
+        && inst < Vec.length srv.promised
+        && Vec.get srv.promised inst
+      in
       (match slot srv inst with
       | Unknown when not refused -> set_value srv inst cmd
       | Unknown | Value _ | Skip -> ());
@@ -767,7 +776,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           commit_frontier = 0;
           acks = Vec.create ();
           revocations = Hashtbl.create 8;
-          promised = Hashtbl.create 8;
+          promised = Vec.create ();
           key_writes = Hashtbl.create 16;
           applied = 0;
           waiting = { w_inst = [||]; w_cmd = [||]; head = 0; tail = 0 };
@@ -866,7 +875,11 @@ let dump_state ?(rename = Fun.id) t ~node =
       Printf.sprintf "%d=%s/%s" i
         (mask r.seen)
         (Types.render_cmd_opt ~rename r.found));
-  tbl "pm" srv.promised (fun (i, ()) -> string_of_int i);
+  let promised = ref [] in
+  Vec.iteri
+    (fun i p -> if p then promised := string_of_int i :: !promised)
+    srv.promised;
+  add "|pm:%s" (String.concat ";" (List.rev !promised));
   add "%s" (Replica.render_store srv.node);
   tbl "kw" srv.key_writes (fun (k, cell) ->
       Printf.sprintf "%d=[%s]" k

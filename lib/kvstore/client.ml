@@ -32,13 +32,12 @@ let set_trace c id = c.trace <- id
 
 (* The retry deadline is enforced by a single lazily re-armed watchdog
    per client rather than a cancellable timer per op: a per-op timer
-   leaves one dead 20 s entry in the event heap per completed op, which
-   grows the heap to the run's total op count and slows every heap
-   operation.  The watchdog is armed at the current op's deadline; if
-   the op at hand is younger when it fires, it re-arms at that op's
-   exact deadline, so a stuck op still retries at precisely
-   [started + retry_timeout_us] while a healthy client schedules only
-   one event per 20 s of virtual time. *)
+   leaves one dead 20 s entry in the event queue per completed op, which
+   the queue carries until a sweep drops it.  The watchdog is armed at
+   the current op's deadline; if the op at hand is younger when it
+   fires, it re-arms at that op's exact deadline, so a stuck op still
+   retries at precisely [started + retry_timeout_us] while a healthy
+   client schedules only one event per 20 s of virtual time. *)
 let rec arm_watchdog engine c ~on_timeout =
   c.wd_pending <- true;
   let delay = c.started_us + retry_timeout_us - Engine.now engine in

@@ -1,5 +1,6 @@
-(** Discrete-event simulation core: a virtual clock and a time-ordered
-    event heap.  Time is in integer microseconds.
+(** Discrete-event simulation core: a virtual clock and a hierarchical
+    timing wheel of events, whose push and pop cost the same however
+    many events are pending.  Time is in integer microseconds.
 
     Events scheduled for the same instant fire in scheduling order
     (FIFO), which keeps runs deterministic. *)
@@ -72,7 +73,7 @@ val next_deadline : t -> int option
 (** {1 Manual mode} — used by the {!Raftpax_mcheck} model checker.
 
     While manual mode is on, newly scheduled [Timer]-kind events are
-    held in a pending set instead of the heap and only run when
+    held in a pending set instead of the wheel and only run when
     explicitly fired; [Message]/[Exact]-kind events go to a FIFO
     trampoline drained by {!manual_drain} (or automatically after a
     {!manual_fire}).  Firing a timer advances the clock to that timer's

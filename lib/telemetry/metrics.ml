@@ -105,7 +105,8 @@ let bucket_of v =
 
 let observe h v =
   let v = max 0 v in
-  h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+  let b = bucket_of v in
+  h.buckets.(b) <- h.buckets.(b) + 1;
   h.total <- h.total + 1;
   h.sum <- h.sum + v;
   if v > h.max_seen then h.max_seen <- v

@@ -63,9 +63,16 @@ let test_nested_scheduling () =
    [Engine.schedule] events, which have no handle.  Cancelled entries
    stay queued until popped, and a push first drops them by the
    engine's documented sweep rule (every [max 1024 len] pushes, when at
-   least a quarter are cancelled), so [pending] is compared exactly. *)
+   least a quarter are cancelled), so [pending] is compared exactly.
+
+   The model also counts the far entries that reach their time.  The
+   engine files an entry by the highest bit in which its time differs
+   from a cursor at or before the clock, so that difference is at least
+   the delay: an entry with a delay of 2^25 or more starts on level 5 or
+   higher (2^60: level 12, the top) and can only fire, cancelled or not,
+   after a cascade from there. *)
 module Model = struct
-  type entry = { time : int; id : int; fire : unit -> unit }
+  type entry = { time : int; id : int; delay : int; fire : unit -> unit }
 
   type t = {
     mutable clock : int;
@@ -77,6 +84,8 @@ module Model = struct
     mutable reuses : int;
         (* pushes with fewer entries queued than [peak]: the engine
            hands these a slot an earlier entry freed *)
+    mutable deep_pops : int;  (* entries reached from level 5 or higher *)
+    mutable top_pops : int;  (* entries reached from level 12 *)
     cancellable : (int, unit) Hashtbl.t;
     cancelled : (int, unit) Hashtbl.t;
   }
@@ -89,6 +98,8 @@ module Model = struct
       mixed_sweeps = 0;
       peak = 0;
       reuses = 0;
+      deep_pops = 0;
+      top_pops = 0;
       cancellable = Hashtbl.create 64;
       cancelled = Hashtbl.create 64;
     }
@@ -114,7 +125,7 @@ module Model = struct
     end;
     if cancellable then Hashtbl.replace m.cancellable id ();
     if List.length m.queue < m.peak then m.reuses <- m.reuses + 1;
-    let e = { time = m.clock + delay; id; fire } in
+    let e = { time = m.clock + delay; id; delay; fire } in
     let rec insert = function
       | x :: rest when x.time <= e.time -> x :: insert rest
       | rest -> e :: rest
@@ -127,6 +138,8 @@ module Model = struct
     | e :: rest when e.time <= until ->
         m.queue <- rest;
         m.clock <- e.time;
+        if e.delay >= 1 lsl 25 then m.deep_pops <- m.deep_pops + 1;
+        if e.delay >= 1 lsl 60 then m.top_pops <- m.top_pops + 1;
         if live m e then e.fire ();
         run m ~until
     | _ -> if m.clock < until then m.clock <- until
@@ -176,29 +189,40 @@ let model_world () =
 (* A seeded script of at least [min_pushes] schedules, half of them
    cancellable and half plain: bursts from outside (hundreds at once,
    so the engine outgrows its initial capacity) followed by cancels
-   aimed at the burst, delays drawn to collide often at one instant or
-   to sit far in the future, events that schedule children (0.8 on
-   average, so the drain ends) and cancel recent ids when they fire,
-   and [run ~until] at random boundaries, a third of them exactly on
-   the earliest queued time.  Returns what it observed: [pending] after
-   every push, each firing with its clock, and after every run the
-   clock, [pending] and [next_deadline]. *)
+   aimed at the burst, delays drawn to collide often at one instant, to
+   sit far in the future (up to 2^41 µs, and rarely near 2^61, so every
+   level of the engine's wheel is used), events that schedule children
+   (0.8 on average, so the drain ends) and cancel recent ids when they
+   fire, and [run ~until] at random boundaries: a quarter of them
+   exactly on the earliest queued time, and a quarter strictly before
+   it, each followed by pushes that land between the stop and that
+   time.  Returns what it observed: [pending] after every push, each
+   firing with its clock, and after every run the clock, [pending] and
+   [next_deadline]. *)
 let script ~seed ~min_pushes w =
   let obs = ref [] in
   let note x = obs := x :: !obs in
   let outside = Random.State.make [| seed |] in
   let next_id = ref 0 in
   let delay r =
-    match Random.State.int r 4 with
+    match Random.State.int r 5 with
     | 0 -> 0
     | 1 -> Random.State.int r 3
     | 2 -> Random.State.int r 1_000
-    | _ -> 10_000 + Random.State.int r 100_000
+    | 3 -> 10_000 + Random.State.int r 100_000
+    | _ ->
+        (* Near 2^61 only while the clock is below 2^60, so no time
+           overflows. *)
+        if Random.State.int r 100 = 0 && w.now () < 1 lsl 60 then
+          (1 lsl 61) - Random.State.int r 1_000
+        else
+          let lo = 1 lsl (20 + Random.State.int r 21) in
+          lo + Random.State.full_int r lo
   in
-  let rec spawn r =
+  let rec spawn r = spawn_after r (delay r)
+  and spawn_after r delay =
     let id = !next_id in
     incr next_id;
-    let delay = delay r in
     let cancellable = Random.State.bool r in
     w.schedule ~delay ~cancellable id (fire id);
     note (w.pending ())
@@ -227,15 +251,24 @@ let script ~seed ~min_pushes w =
          names an id not yet scheduled, which both ignore too. *)
       w.cancel (first + Random.State.int outside (max 1 burst))
     done;
-    let until =
-      match (Random.State.int outside 3, w.next_deadline ()) with
-      | 0, Some d -> d (* stop exactly on a queued event's time *)
-      | _ -> w.now () + Random.State.int outside 50_000
+    let until, gap =
+      match (Random.State.int outside 4, w.next_deadline ()) with
+      | 0, Some d -> (d, 0) (* stop exactly on a queued event's time *)
+      | 1, Some d when d > w.now () ->
+          (* Stop short of it, then fill the gap: [run] must not have
+             moved the engine's cursor past the stop. *)
+          let until = w.now () + Random.State.full_int outside (d - w.now ()) in
+          (until, d - until)
+      | _ -> (w.now () + Random.State.int outside 50_000, 0)
     in
     w.run ~until;
     note (w.now ());
     note (w.pending ());
-    note (Option.value ~default:(-1) (w.next_deadline ()))
+    note (Option.value ~default:(-1) (w.next_deadline ()));
+    if gap > 0 then
+      for _ = 0 to Random.State.int outside 4 do
+        spawn_after outside (Random.State.full_int outside gap)
+      done
   done;
   w.run ~until:max_int;
   note (w.pending ());
@@ -278,6 +311,41 @@ let test_model_covers_sweep () =
     (all (fun m -> m.Model.reuses > 1000));
   Alcotest.(check bool) "a sweep keeps plain entries" true
     (some (fun m -> m.Model.mixed_sweeps > 0))
+
+let test_model_covers_levels () =
+  (* Check that the scripts file entries on level 5 or higher and on the
+     top level, and reach their time, which takes a cascade from
+     there (see [Model]). *)
+  let runs =
+    List.map
+      (fun seed ->
+        let w, m = model_world () in
+        ignore (script ~seed ~min_pushes:3000 w);
+        m)
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "cascades from level 5 or higher" true
+    (List.for_all (fun m -> m.Model.deep_pops > 100) runs);
+  Alcotest.(check bool) "cascades from the top level" true
+    (List.exists (fun m -> m.Model.top_pops > 0) runs)
+
+let test_top_of_range () =
+  (* The top level covers bits 60..61: its shifts stay below 63 and the
+     last representable times still fire in order. *)
+  let e = Engine.create () in
+  let order = ref [] in
+  List.iter
+    (fun (id, delay) ->
+      Engine.schedule e ~delay (fun () -> order := (id, Engine.now e) :: !order))
+    [ (1, max_int); (2, 1 lsl 61); (3, max_int - 1); (4, 1); (5, max_int) ];
+  Alcotest.(check (option int)) "earliest" (Some 1) (Engine.next_deadline e);
+  Engine.run e ~until:(1 lsl 61);
+  Alcotest.(check (option int)) "after the middle" (Some (max_int - 1))
+    (Engine.next_deadline e);
+  Engine.run_all e;
+  Alcotest.(check (list (pair int int))) "fire order"
+    [ (4, 1); (2, 1 lsl 61); (3, max_int - 1); (1, max_int); (5, max_int) ]
+    (List.rev !order)
 
 let test_sweep_to_live_count () =
   let e = Engine.create () in
@@ -693,6 +761,9 @@ let () =
           Alcotest.test_case "sweep to live count" `Quick test_sweep_to_live_count;
           Alcotest.test_case "model scripts reach sweep" `Quick
             test_model_covers_sweep;
+          Alcotest.test_case "model scripts reach every level" `Quick
+            test_model_covers_levels;
+          Alcotest.test_case "top of the time range" `Quick test_top_of_range;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "rng",
