@@ -31,13 +31,16 @@ type revocation = { seen : bool array; mutable found : Types.cmd option }
    double-count toward the majority *)
 
 (* A replica's own ops awaiting their reply, in ascending slot order: the
-   live entries are [[head, tail)] of two parallel arrays.  Own turns are
+   live entries are [[head, tail)] of three parallel arrays.  Own turns are
    claimed in increasing order, so pushing at the tail keeps the order.
    Every entry still holds its slot: a revoked op is evicted where its
    slot is overwritten with a skip. *)
 type waiting = {
   mutable w_inst : int array;
   mutable w_cmd : Types.cmd array;
+  mutable w_block : int array;
+      (** for a commutative read, the earlier write of its key that last
+          held it back ([-1] before the first check) *)
   mutable head : int;
   mutable tail : int;
 }
@@ -115,9 +118,12 @@ type server = {
           append must be refused or the revocation's decision could lose
           the race; grown only up to the last slot polled, so a run
           without revocations keeps it empty *)
-  key_writes : (int, int list ref) Hashtbl.t;
-      (** the unapplied slots that hold a write of each key — what a
-          commutative read must see applied before replying early *)
+  mutable unapplied_writes : int array;
+      (** per bucket of keys ({!write_bucket}), the number of slots at or
+          past [applied] that hold a write of a key in the bucket: a
+          commutative read scans for an earlier write of its key only
+          when its bucket's count is nonzero.  Empty until the first
+          write is counted, so building a replica allocates none of it. *)
   mutable applied : int;  (** slots < this applied to the base's store *)
   waiting : waiting;  (** own ops awaiting their reply, by slot *)
   mutable recovering : bool;
@@ -188,43 +194,68 @@ let slot srv inst =
 let is_committed srv inst =
   inst < Vec.length srv.committed && Vec.get srv.committed inst
 
-(* Record a slot's value, remembering write positions per key.  Only a
-   slot that is not a Value yet gets one, so each write slot is recorded
-   once while it holds the write. *)
-let set_value srv inst (cmd : Types.cmd) =
-  Vec.set srv.slots inst (Value cmd);
-  match cmd.op with
-  | Types.Put { key; _ } ->
-      let cell =
-        match Hashtbl.find_opt srv.key_writes key with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            Hashtbl.replace srv.key_writes key cell;
-            cell
-      in
-      cell := inst :: !cell
-  | Types.Get _ -> ()
+(* [unapplied_writes] is a counting filter over 2^10 buckets, indexed by
+   a Fibonacci hash of the key.  Invariant: a bucket counts exactly the
+   slots at or past [applied] that hold [Value (Put key)] for a key in
+   the bucket.  Once allocated it never grows, and keeping it is an array
+   increment. *)
+let write_buckets_bits = 10
 
-(* Drop write slot [inst] of [key]: it was applied, or overwritten with a
-   skip.  A key with no unapplied write leaves the table, so the table
-   holds only writes in flight. *)
-let forget_write srv key inst =
-  match Hashtbl.find_opt srv.key_writes key with
-  | None -> ()
-  | Some cell -> (
-      match List.filter (fun j -> j <> inst) !cell with
-      | [] -> Hashtbl.remove srv.key_writes key
-      | rest -> cell := rest)
+let[@inline] write_bucket key =
+  (key * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - write_buckets_bits)
 
-(* A commutative read at [inst] may reply from the applied store only once
-   every known earlier write of its key has been applied; otherwise it
-   could return a value older than an already-acknowledged write (the
-   fault-injection harness caught exactly this under churn). *)
-let commutative_read_safe srv ~key ~inst =
-  match Hashtbl.find_opt srv.key_writes key with
-  | None -> true
-  | Some slots -> List.for_all (fun j -> j >= inst) !slots
+(* Add [delta] to the count of the write [s] holds at slot [inst], if it
+   is one the invariant counts. *)
+let count_write srv inst s delta =
+  match s with
+  | Value { op = Types.Put { key; _ }; _ } when inst >= srv.applied ->
+      if Array.length srv.unapplied_writes = 0 then
+        srv.unapplied_writes <- Array.make (1 lsl write_buckets_bits) 0;
+      let b = write_bucket key in
+      srv.unapplied_writes.(b) <- srv.unapplied_writes.(b) + delta
+  | Value { op = Types.Put _ | Types.Get _; _ } | Skip | Unknown -> ()
+
+(* Overwrite slot [inst], keeping the write counts.  Every write of a slot
+   goes through here. *)
+let set_slot srv inst s =
+  count_write srv inst (Vec.get srv.slots inst) (-1);
+  Vec.set srv.slots inst s;
+  count_write srv inst s 1
+
+let set_value srv inst cmd = set_slot srv inst (Value cmd)
+
+let holds_write srv ~key inst =
+  match Vec.get srv.slots inst with
+  | Value { op = Types.Put { key = k; _ }; _ } -> k = key
+  | Value { op = Types.Get _; _ } | Skip | Unknown -> false
+
+(* The first slot in [[from, upto)] that holds a write of [key], or -1. *)
+let rec first_write srv ~key from upto =
+  if from >= upto then -1
+  else if holds_write srv ~key from then from
+  else first_write srv ~key (from + 1) upto
+
+(* A commutative read may reply from the applied store only once every
+   known earlier write of its key has been applied; otherwise it could
+   return a value older than an already-acknowledged write (the
+   fault-injection harness caught exactly this under churn).  A zero
+   count in the read's bucket clears it without touching the slots.
+   Otherwise the read, waiting as entry [i] of [q], scans the unapplied
+   slots and remembers in [w_block] the write it found: while that write
+   is still unapplied the read stays blocked without another scan, so a
+   read held behind a stalled slot costs one probe per message, not a
+   walk over every unapplied slot. *)
+let commutative_read_safe srv q i ~key =
+  Array.length srv.unapplied_writes = 0
+  || srv.unapplied_writes.(write_bucket key) = 0
+  ||
+  let j = q.w_block.(i) in
+  if j >= srv.applied && holds_write srv ~key j then false
+  else begin
+    let j = first_write srv ~key srv.applied q.w_inst.(i) in
+    q.w_block.(i) <- j;
+    j < 0
+  end
 
 let owner t inst = inst mod t.n
 
@@ -252,22 +283,27 @@ let[@perf.hot] push_waiting q inst cmd =
          array: the copy amortises to O(1) per push. *)
       let cap = max 16 (2 * q.tail) in
       let w_inst = (Array.make cap 0 [@perf.allow "alloc-in-handler"])
-      and w_cmd = (Array.make cap no_cmd [@perf.allow "alloc-in-handler"]) in
+      and w_cmd = (Array.make cap no_cmd [@perf.allow "alloc-in-handler"])
+      and w_block = (Array.make cap 0 [@perf.allow "alloc-in-handler"]) in
       Array.blit q.w_inst q.head w_inst 0 live;
       Array.blit q.w_cmd q.head w_cmd 0 live;
+      Array.blit q.w_block q.head w_block 0 live;
       q.w_inst <- w_inst;
-      q.w_cmd <- w_cmd
+      q.w_cmd <- w_cmd;
+      q.w_block <- w_block
     end
     else begin
       (* Otherwise slide the live entries down to the front in place. *)
       Array.blit q.w_inst q.head q.w_inst 0 live;
-      Array.blit q.w_cmd q.head q.w_cmd 0 live
+      Array.blit q.w_cmd q.head q.w_cmd 0 live;
+      Array.blit q.w_block q.head q.w_block 0 live
     end;
     q.head <- 0;
     q.tail <- live
   end;
   q.w_inst.(q.tail) <- inst;
   q.w_cmd.(q.tail) <- cmd;
+  q.w_block.(q.tail) <- -1;
   q.tail <- q.tail + 1
 
 (* Drop the op waiting on own slot [inst], if any: its slot was just
@@ -283,28 +319,27 @@ let evict_waiting q inst =
   if i < q.tail && q.w_inst.(i) = inst then begin
     Array.blit q.w_inst q.head q.w_inst (q.head + 1) (i - q.head);
     Array.blit q.w_cmd q.head q.w_cmd (q.head + 1) (i - q.head);
+    Array.blit q.w_block q.head q.w_block (q.head + 1) (i - q.head);
     q.head <- q.head + 1
   end
 
 (* A revocation's final decision: slot [inst] is a committed skip. *)
 let force_skip srv inst =
-  (match slot srv inst with
-  | Value { op = Types.Put { key; _ }; _ } -> forget_write srv key inst
-  | Value { op = Types.Get _; _ } | Skip | Unknown -> ());
-  Vec.set srv.slots inst Skip;
+  set_slot srv inst Skip;
   Vec.set srv.committed inst true;
   evict_waiting srv.waiting inst
 
-(* Whether the op waiting on slot [inst] may reply.  Either branch needs
-   [inst < known_frontier] ([commit_frontier <= known_frontier]). *)
-let entry_ready srv inst (cmd : Types.cmd) =
+(* Whether the op waiting as entry [i] of [srv.waiting], on slot [inst],
+   may reply.  Either branch needs [inst < known_frontier]
+   ([commit_frontier <= known_frontier]). *)
+let entry_ready srv i inst (cmd : Types.cmd) =
   if conflicting cmd then srv.commit_frontier > inst
   else
     is_committed srv inst
     && srv.known_frontier > inst
     &&
     match cmd.op with
-    | Types.Get { key } -> commutative_read_safe srv ~key ~inst
+    | Types.Get { key } -> commutative_read_safe srv srv.waiting i ~key
     | Types.Put _ -> true
 
 (* [rename] is the checker's symmetry renaming.  Note Mencius slot
@@ -374,11 +409,12 @@ let rec advance_frontiers t srv =
   done;
   (* Apply in slot order as the committed prefix grows. *)
   while srv.applied < srv.commit_frontier do
-    (match slot srv srv.applied with
+    let s = slot srv srv.applied in
+    (match s with
     | Value { op = Put { key; write_id; _ }; _ } ->
-        Replica.apply srv.node ~key write_id;
-        forget_write srv key srv.applied
+        Replica.apply srv.node ~key write_id
     | Value { op = Get _; _ } | Skip | Unknown -> ());
+    count_write srv srv.applied s (-1);
     srv.applied <- srv.applied + 1
   done;
   try_reply t srv
@@ -400,7 +436,7 @@ and[@perf.hot] try_reply t srv =
     let keep = ref !stop in
     for i = !stop - 1 downto q.head do
       let inst = q.w_inst.(i) and cmd = q.w_cmd.(i) in
-      if entry_ready srv inst cmd then begin
+      if entry_ready srv i inst cmd then begin
         Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id
           ~phase:"quorum_commit" ~now:(Engine.now t.engine);
         let value =
@@ -419,7 +455,8 @@ and[@perf.hot] try_reply t srv =
         decr keep;
         if !keep <> i then begin
           q.w_inst.(!keep) <- inst;
-          q.w_cmd.(!keep) <- cmd
+          q.w_cmd.(!keep) <- cmd;
+          q.w_block.(!keep) <- q.w_block.(i)
         end
       end
     done;
@@ -446,7 +483,7 @@ and apply_skips t srv ~who ~start ~upto =
   let inst = ref first_turn in
   while !inst < upto do
     if slot srv !inst = Unknown then begin
-      Vec.set srv.slots !inst Skip;
+      set_slot srv !inst Skip;
       Vec.set srv.committed !inst true;
       Metrics.inc srv.pr.pr_slots_skipped;
       changed := true
@@ -588,7 +625,7 @@ and handle t srv msg =
           (fun (inst, is_skip, cmd, committed) ->
             ensure srv inst;
             (match (slot srv inst, is_skip, cmd) with
-            | Unknown, true, _ -> Vec.set srv.slots inst Skip
+            | Unknown, true, _ -> set_slot srv inst Skip
             | Unknown, false, Some cmd -> set_value srv inst cmd
             (* A committed snapshot slot overrides a local undecided one:
                we missed the deciding broadcast (force-skip or append). *)
@@ -777,9 +814,10 @@ let create ?(telemetry = Telemetry.disabled) config net =
           acks = Vec.create ();
           revocations = Hashtbl.create 8;
           promised = Vec.create ();
-          key_writes = Hashtbl.create 16;
+          unapplied_writes = [||];
           applied = 0;
-          waiting = { w_inst = [||]; w_cmd = [||]; head = 0; tail = 0 };
+          waiting =
+            { w_inst = [||]; w_cmd = [||]; w_block = [||]; head = 0; tail = 0 };
           recovering = false;
           buffered = [];
           pending_batch = [];
@@ -881,10 +919,17 @@ let dump_state ?(rename = Fun.id) t ~node =
     srv.promised;
   add "|pm:%s" (String.concat ";" (List.rev !promised));
   add "%s" (Replica.render_store srv.node);
-  tbl "kw" srv.key_writes (fun (k, cell) ->
-      Printf.sprintf "%d=[%s]" k
-        (String.concat ","
-           (List.map string_of_int (List.sort Int.compare !cell))));
+  (* The unapplied write slots of each key, rebuilt from the slots. *)
+  let writes = Hashtbl.create 8 in
+  for i = Vec.length srv.slots - 1 downto srv.applied do
+    match Vec.get srv.slots i with
+    | Value { op = Types.Put { key; _ }; _ } ->
+        Hashtbl.replace writes key
+          (i :: Option.value ~default:[] (Hashtbl.find_opt writes key))
+    | Value { op = Types.Get _; _ } | Skip | Unknown -> ()
+  done;
+  tbl "kw" writes (fun (k, insts) ->
+      Printf.sprintf "%d=[%s]" k (String.concat "," (List.map string_of_int insts)));
   add "|wt:%s"
     (String.concat ";"
        (List.sort String.compare

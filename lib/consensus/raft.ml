@@ -115,6 +115,8 @@ type server = {
   mutable commit_index : int;
   mutable last_applied : int;
   key_last_write : Itbl.t;
+      (** the log index of each key's last write; kept under
+          [Quorum_lease] only, the one mode whose reads consult it *)
   appended_cmds : Itbl.t;
       (** cmd ids this leader already appended (a set: the values are
           unused); a duplicated or re-routed [Forward] must not enter the
@@ -243,12 +245,15 @@ let last_index srv = Vec.length srv.log - 1
 let term_at srv i =
   if i < 0 || i > last_index srv then -1 else (fst (Vec.get srv.log i)).Types.term
 
-let note_write srv idx (e : Types.entry) =
-  match e.cmd with
-  | Some { op = Put { key; _ }; _ } ->
-      if idx > Itbl.find_or srv.key_last_write key ~default:(-1) then
-        Itbl.replace srv.key_last_write key idx
-  | Some { op = Get _; _ } | None -> ()
+(* Only a quorum-lease read consults [key_last_write] (Figure 13), so the
+   other read modes leave it empty and their log writes skip the probes. *)
+let note_write t srv idx (e : Types.entry) =
+  if t.config.read_mode = Quorum_lease then
+    match e.cmd with
+    | Some { op = Put { key; _ }; _ } ->
+        if idx > Itbl.find_or srv.key_last_write key ~default:(-1) then
+          Itbl.replace srv.key_last_write key idx
+    | Some { op = Get _; _ } | None -> ()
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
@@ -500,7 +505,7 @@ and append_cmd t srv (cmd : Types.cmd) =
         Itbl.replace srv.appended_cmds cmd.id 0;
         let entry = { Types.term = srv.term; cmd = Some cmd } in
         Vec.push srv.log (entry, srv.term);
-        note_write srv (last_index srv) entry;
+        note_write t srv (last_index srv) entry;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
         Replica.hold t.base srv.node;
@@ -647,7 +652,7 @@ and become_leader t srv =
        match Hashtbl.find_opt best idx with
        | Some (entry, bal) ->
            Vec.push srv.log (entry, bal);
-           note_write srv (last_index srv) entry;
+           note_write t srv (last_index srv) entry;
            adopt (idx + 1)
        | None -> ()
      in
@@ -906,7 +911,7 @@ and accept_entries t srv ~prev_idx ~entries ~term =
       let i = !idx in
       if i > last_index srv then begin
         Vec.push srv.log (entry, star_bal bal);
-        note_write srv i entry
+        note_write t srv i entry
       end
       else begin
         let existing, _ = Vec.get srv.log i in
@@ -916,7 +921,7 @@ and accept_entries t srv ~prev_idx ~entries ~term =
           | Star -> ());
           if i > last_index srv then Vec.push srv.log (entry, star_bal bal)
           else Vec.set srv.log i (entry, star_bal bal);
-          note_write srv i entry
+          note_write t srv i entry
         end
         else if t.config.flavor = Star then
           Vec.set srv.log i (entry, star_bal bal)

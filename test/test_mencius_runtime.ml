@@ -222,6 +222,152 @@ let test_frontiers_monotone_and_equal_eventually () =
       (Mencius.commit_frontier t ~node)
   done
 
+(* The [kw:] section of a replica's dump: its unapplied writes by key. *)
+let unapplied_writes t ~node =
+  let dump = Mencius.dump_state t ~node in
+  let section = List.find (String.starts_with ~prefix:"kw:") (String.split_on_char '|' dump) in
+  String.sub section 3 (String.length section - 3)
+
+(* Route [t]'s protocol messages into a queue.  [deliver_where keep]
+   delivers the queued messages [keep] selects, leaves the rest queued and
+   lets 1 ms of simulated time pass. *)
+let capture_wire engine t =
+  let wire = Queue.create () in
+  Mencius.set_wire t (Some (fun ~src ~dst ~size:_ msg -> Queue.add (src, dst, msg) wire));
+  let deliver_where keep =
+    let rest = Queue.create () in
+    Queue.iter
+      (fun ((src, dst, msg) as m) ->
+        if keep ~src ~dst then Mencius.deliver t ~node:dst msg else Queue.add m rest)
+      wire;
+    Queue.clear wire;
+    Queue.transfer rest wire;
+    run_ms engine 1
+  in
+  (wire, deliver_where)
+
+(* A commutative read ordered behind a write of its key must not reply
+   before that write is applied, even once its own slot is committed and
+   every earlier slot is known.  Protocol messages go through a captured
+   wire and are delivered by hand:
+
+   - node 0 puts key 5 at slot 0, and only node 1 gets the append;
+   - node 1 then reads key 5 at slot 1, and nodes 0 and 2 ack it;
+   - at node 1, slot 1 is committed and slot 0 known but not committed.
+
+   The read must wait there, then return the write once slot 0 commits.
+   A gate that let it through would answer from the empty store. *)
+let test_commutative_read_waits_for_earlier_write () =
+  let engine, _, t = mk () in
+  let wire, deliver_where = capture_wire engine t in
+  Mencius.submit t ~node:0 (put ~key:5 1) (fun _ -> ());
+  run_ms engine 1;
+  deliver_where (fun ~src ~dst -> src = 0 && dst = 1);
+  let read = ref None in
+  Mencius.submit t ~node:1 (Types.Get { key = 5 }) (fun r -> read := Some r.Types.value);
+  run_ms engine 1;
+  deliver_where (fun ~src ~dst -> src = 1 && (dst = 0 || dst = 2));
+  deliver_where (fun ~src ~dst -> dst = 1 && (src = 0 || src = 2));
+  Alcotest.(check int) "the read's slot is past the known frontier" 2
+    (Mencius.known_frontier t ~node:1);
+  Alcotest.(check int) "the write is not committed at the reader" 0
+    (Mencius.commit_frontier t ~node:1);
+  Alcotest.(check string) "the write is pending at the reader" "5=[0]"
+    (unapplied_writes t ~node:1);
+  Alcotest.(check (option (option int))) "the read waits" None !read;
+  while not (Queue.is_empty wire) do
+    deliver_where (fun ~src:_ ~dst:_ -> true)
+  done;
+  Alcotest.(check (option (option int))) "the read returns the write" (Some (Some 1)) !read
+
+(* A read held back by a write remembers that write, and must drop it
+   when the write is revoked, even while an earlier slot still holds the
+   applied prefix back.  At node 1, by hand-delivered messages:
+
+   - slot 0: node 0's write of key 7, never committed;
+   - slot 2: node 2's write of key 5, not committed;
+   - slot 6: node 1's read of key 5, committed;
+   - slot 11: node 1's own later write of key 5, so the key still has an
+     unapplied write once slot 2 is gone.
+
+   A revocation's skip of slot 2 must release the read, which answers
+   from the empty store. *)
+let test_read_released_when_its_write_is_revoked () =
+  let engine, _, t = mk () in
+  let _, deliver_where = capture_wire engine t in
+  Mencius.submit t ~node:0 (put ~key:7 1) (fun _ -> ());
+  run_ms engine 1;
+  deliver_where (fun ~src ~dst -> src = 0 && dst = 1);
+  Mencius.submit t ~node:2 (put ~key:5 2) (fun _ -> ());
+  run_ms engine 1;
+  deliver_where (fun ~src ~dst -> src = 2 && dst = 1);
+  let read = ref None in
+  Mencius.submit t ~node:1 (Types.Get { key = 5 }) (fun r -> read := Some r.Types.value);
+  run_ms engine 1;
+  for _ = 1 to 2 do
+    deliver_where (fun ~src ~dst -> src = 1 && dst <> 2);
+    deliver_where (fun ~src ~dst -> dst = 1 && src <> 2)
+  done;
+  Mencius.submit t ~node:1 (put ~key:5 3) (fun _ -> ());
+  run_ms engine 1;
+  Alcotest.(check string) "node 1's slots"
+    "0:V(w1)! 1:S 2:V(w2)! 3:S 4:S 5:S 6:G 7:U! 8:U! 9:U! 10:U! 11:V(w3)!"
+    (Mencius.dump_slots t ~node:1);
+  Alcotest.(check int) "the read's slot is known" 7 (Mencius.known_frontier t ~node:1);
+  Alcotest.(check (option (option int))) "the read waits" None !read;
+  Mencius.deliver t ~node:1 (Mencius.MSkipForce { inst = 2 });
+  run_ms engine 1;
+  Alcotest.(check int) "slot 0 still holds the prefix" 0
+    (Mencius.commit_frontier t ~node:1);
+  Alcotest.(check (option (option int))) "the read returns" (Some None) !read
+
+(* Crashes, restarts and a force-skipped write, with reads of the same
+   keys throughout: once every replica has caught up, none holds an
+   unapplied write. *)
+let test_unapplied_writes_drain_under_churn () =
+  let engine, net, t = mk () in
+  let fired = ref 0 in
+  let submit i node =
+    let key = 1 + (i mod 5) in
+    let op = if i mod 2 = 0 then Types.Get { key } else put ~key (3000 + i) in
+    Mencius.submit t ~node op (fun _ -> incr fired)
+  in
+  let wave first node_of =
+    for i = first to first + 19 do
+      submit i (node_of i)
+    done
+  in
+  wave 0 (fun i -> i mod 5);
+  run_ms engine 100;
+  Mencius.crash t ~node:3;
+  wave 20 (fun i -> if i mod 5 = 3 then 0 else i mod 5);
+  run_ms engine 5_000;
+  (* Node 4's write reaches nobody, so its slot is revoked into a skip;
+     node 4 holds it as an unapplied write until the heal. *)
+  Net.set_partition net (Some (fun a b -> a <> b && (a = 4 || b = 4)));
+  let revoked_fired = ref 0 in
+  Mencius.submit t ~node:4 (put ~key:9 4000) (fun _ -> incr revoked_fired);
+  wave 40 (fun i -> i mod 3);
+  run_ms engine 15_000;
+  Alcotest.(check bool) "the cut-off write is pending at its owner" true
+    (List.exists
+       (String.starts_with ~prefix:"9=")
+       (String.split_on_char ';' (unapplied_writes t ~node:4)));
+  Mencius.restart t ~node:3;
+  Net.set_partition net None;
+  wave 60 (fun i -> i mod 5);
+  run_ms engine 60_000;
+  Alcotest.(check int) "every other op completed" 80 !fired;
+  Alcotest.(check int) "the cut-off write was revoked" 0 !revoked_fired;
+  Alcotest.(check (option int)) "and never applied" None
+    (Mencius.applied_value t ~node:4 ~key:9);
+  let frontier = Mencius.commit_frontier t ~node:0 in
+  for node = 0 to 4 do
+    Alcotest.(check int) (Fmt.str "node %d caught up" node) frontier
+      (Mencius.commit_frontier t ~node);
+    Alcotest.(check string) (Fmt.str "node %d kw" node) "" (unapplied_writes t ~node)
+  done
+
 let prop_mencius_consistency =
   QCheck.Test.make ~name:"harness finds no stale reads (mencius)" ~count:4
     QCheck.(int_range 1 1000)
@@ -292,6 +438,10 @@ let () =
             (test_concurrent_ops_reply_once ~batch_size:1);
           Alcotest.test_case "200 concurrent ops reply once, batched" `Quick
             (test_concurrent_ops_reply_once ~batch_size:16);
+          Alcotest.test_case "commutative read waits for earlier write" `Quick
+            test_commutative_read_waits_for_earlier_write;
+          Alcotest.test_case "read released when its write is revoked" `Quick
+            test_read_released_when_its_write_is_revoked;
         ] );
       ( "failures",
         [
@@ -302,6 +452,8 @@ let () =
           Alcotest.test_case "duplicate acks count once" `Quick
             test_duplicate_acks_count_once;
           Alcotest.test_case "tally width" `Quick test_tally_width;
+          Alcotest.test_case "unapplied writes drain under churn" `Quick
+            test_unapplied_writes_drain_under_churn;
         ] );
       ( "consistency",
         List.map QCheck_alcotest.to_alcotest [ prop_mencius_consistency ] );

@@ -233,6 +233,72 @@ let test_pql_read_waits_for_conflicting_write () =
   Alcotest.(check (option int)) "read sees the new write" (Some 2) !read_value;
   Alcotest.(check bool) "read waited for the commit" true (!read_done_at > 35_000)
 
+(* The [kw:] section of a replica's dump: each key's last log write. *)
+let last_writes t ~node =
+  let dump = Raft.dump_state t ~node in
+  let section =
+    List.find (String.starts_with ~prefix:"kw:") (String.split_on_char '|' dump)
+  in
+  String.sub section 3 (String.length section - 3)
+
+(* Only quorum-lease reads consult the per-key last write, so Raft,
+   Raft* and Raft-LL never record one. *)
+let test_last_writes_only_under_pql () =
+  List.iter
+    (fun (name, config) ->
+      let engine, _, t = mk config in
+      for i = 1 to 6 do
+        Raft.submit t ~node:(i mod 5) (put ~key:i i) (fun _ -> ())
+      done;
+      Raft.submit t ~node:2 (Types.Get { key = 1 }) (fun _ -> ());
+      run_and_wait engine ~ms:3000;
+      for node = 0 to 4 do
+        Alcotest.(check (option int))
+          (Fmt.str "%s node %d applied" name node)
+          (Some 6)
+          (Raft.applied_value t ~node ~key:6);
+        Alcotest.(check string) (Fmt.str "%s node %d kw" name node) ""
+          (last_writes t ~node)
+      done)
+    [
+      ("raft", Raft.raft ~leader:0 ());
+      ("raft*", Raft.raft_star ~leader:0 ());
+      ("raft-ll", Raft.raft_ll ~leader:0 ());
+    ]
+
+(* Raft*-PQL records each write's log index at the leader, which appends
+   it, and at every follower, which accepts it; a local read at either
+   waits until that index commits. *)
+let test_pql_reads_wait_at_leader_and_follower () =
+  let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
+  Raft.submit t ~node:0 (put ~key:5 1) (fun _ -> ());
+  run_and_wait engine ~ms:2000;
+  let t0 = Engine.now engine in
+  let write_done_at = ref 0 in
+  Raft.submit t ~node:0 (put ~key:5 2) (fun _ ->
+      write_done_at := Engine.now engine - t0);
+  let reads = Array.make 2 (None, 0) in
+  (* the leader has appended the write by 10 ms, Ohio (node 1) by 30 ms *)
+  List.iteri
+    (fun i (node, delay) ->
+      Engine.schedule engine ~delay (fun () ->
+          Raft.submit t ~node (Types.Get { key = 5 }) (fun r ->
+              reads.(i) <- (r.Types.value, Engine.now engine - t0))))
+    [ (0, 10_000); (1, 30_000) ];
+  run_and_wait engine ~ms:3000;
+  Array.iteri
+    (fun node (value, at) ->
+      Alcotest.(check (option int)) (Fmt.str "node %d reads the write" node)
+        (Some 2) value;
+      Alcotest.(check bool)
+        (Fmt.str "node %d read (%dus) waited for the commit (%dus)" node at
+           !write_done_at)
+        true (at >= !write_done_at))
+    reads;
+  for node = 0 to 4 do
+    Alcotest.(check string) (Fmt.str "node %d kw" node) "5=2" (last_writes t ~node)
+  done
+
 let test_pql_write_waits_for_all_holders () =
   let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
   run_and_wait engine ~ms:1000;
@@ -369,6 +435,10 @@ let () =
           Alcotest.test_case "LL local at leader" `Quick test_ll_reads_local_at_leader_only;
           Alcotest.test_case "PQL local everywhere" `Quick test_pql_reads_local_everywhere;
           Alcotest.test_case "PQL read waits" `Quick test_pql_read_waits_for_conflicting_write;
+          Alcotest.test_case "PQL reads wait at leader and follower" `Quick
+            test_pql_reads_wait_at_leader_and_follower;
+          Alcotest.test_case "last writes only under PQL" `Quick
+            test_last_writes_only_under_pql;
           Alcotest.test_case "PQL write waits" `Quick test_pql_write_waits_for_all_holders;
           Alcotest.test_case "PQL lease expiry" `Quick test_pql_lease_expiry_unblocks_writes;
           Alcotest.test_case "PQL pending events bounded" `Quick
