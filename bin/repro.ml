@@ -120,9 +120,10 @@ let refine_cmd =
   Cmd.v
     (Cmd.info "refine"
        ~doc:
-         "Check a refinement mapping (raft=>paxos is expected to fail — the \
-          paper's negative result; deepen bounds to find the erase \
-          counterexample).")
+         "Check a refinement mapping (raft=>paxos, the paper's negative \
+          result, holds at the default instance and fails from --ballots 2, \
+          where a Raft leader keeps its own log and Paxos's BecomeLeader \
+          adopts its quorum's entries).")
     Term.(
       const run_refine $ which $ acceptors $ values $ ballots $ indexes
       $ max_states)

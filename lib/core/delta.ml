@@ -38,12 +38,6 @@ let modified ~base ?(reads = [])
     ?(guard = fun ~a_view:_ ~d_state:_ ~label:_ -> true) extra_update =
   Modified { base; clause = { reads; extra_guard = guard; extra_update } }
 
-let modified_bases t =
-  List.filter_map
-    (function Modified { base; _ } -> Some base | Added _ -> None)
-    t.items
-  |> List.sort_uniq String.compare
-
 let pp ppf t =
   let pp_item ppf = function
     | Added { name; descr; _ } ->

@@ -74,5 +74,4 @@ val modified :
   item
 (** [guard] defaults to always-enabled. *)
 
-val modified_bases : t -> string list
 val pp : Format.formatter -> t -> unit

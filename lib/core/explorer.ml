@@ -1,5 +1,3 @@
-module Smap = Map.Make (State)
-
 type step = { action : string; label : string; state : State.t }
 
 type stats = {
@@ -12,25 +10,21 @@ type stats = {
 type result =
   | Pass of stats
   | Violation of { invariant : string; trace : step list; stats : stats }
-  | Deadlock of { trace : step list; stats : stats }
 
 (* Predecessor map entry: how we first reached a state. *)
 type crumb = Root | Via of State.t * string * string
 
 let rebuild_trace crumbs last =
   let rec go acc s =
-    match Smap.find s crumbs with
+    match State.Map.find s crumbs with
     | Root -> { action = "Init"; label = ""; state = s } :: acc
     | Via (prev, action, label) -> go ({ action; label; state = s } :: acc) prev
   in
   go [] last
 
-let violated invariants s =
-  List.find_opt (fun (_, p) -> not (p s)) invariants
-
-let check ?(max_states = 1_000_000) ?(max_depth = max_int)
-    ?(check_deadlock = false) ~invariants (spec : Spec.t) =
-  let crumbs = ref Smap.empty in
+let search (type a) ?(max_states = 1_000_000) ~on_state ~on_transition
+    (spec : Spec.t) =
+  let crumbs = ref State.Map.empty in
   let queue = Queue.create () in
   let states = ref 0 in
   let transitions = ref 0 in
@@ -44,25 +38,16 @@ let check ?(max_states = 1_000_000) ?(max_depth = max_int)
       complete = !complete;
     }
   in
-  let exception Found of result in
+  let exception Stop of a in
+  let stop_on = function Some x -> raise (Stop x) | None -> () in
   let visit s crumb depth =
-    if not (Smap.mem s !crumbs) then begin
+    if not (State.Map.mem s !crumbs) then begin
       if !states >= max_states then complete := false
       else begin
-        crumbs := Smap.add s crumb !crumbs;
+        crumbs := State.Map.add s crumb !crumbs;
         incr states;
         if depth > !depth_reached then depth_reached := depth;
-        (match violated invariants s with
-        | Some (name, _) ->
-            raise
-              (Found
-                 (Violation
-                    {
-                      invariant = name;
-                      trace = rebuild_trace !crumbs s;
-                      stats = stats ();
-                    }))
-        | None -> ());
+        stop_on (on_state s ~trace:(fun () -> rebuild_trace !crumbs s));
         Queue.add (s, depth) queue
       end
     end
@@ -71,42 +56,60 @@ let check ?(max_states = 1_000_000) ?(max_depth = max_int)
     List.iter (fun s -> visit s Root 0) spec.init;
     while not (Queue.is_empty queue) do
       let s, depth = Queue.pop queue in
-      if depth >= max_depth then complete := false
-      else begin
-        let succs = Spec.successors spec s in
-        transitions := !transitions + List.length succs;
-        if check_deadlock && succs = [] then
-          raise
-            (Found (Deadlock { trace = rebuild_trace !crumbs s; stats = stats () }));
-        List.iter
-          (fun (action, label, s') ->
-            if not (Spec.well_formed_transition spec s') then
-              invalid_arg
-                (Fmt.str "Explorer: action %s of %s produced ill-formed state"
-                   action spec.name);
-            visit s' (Via (s, action, label)) (depth + 1))
-          succs
-      end
+      (* Applied once per state, so the callback can share work across
+         the state's transitions. *)
+      let obligation =
+        on_transition s ~trace:(fun () -> rebuild_trace !crumbs s)
+      in
+      List.iter
+        (fun ((action, label, s') as t) ->
+          if not (Spec.well_formed_transition spec s') then
+            invalid_arg
+              (Fmt.str "Explorer: action %s of %s produced ill-formed state"
+                 action spec.name);
+          incr transitions;
+          stop_on (obligation t);
+          visit s' (Via (s, action, label)) (depth + 1))
+        (Spec.successors spec s)
     done;
-    Pass (stats ())
-  with Found r -> r
+    (None, stats ())
+  with Stop x -> (Some x, stats ())
 
-let reachable ?(max_states = 1_000_000) ?(max_depth = max_int) (spec : Spec.t)
-    =
-  let acc = ref [] in
-  let record s =
-    acc := s :: !acc;
-    true
+let check ?max_states ~invariants spec =
+  let on_state s ~trace =
+    List.find_opt (fun (_, p) -> not (p s)) invariants
+    |> Option.map (fun (name, _) -> (name, trace ()))
   in
-  let result =
-    check ~max_states ~max_depth ~invariants:[ ("collect", record) ] spec
+  match
+    search ?max_states ~on_state ~on_transition:(fun _ ~trace:_ _ -> None) spec
+  with
+  | None, stats -> Pass stats
+  | Some (invariant, trace), stats -> Violation { invariant; trace; stats }
+
+let within (spec : Spec.t) ~max_hops start () =
+  let seen = ref (State.Set.singleton start) in
+  let queue = Queue.create () in
+  (* Successors are yielded as they are discovered, so a consumer that
+     stops at its first match never expands the states queued after it. *)
+  let rec expand () =
+    match Queue.take_opt queue with
+    | None -> Seq.Nil
+    | Some (s, rev_path, hops) ->
+        discover rev_path hops (Spec.successors spec s) ()
+  and discover rev_path hops succs () =
+    match succs with
+    | [] -> expand ()
+    | (action, _, s') :: rest ->
+        if State.Set.mem s' !seen then discover rev_path hops rest ()
+        else begin
+          seen := State.Set.add s' !seen;
+          let rev_path' = action :: rev_path in
+          if hops + 1 < max_hops then Queue.add (s', rev_path', hops + 1) queue;
+          Seq.Cons ((List.rev rev_path', s'), discover rev_path hops rest)
+        end
   in
-  let stats =
-    match result with
-    | Pass s -> s
-    | Violation { stats; _ } | Deadlock { stats; _ } -> stats
-  in
-  (List.rev !acc, stats)
+  if max_hops > 0 then Queue.add (start, [], 0) queue;
+  Seq.Cons (([], start), expand)
 
 let pp_step ppf { action; label; state } =
   if label = "" then Fmt.pf ppf "@[<v2>%s:@,%a@]" action State.pp state
@@ -124,5 +127,3 @@ let pp_result ppf = function
   | Violation { invariant; trace; stats } ->
       Fmt.pf ppf "@[<v>invariant %s violated (%a):@,%a@]" invariant pp_stats
         stats pp_trace trace
-  | Deadlock { trace; stats } ->
-      Fmt.pf ppf "@[<v>deadlock (%a):@,%a@]" pp_stats stats pp_trace trace

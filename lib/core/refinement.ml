@@ -1,5 +1,3 @@
-module Smap = Map.Make (State)
-
 type failure = {
   kind : [ `Init | `Transition ];
   b_state : State.t;
@@ -21,56 +19,14 @@ type report = {
 
 type result = Refines of report | Fails of failure * report
 
-type crumb = Root | Via of State.t * string * string
+let path_to a' =
+  Seq.find_map (fun (path, s) -> if State.equal s a' then Some path else None)
 
-let rebuild_trace crumbs last =
-  let rec go acc s =
-    match Smap.find s crumbs with
-    | Root -> { Explorer.action = "Init"; label = ""; state = s } :: acc
-    | Via (prev, action, label) ->
-        go ({ Explorer.action; label; state = s } :: acc) prev
-  in
-  go [] last
+let discharge ~high ~max_hops a a' = path_to a' (Explorer.within high ~max_hops a)
 
-module Sset = Set.Make (State)
-
-(* Which sequence of at most [max_hops] A actions (if any) drives
-   [a_state] to [a_state']?  Returns the action names of a shortest such
-   path.  [max_hops = 1] is the classic single-step obligation; larger
-   values implement the paper's batched-step stuttering (Appendix C). *)
-let implied_path (high : Spec.t) ~max_hops a_state a_state' =
-  let exception Hit of string list in
-  let visited = ref (Sset.singleton a_state) in
-  let frontier = Queue.create () in
-  Queue.add (a_state, []) frontier;
-  try
-    while not (Queue.is_empty frontier) do
-      let s, rev_path = Queue.pop frontier in
-      let hops = List.length rev_path in
-      if hops < max_hops then
-        List.iter
-          (fun (action, _, s') ->
-            if State.equal s' a_state' then raise (Hit (List.rev (action :: rev_path)));
-            if hops + 1 < max_hops && not (Sset.mem s' !visited) then begin
-              visited := Sset.add s' !visited;
-              Queue.add (s', action :: rev_path) frontier
-            end)
-          (Spec.successors high s)
-    done;
-    None
-  with Hit path -> Some path
-
-let discharge ~high ~max_hops a a' =
-  if State.equal a a' then Some [] else implied_path high ~max_hops a a'
-
-let check ?(max_states = 1_000_000) ?(max_depth = max_int) ?(max_hops = 1)
-    ~(low : Spec.t) ~(high : Spec.t) ~map () =
-  let crumbs = ref Smap.empty in
-  let queue = Queue.create () in
-  let states = ref 0 in
-  let transitions = ref 0 in
+let check ?max_states ?(max_hops = 1) ~(low : Spec.t) ~(high : Spec.t) ~map ()
+    =
   let stuttering = ref 0 in
-  let complete = ref true in
   let action_map : (string, (string, int) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -86,12 +42,12 @@ let check ?(max_states = 1_000_000) ?(max_depth = max_int) ?(max_hops = 1)
     Hashtbl.replace tbl a_action
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl a_action))
   in
-  let report () =
+  let report (stats : Explorer.stats) =
     {
-      checked_states = !states;
-      checked_transitions = !transitions;
+      checked_states = stats.states;
+      checked_transitions = stats.transitions;
       stuttering = !stuttering;
-      complete = !complete;
+      complete = stats.complete;
       action_map =
         Hashtbl.fold
           (fun b tbl acc ->
@@ -103,71 +59,59 @@ let check ?(max_states = 1_000_000) ?(max_depth = max_int) ?(max_hops = 1)
         |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     }
   in
-  let exception Failed of failure in
-  let visit s crumb =
-    if not (Smap.mem s !crumbs) then
-      if !states >= max_states then complete := false
-      else begin
-        crumbs := Smap.add s crumb !crumbs;
-        incr states;
-        Queue.add (s, 0) queue
-      end
-  in
-  let high_inits = high.init in
-  try
-    List.iter
-      (fun s ->
-        let a = map s in
-        if not (List.exists (State.equal a) high_inits) then
-          raise
-            (Failed
-               {
-                 kind = `Init;
-                 b_state = s;
-                 b_action = "";
-                 b_label = "";
-                 b_state' = s;
-                 a_state = a;
-                 a_state' = a;
-                 b_trace = [ { Explorer.action = "Init"; label = ""; state = s } ];
-               });
-        visit s Root)
-      low.init;
-    while not (Queue.is_empty queue) do
-      let s, depth = Queue.pop queue in
-      if depth >= max_depth then complete := false
-      else
+  let init_image_missing s = not (List.exists (State.equal (map s)) high.init) in
+  match List.find_opt init_image_missing low.init with
+  | Some s ->
+      let a = map s in
+      Fails
+        ( {
+            kind = `Init;
+            b_state = s;
+            b_action = "";
+            b_label = "";
+            b_state' = s;
+            a_state = a;
+            a_state' = a;
+            b_trace = [ { Explorer.action = "Init"; label = ""; state = s } ];
+          },
+          report { states = 0; transitions = 0; depth = 0; complete = true } )
+  | None -> (
+      (* The section 4.1 obligation on every low transition: its image is
+         a stutter or a run of at most [max_hops] high steps. *)
+      let on_transition s ~trace =
         let a_state = map s in
-        List.iter
-          (fun (b_action, b_label, s') ->
-            incr transitions;
-            let a_state' = map s' in
-            if State.equal a_state a_state' then begin
+        (* Every transition out of [s] searches from [f s]: share it. *)
+        let implied = Seq.memoize (Explorer.within high ~max_hops a_state) in
+        fun (b_action, b_label, s') ->
+          let a_state' = map s' in
+          match path_to a_state' implied with
+          | Some [] ->
               incr stuttering;
-              note_implication b_action "(stutter)"
-            end
-            else begin
-              match implied_path high ~max_hops a_state a_state' with
-              | Some path -> note_implication b_action (String.concat "+" path)
-              | None ->
-                  raise
-                    (Failed
-                       {
-                         kind = `Transition;
-                         b_state = s;
-                         b_action;
-                         b_label;
-                         b_state' = s';
-                         a_state;
-                         a_state';
-                         b_trace = rebuild_trace !crumbs s;
-                       })
-            end;
-            visit s' (Via (s, b_action, b_label)))
-          (Spec.successors low s)
-    done;
-    Refines (report ())
-  with Failed f -> Fails (f, report ())
+              note_implication b_action "(stutter)";
+              None
+          | Some path ->
+              note_implication b_action (String.concat "+" path);
+              None
+          | None ->
+              Some
+                {
+                  kind = `Transition;
+                  b_state = s;
+                  b_action;
+                  b_label;
+                  b_state' = s';
+                  a_state;
+                  a_state';
+                  b_trace = trace ();
+                }
+      in
+      match
+        Explorer.search ?max_states
+          ~on_state:(fun _ ~trace:_ -> None)
+          ~on_transition low
+      with
+      | None, stats -> Refines (report stats)
+      | Some f, stats -> Fails (f, report stats))
 
 let pp_report ppf r =
   let pp_entry ppf (b, als) =

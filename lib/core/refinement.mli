@@ -6,9 +6,9 @@
     ([f s = f s']) or to some transition [f s -> f s'] allowed by [A]'s
     next-state relation.
 
-    The checker explores [B]'s reachable state space (bounded) and
-    discharges each transition against [A] by enumerating [A]'s successors
-    of [f s].  This is exactly the obligation in the paper's Section 4.1:
+    The check is {!Explorer.search} over [B] with one obligation on each
+    transition, discharged against [A] by {!Explorer.within} from [f s].
+    This is exactly the obligation in the paper's Section 4.1:
     [b_i => a_j \/ f(Var'_B) = f(Var_B)].
 
     The paper's Appendix C additionally maps one batched Raft* step to a
@@ -48,17 +48,20 @@ val discharge :
 (** [discharge ~high ~max_hops a a'] asks whether the (already mapped)
     high-level transition [a -> a'] is allowed: returns the action names of
     a shortest path of at most [max_hops] high-level steps from [a] to
-    [a'], or [None].  [Some []] means a stuttering step.  Used by tests to
-    exhibit a single offending transition. *)
+    [a'], or [None].  [Some []] means a stuttering step.  This is the
+    per-transition obligation of {!check}; tests also use it to exhibit a
+    single offending transition. *)
 
 val check :
   ?max_states:int ->
-  ?max_depth:int ->
   ?max_hops:int ->
   low:Spec.t ->
   high:Spec.t ->
   map:(State.t -> State.t) ->
   unit ->
   result
+(** Explores [low] (default [max_states = 1_000_000]) and stops at the
+    first init state or transition that has no image in [high].  An
+    init failure comes with a one-step [b_trace] and an empty report. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -25,13 +25,3 @@ let run spec state picks =
   List.fold_left
     (fun s (action, label) -> step spec s ~action ~label)
     state picks
-
-let run_trace spec state picks =
-  let _, rev =
-    List.fold_left
-      (fun (s, acc) (action, label) ->
-        let s' = step spec s ~action ~label in
-        (s', (s, s') :: acc))
-      (state, []) picks
-  in
-  List.rev rev

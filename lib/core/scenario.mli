@@ -10,7 +10,3 @@ val step : Spec.t -> State.t -> action:string -> label:string -> State.t
 
 val run : Spec.t -> State.t -> (string * string) list -> State.t
 (** Folds {!step} over a list of [(action, label)] picks. *)
-
-val run_trace :
-  Spec.t -> State.t -> (string * string) list -> (State.t * State.t) list
-(** Like {!run} but returns every [(pre, post)] transition, in order. *)

@@ -42,14 +42,11 @@ let pp ppf s =
   let pp_binding ppf (name, v) = Fmt.pf ppf "@[<h>%s = %a@]" name Value.pp v in
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_binding) (Smap.bindings s)
 
-let pp_diff ppf (s, s') =
-  let changed =
-    List.filter
-      (fun (name, v') ->
-        match Smap.find_opt name s with
-        | Some v -> not (Value.equal v v')
-        | None -> true)
-      (Smap.bindings s')
-  in
-  let pp_binding ppf (name, v) = Fmt.pf ppf "@[<h>%s := %a@]" name Value.pp v in
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_binding) changed
+module Ordered = struct
+  type nonrec t = t
+
+  let compare = compare
+end
+
+module Set = Stdlib.Set.Make (Ordered)
+module Map = Stdlib.Map.Make (Ordered)

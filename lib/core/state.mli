@@ -31,5 +31,6 @@ val unchanged : t -> t -> string list -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_diff : Format.formatter -> t * t -> unit
-(** Prints only the variables whose value changed between the two states. *)
+
+module Set : Set.S with type elt = t
+module Map : Map.S with type key = t

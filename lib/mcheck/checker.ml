@@ -1,5 +1,3 @@
-module Trace = Raftpax_nemesis.Trace
-
 type violation = {
   v_schedule : Model.choice list;
   v_reason : string;
@@ -46,23 +44,6 @@ let narrate sc schedule =
       | None -> ())
     schedule;
   List.rev !lines
-
-let to_trace sc schedule =
-  let t = Trace.create () in
-  let w = Model.build sc in
-  List.iter
-    (fun c ->
-      let what = Model.describe w c in
-      Model.apply w c;
-      Trace.record t ~now:(Raftpax_sim.Engine.now (Model.engine w))
-        (Printf.sprintf "SCHED %s %s" (Model.render_choice c) what))
-    schedule;
-  (match Model.violation w with
-  | Some v ->
-      Trace.record t ~now:(Raftpax_sim.Engine.now (Model.engine w))
-        (Printf.sprintf "INVARIANT %s" v)
-  | None -> ());
-  t
 
 (* The scripted prefix: run the scenario's policy to quiescence once,
    recording its choices.  Exploration budgets start counting after it,

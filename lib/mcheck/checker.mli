@@ -36,9 +36,6 @@ val ok : result -> bool
 
 val check : ?max_states:int -> ?max_depth:int -> Model.scenario -> result
 
-val compute_prefix : Model.scenario -> Model.choice list
-(** The scenario's scripted policy prefix, recorded once. *)
-
 val replay :
   Model.scenario -> Model.choice list -> Model.choice list -> Model.t
 (** [replay sc prefix rev_suffix]: fresh world with [prefix] then
@@ -47,10 +44,5 @@ val replay :
 val narrate : Model.scenario -> Model.choice list -> string list
 (** Re-execute a schedule on a fresh world, one descriptive line per
     choice plus any safety failure it surfaces. *)
-
-val to_trace : Model.scenario -> Model.choice list -> Raftpax_nemesis.Trace.t
-(** The same replay as a nemesis trace ([SCHED] lines, final
-    [INVARIANT] line on failure) — the format the fault-injection
-    tooling already knows how to diff and fingerprint. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -99,12 +99,6 @@ let runtime_core cfg w =
 
 (* ---- spec-side search ---- *)
 
-module SSet = Set.Make (struct
-  type t = State.t
-
-  let compare = State.compare
-end)
-
 let state_key s =
   String.concat "|"
     (List.map (fun (v, x) -> v ^ "=" ^ V.to_string x) (State.to_list s))
@@ -118,27 +112,16 @@ let reach_matching spec cfg ~memo ~touched ~max_hops ~core from =
   match Hashtbl.find_opt memo key with
   | Some r -> r
   | None ->
-      let visited = Hashtbl.create 64 in
-      let matches = ref SSet.empty in
-      let frontier = Queue.create () in
-      Hashtbl.replace visited (state_key from) ();
-      Queue.push (from, 0) frontier;
-      while not (Queue.is_empty frontier) do
-        let s, d = Queue.pop frontier in
-        incr touched;
-        if core_of_state cfg s = core then matches := SSet.add s !matches;
-        if d < max_hops then
-          List.iter
-            (fun (_, _, s') ->
-              let k = state_key s' in
-              if not (Hashtbl.mem visited k) then begin
-                Hashtbl.replace visited k ();
-                Queue.push (s', d + 1) frontier
-              end)
-            (Spec.successors spec s)
-      done;
-      Hashtbl.replace memo key !matches;
-      !matches
+      let matches =
+        Seq.fold_left
+          (fun acc (_, s) ->
+            incr touched;
+            if core_of_state cfg s = core then State.Set.add s acc else acc)
+          State.Set.empty
+          (Core.Explorer.within spec ~max_hops from)
+      in
+      Hashtbl.replace memo key matches;
+      matches
 
 (* ---- bootstrap ---- *)
 
@@ -159,21 +142,6 @@ let bootstrap_steps =
     ("Propose", "a=0,i=0,v=1");
     ("Accept", "a=0,i=0,b=1,v=1");
   ]
-
-let bootstrap spec init =
-  List.fold_left
-    (fun s (action, label) ->
-      match
-        List.find_opt
-          (fun (a, l, _) -> a = action && l = label)
-          (Spec.successors spec s)
-      with
-      | Some (_, _, s') -> s'
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Refine: bootstrap step %s(%s) not enabled" action
-               label))
-    init bootstrap_steps
 
 (* ---- the product exploration ---- *)
 
@@ -196,7 +164,7 @@ let check ?(max_hops = 4) ?(max_states = 20_000) () =
   let failure = ref None in
   let w0 = Model.build sc in
   let core0 = runtime_core cfg w0 in
-  let s0 = bootstrap spec (List.hd spec.Spec.init) in
+  let s0 = Core.Scenario.run spec (List.hd spec.Spec.init) bootstrap_steps in
   if core_of_state cfg s0 <> core0 then
     invalid_arg
       (Printf.sprintf
@@ -206,46 +174,41 @@ let check ?(max_hops = 4) ?(max_states = 20_000) () =
      there.  Candidate sets from different paths to the same runtime
      state must NOT be unioned (the simulation is per-path); instead a
      new set is skipped only when some explored set subsumes it. *)
-  let visited : (string, SSet.t list) Hashtbl.t = Hashtbl.create 256 in
+  let visited : (string, State.Set.t list) Hashtbl.t = Hashtbl.create 256 in
   let subsumed fp cands =
     match Hashtbl.find_opt visited fp with
     | None -> false
-    | Some sets -> List.exists (fun s -> SSet.subset cands s) sets
+    | Some sets -> List.exists (fun s -> State.Set.subset cands s) sets
   in
   let remember fp cands =
     let sets = Option.value ~default:[] (Hashtbl.find_opt visited fp) in
     Hashtbl.replace visited fp (cands :: sets)
   in
-  let replay rev_suffix =
-    let w = Model.build sc in
-    List.iter (Model.apply w) (List.rev rev_suffix);
-    w
-  in
   let frontier = Queue.create () in
-  remember (Model.fingerprint w0) (SSet.singleton s0);
+  remember (Model.fingerprint w0) (State.Set.singleton s0);
   incr states;
-  Queue.push ([], SSet.singleton s0) frontier;
+  Queue.push ([], State.Set.singleton s0) frontier;
   while !failure = None && not (Queue.is_empty frontier) && !states < max_states
   do
     let rev_suffix, cands = Queue.pop frontier in
-    let w = replay rev_suffix in
+    let w = Checker.replay sc [] rev_suffix in
     let cs = Model.choices w in
     List.iter
       (fun c ->
         if !failure = None then begin
-          let w' = replay rev_suffix in
+          let w' = Checker.replay sc [] rev_suffix in
           Model.apply w' c;
           incr checked;
           let core' = runtime_core cfg w' in
           let cands' =
-            SSet.fold
+            State.Set.fold
               (fun s acc ->
-                SSet.union acc
+                State.Set.union acc
                   (reach_matching spec cfg ~memo ~touched ~max_hops ~core:core'
                      s))
-              cands SSet.empty
+              cands State.Set.empty
           in
-          if SSet.is_empty cands' then
+          if State.Set.is_empty cands' then
             failure :=
               Some
                 {

@@ -174,6 +174,69 @@ let test_vanilla_erase_has_no_counterpart () =
       Alcotest.failf "erase step unexpectedly discharged via %s"
         (String.concat "+" path)
 
+(* Once a second ballot exists, the full check finds a vanilla Raft
+   transition with no MultiPaxos counterpart: a Raft leader keeps its own
+   log, where Paxos's BecomeLeader adopts the highest-ballot entries its
+   quorum reported.  The reported trace must be a real run of the low
+   spec that ends at the failing state. *)
+let test_vanilla_counterexample_trace () =
+  let cfg = { C.acceptors = 3; values = 1; max_ballot = 2; max_index = 0 } in
+  let low = Spec_raft_vanilla.spec cfg in
+  match
+    Refinement.check ~max_hops:4 ~low ~high:(Spec_multipaxos.spec cfg)
+      ~map:(Spec_raft_vanilla.to_paxos cfg) ()
+  with
+  | Refinement.Refines _ -> Alcotest.fail "vanilla Raft should not refine MultiPaxos"
+  | Refinement.Fails (f, _) ->
+      Alcotest.(check bool) "a transition failure" true (f.kind = `Transition);
+      Alcotest.(check int) "trace length" 13 (List.length f.b_trace);
+      (match f.b_trace with
+      | first :: _ ->
+          Alcotest.(check string) "opens with Init" "Init" first.Explorer.action;
+          Alcotest.(check bool) "at a low init state" true
+            (List.exists (State.equal first.Explorer.state) low.Spec.init)
+      | [] -> Alcotest.fail "empty trace");
+      let is_step (prev : Explorer.step) (next : Explorer.step) =
+        List.exists
+          (fun (action, label, s') ->
+            action = next.action && label = next.label
+            && State.equal s' next.state)
+          (Spec.successors low prev.state)
+      in
+      let rec check_steps = function
+        | prev :: (next :: _ as rest) ->
+            if not (is_step prev next) then
+              Alcotest.failf "%s(%s) is not a low step" next.action next.label;
+            check_steps rest
+        | [ last ] ->
+            Alcotest.(check bool) "ends at b_state" true
+              (State.equal last.Explorer.state f.b_state)
+        | [] -> ()
+      in
+      check_steps f.b_trace;
+      Alcotest.(check bool) "the failing transition is a low step" true
+        (is_step
+           { action = "Init"; label = ""; state = f.b_state }
+           { action = f.b_action; label = f.b_label; state = f.b_state' })
+
+let test_init_failure () =
+  (* a map that moves the low init off every high init state *)
+  let map s =
+    State.set (Example_kv.log_to_kv s) "output" (V.set [ V.int Example_kv.values ])
+  in
+  match
+    Refinement.check ~low:Example_kv.log_store ~high:Example_kv.kv_store ~map ()
+  with
+  | Refinement.Refines _ -> Alcotest.fail "init image outside the high init accepted"
+  | Refinement.Fails (f, _) ->
+      Alcotest.(check bool) "an init failure" true (f.kind = `Init);
+      Alcotest.(check string) "no action" "" f.b_action;
+      Alcotest.(check int) "one-step trace" 1 (List.length f.b_trace);
+      Alcotest.(check bool) "the trace is the low init" true
+        (List.exists
+           (State.equal (List.hd f.b_trace).Explorer.state)
+           Example_kv.log_store.Spec.init)
+
 let test_vanilla_keeps_log_matching () =
   (* The same scenario does not break vanilla Raft's own invariant. *)
   let cfg = erase_scenario_cfg in
@@ -192,6 +255,7 @@ let () =
           Alcotest.test_case "log refines kv" `Quick test_log_refines_kv;
           Alcotest.test_case "broken map rejected" `Quick test_broken_mapping_rejected;
           Alcotest.test_case "reverse direction fails" `Quick test_kv_does_not_refine_log;
+          Alcotest.test_case "init image checked" `Quick test_init_failure;
         ] );
       ( "multi-hop",
         [
@@ -209,5 +273,7 @@ let () =
             test_vanilla_erase_has_no_counterpart;
           Alcotest.test_case "log matching survives" `Quick
             test_vanilla_keeps_log_matching;
+          Alcotest.test_case "counterexample trace" `Slow
+            test_vanilla_counterexample_trace;
         ] );
     ]
