@@ -349,11 +349,12 @@ let run cfg =
   }
 
 let pp_report ppf r =
-  Fmt.pf ppf "%-13s seed=%-6d %s: %d ops, %d reads checked, %d faults"
+  Fmt.pf ppf "%-13s seed=%-6d %s: %d ops, %d reads checked, %d faults fp=%s"
     (Cluster.protocol_name r.cfg.protocol)
     r.cfg.seed
     (if r.ok then "ok" else "FAIL")
-    r.ops_completed r.reads_checked r.faults_injected;
+    r.ops_completed r.reads_checked r.faults_injected
+    (Trace.fingerprint r.trace);
   if not r.ok then begin
     Fmt.pf ppf "@.";
     List.iter (fun f -> Fmt.pf ppf "  %s@." f) r.failures;

@@ -77,4 +77,5 @@ type report = {
 val run : config -> report
 
 val pp_report : Format.formatter -> report -> unit
-(** One summary line; on failure also the reasons and the trace tail. *)
+(** One summary line, ending in the run's {!Trace.fingerprint}; on
+    failure also the reasons and the trace tail. *)
