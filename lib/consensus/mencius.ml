@@ -103,21 +103,14 @@ let make_probes m ~node =
 
 type server = {
   id : int;
-  slots : slot Vec.t;
-  committed : bool Vec.t;
+  log : slot Log.t;
+      (** per slot: its value, the committed flag, the tally of peers that
+          acked our append to it, and as its ballot whether we answered
+          its revocation poll ({!promised}) *)
   mutable next_own : int;
   mutable known_frontier : int;  (** all slots < this are Value or Skip *)
   mutable commit_frontier : int;  (** all slots < this are committed *)
-  acks : int Vec.t;
-      (** per slot, the tally of peers that acked our append to it (see
-          {!Replica.no_tally}); grown with [slots] *)
   revocations : (int, revocation) Hashtbl.t;
-  promised : bool Vec.t;
-      (** per slot, whether we answered its revocation poll: the poll is
-          a Paxos phase 1, so afterwards the owner's own (ballot-0)
-          append must be refused or the revocation's decision could lose
-          the race; grown only up to the last slot polled, so a run
-          without revocations keeps it empty *)
   mutable unapplied_writes : int array;
       (** per bucket of keys ({!write_bucket}), the number of slots at or
           past [applied] that hold a write of a key in the bucket: a
@@ -181,18 +174,16 @@ let msg_size t = function
 
 (* ---- slot bookkeeping ---- *)
 
-let ensure srv inst =
-  while Vec.length srv.slots <= inst do
-    Vec.push srv.slots Unknown;
-    Vec.push srv.committed false;
-    Vec.push srv.acks Replica.no_tally
-  done
+(* A revocation poll is a Paxos phase 1 at this ballot, which outranks
+   the owner's own ballot-0 append: a slot whose poll we answered holds
+   it, and the owner's append to it must be refused or the revocation's
+   decision could lose the race.  Only a poll writes the ballot column,
+   so a run without revocations never allocates it. *)
+let revoke_ballot = 1
+let promised srv inst = Log.ballot srv.log inst >= revoke_ballot
 
-let slot srv inst =
-  if inst < Vec.length srv.slots then Vec.get srv.slots inst else Unknown
-
-let is_committed srv inst =
-  inst < Vec.length srv.committed && Vec.get srv.committed inst
+let held_cmd srv inst =
+  match Log.get srv.log inst with Value c -> Some c | Unknown | Skip -> None
 
 (* [unapplied_writes] is a counting filter over 2^10 buckets, indexed by
    a Fibonacci hash of the key.  Invariant: a bucket counts exactly the
@@ -218,14 +209,14 @@ let count_write srv inst s delta =
 (* Overwrite slot [inst], keeping the write counts.  Every write of a slot
    goes through here. *)
 let set_slot srv inst s =
-  count_write srv inst (Vec.get srv.slots inst) (-1);
-  Vec.set srv.slots inst s;
+  count_write srv inst (Log.get srv.log inst) (-1);
+  Log.set srv.log inst s;
   count_write srv inst s 1
 
 let set_value srv inst cmd = set_slot srv inst (Value cmd)
 
 let holds_write srv ~key inst =
-  match Vec.get srv.slots inst with
+  match Log.get srv.log inst with
   | Value { op = Types.Put { key = k; _ }; _ } -> k = key
   | Value { op = Types.Get _; _ } | Skip | Unknown -> false
 
@@ -267,8 +258,8 @@ let rec last_turn acc = function
 let rec mark_committed srv = function
   | [] -> ()
   | inst :: rest ->
-      ensure srv inst;
-      Vec.set srv.committed inst true;
+      Log.ensure srv.log inst;
+      Log.choose srv.log inst;
       mark_committed srv rest
 
 let conflicting (cmd : Types.cmd) = Types.key_of cmd.op = hot_key
@@ -326,7 +317,7 @@ let evict_waiting q inst =
 (* A revocation's final decision: slot [inst] is a committed skip. *)
 let force_skip srv inst =
   set_slot srv inst Skip;
-  Vec.set srv.committed inst true;
+  Log.choose srv.log inst;
   evict_waiting srv.waiting inst
 
 (* Whether the op waiting as entry [i] of [srv.waiting], on slot [inst],
@@ -335,7 +326,7 @@ let force_skip srv inst =
 let entry_ready srv i inst (cmd : Types.cmd) =
   if conflicting cmd then srv.commit_frontier > inst
   else
-    is_committed srv inst
+    Log.chosen srv.log inst
     && srv.known_frontier > inst
     &&
     match cmd.op with
@@ -388,28 +379,24 @@ let render_msg ?(rename = Fun.id) = function
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
-let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* ---- frontiers, application, replies ---- *)
 
 let rec advance_frontiers t srv =
-  let len = Vec.length srv.slots in
-  while
-    srv.known_frontier < len && slot srv srv.known_frontier <> Unknown
-  do
+  let log = srv.log in
+  while Log.get log srv.known_frontier <> Unknown do
     srv.known_frontier <- srv.known_frontier + 1
   done;
   while
-    srv.commit_frontier < len
-    && is_committed srv srv.commit_frontier
-    && slot srv srv.commit_frontier <> Unknown
+    Log.chosen log srv.commit_frontier
+    && Log.get log srv.commit_frontier <> Unknown
   do
     Metrics.inc srv.node.commits;
     srv.commit_frontier <- srv.commit_frontier + 1
   done;
   (* Apply in slot order as the committed prefix grows. *)
   while srv.applied < srv.commit_frontier do
-    let s = slot srv srv.applied in
+    let s = Log.get srv.log srv.applied in
     (match s with
     | Value { op = Put { key; write_id; _ }; _ } ->
         Replica.apply srv.node ~key write_id
@@ -436,21 +423,11 @@ and[@perf.hot] try_reply t srv =
     let keep = ref !stop in
     for i = !stop - 1 downto q.head do
       let inst = q.w_inst.(i) and cmd = q.w_cmd.(i) in
-      if entry_ready srv i inst cmd then begin
-        Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id
-          ~phase:"quorum_commit" ~now:(Engine.now t.engine);
-        let value =
-          match cmd.op with
-          | Types.Get { key } ->
-              (* Reads ordered at their slot: contended reads applied in
-                 slot order see the applied store; commutative reads see
-                 their key's applied state, untouched by concurrent
-                 ops. *)
-              Replica.read srv.node ~key
-          | Types.Put _ -> None
-        in
-        complete_at_origin t srv cmd { Types.value }
-      end
+      if entry_ready srv i inst cmd then
+        (* Reads ordered at their slot: contended reads applied in slot
+           order see the applied store; commutative reads see their key's
+           applied state, untouched by concurrent ops. *)
+        Replica.answer t.base srv.node cmd
       else begin
         decr keep;
         if !keep <> i then begin
@@ -472,7 +449,7 @@ and[@perf.hot] try_reply t srv =
    ever claims turns at or past its own monotone proposal frontier, so
    the claim cannot cover a slot it actually used. *)
 and apply_skips t srv ~who ~start ~upto =
-  ensure srv upto;
+  Log.ensure srv.log upto;
   let changed = ref false in
   let first_turn =
     (* smallest slot ≥ start owned by [who] *)
@@ -482,9 +459,9 @@ and apply_skips t srv ~who ~start ~upto =
   in
   let inst = ref first_turn in
   while !inst < upto do
-    if slot srv !inst = Unknown then begin
+    if Log.get srv.log !inst = Unknown then begin
       set_slot srv !inst Skip;
-      Vec.set srv.committed !inst true;
+      Log.choose srv.log !inst;
       Metrics.inc srv.pr.pr_slots_skipped;
       changed := true
     end;
@@ -536,7 +513,7 @@ and handle t srv msg =
               advance_frontiers t srv
             end)
     | MAck { from; insts } -> (
-        match tally_acks t srv from insts with
+        match Log.tally srv.log ~majority:(majority t) ~from insts with
         | [] -> ()
         | newly ->
             (* One commit broadcast and one frontier walk per ack. *)
@@ -551,15 +528,10 @@ and handle t srv msg =
         mark_committed srv insts;
         advance_frontiers t srv
     | MRevoke { from; inst } ->
-        ensure srv inst;
-        while Vec.length srv.promised <= inst do
-          Vec.push srv.promised false
-        done;
-        Vec.set srv.promised inst true;
-        let value =
-          match slot srv inst with Value cmd -> Some cmd | Unknown | Skip -> None
-        in
-        send t ~src:srv.id ~dst:from (MRevStatus { from = srv.id; inst; value })
+        Log.ensure srv.log inst;
+        Log.set_ballot srv.log inst revoke_ballot;
+        send t ~src:srv.id ~dst:from
+          (MRevStatus { from = srv.id; inst; value = held_cmd srv inst })
     | MRevStatus { from; inst; value } -> (
         match Hashtbl.find_opt srv.revocations inst with
         | None -> ()
@@ -582,9 +554,9 @@ and handle t srv msg =
                   Metrics.inc srv.pr.pr_revocations_value;
                   Span.mark t.spans ~trace:(revoke_trace inst) ~node:srv.id
                     ~phase:"revoke_value" ~now:(Engine.now t.engine);
-                  ensure srv inst;
-                  if slot srv inst = Unknown then set_value srv inst cmd;
-                  Vec.set srv.acks inst 0;
+                  Log.ensure srv.log inst;
+                  if Log.get srv.log inst = Unknown then set_value srv inst cmd;
+                  Log.open_tally srv.log inst;
                   Metrics.add srv.pr.pr_appends (t.n - 1);
                   broadcast t srv
                     (MAppend { from = srv.id; items = [ (inst, cmd) ] });
@@ -603,7 +575,7 @@ and handle t srv msg =
                   advance_frontiers t srv
             end)
     | MSkipForce { inst } ->
-        ensure srv inst;
+        Log.ensure srv.log inst;
         (* The revocation's decision is final (see MRevStatus): even a
            slot we hold as Value becomes a skip — the promise quorum
            proves that value never reached a majority. *)
@@ -611,39 +583,35 @@ and handle t srv msg =
         advance_frontiers t srv
     | MCatchup { from } ->
         let slots = ref [] in
-        Vec.iteri
+        Log.iteri
           (fun inst s ->
+            let committed = Log.chosen srv.log inst in
             match s with
             | Unknown -> ()
-            | Skip -> slots := (inst, true, None, is_committed srv inst) :: !slots
-            | Value cmd ->
-                slots := (inst, false, Some cmd, is_committed srv inst) :: !slots)
-          srv.slots;
+            | Skip -> slots := (inst, true, None, committed) :: !slots
+            | Value cmd -> slots := (inst, false, Some cmd, committed) :: !slots)
+          srv.log;
         send t ~src:srv.id ~dst:from (MState { slots = !slots })
     | MState { slots } ->
         List.iter
           (fun (inst, is_skip, cmd, committed) ->
-            ensure srv inst;
-            (match (slot srv inst, is_skip, cmd) with
+            Log.ensure srv.log inst;
+            let committed_here = Log.chosen srv.log inst in
+            (match (Log.get srv.log inst, is_skip, cmd) with
             | Unknown, true, _ -> set_slot srv inst Skip
             | Unknown, false, Some cmd -> set_value srv inst cmd
             (* A committed snapshot slot overrides a local undecided one:
                we missed the deciding broadcast (force-skip or append). *)
-            | Value _, true, _ when committed && not (is_committed srv inst)
-              ->
+            | Value _, true, _ when committed && not committed_here ->
                 force_skip srv inst
-            | Skip, false, Some cmd when committed && not (is_committed srv inst)
-              ->
+            | Skip, false, Some cmd when committed && not committed_here ->
                 set_value srv inst cmd
             | (Unknown | Value _ | Skip), _, _ -> ());
-            if committed then Vec.set srv.committed inst true)
+            if committed then Log.choose srv.log inst)
           slots;
         (* Our own unused turns inside the transferred region are dead:
            skip them and restart proposing after the region. *)
-        while
-          srv.next_own < Vec.length srv.slots
-          && slot srv srv.next_own <> Unknown
-        do
+        while Log.get srv.log srv.next_own <> Unknown do
           srv.next_own <- srv.next_own + t.n
         done;
         advance_frontiers t srv;
@@ -660,40 +628,15 @@ and handle t srv msg =
 and hold_appends t srv from = function
   | [] -> []
   | (inst, (cmd : Types.cmd)) :: rest -> (
-      ensure srv inst;
-      let refused =
-        from = owner t inst
-        && inst < Vec.length srv.promised
-        && Vec.get srv.promised inst
-      in
-      (match slot srv inst with
+      Log.ensure srv.log inst;
+      let refused = from = owner t inst && promised srv inst in
+      (match Log.get srv.log inst with
       | Unknown when not refused -> set_value srv inst cmd
       | Unknown | Value _ | Skip -> ());
-      match slot srv inst with
+      match Log.get srv.log inst with
       | Value held when held.Types.id = cmd.Types.id ->
           inst :: hold_appends t srv from rest
       | Unknown | Value _ | Skip -> hold_appends t srv from rest)
-
-(* Count [from]'s ack of each own turn and commit those reaching a
-   majority; the newly committed turns, in ack order. *)
-and tally_acks t srv from = function
-  | [] -> []
-  | inst :: rest when inst >= Vec.length srv.acks ->
-      (* a slot past the log's end has no tally *)
-      tally_acks t srv from rest
-  | inst :: rest ->
-      let acks = Vec.get srv.acks inst in
-      if acks = Replica.no_tally then tally_acks t srv from rest
-      else begin
-        let acks = acks lor (1 lsl from) in
-        Vec.set srv.acks inst acks;
-        if Replica.popcount acks + 1 >= majority t && not (is_committed srv inst)
-        then begin
-          Vec.set srv.committed inst true;
-          inst :: tally_acks t srv from rest
-        end
-        else tally_acks t srv from rest
-      end
 
 (* Frontier watchdog: if the committed prefix stalls on a dead replica's
    slot, the lowest live replica revokes it with no-ops. *)
@@ -705,19 +648,19 @@ and watchdog t srv =
         if
           (not srv.down)
           && srv.commit_frontier = stuck
-          && stuck < Vec.length srv.slots
+          && stuck < Log.length srv.log
         then begin
           (* A stall usually means we missed a broadcast (append, skip or
              commit) while down or cut off: ask the peers first. *)
           Metrics.inc srv.pr.pr_catchups;
           broadcast t srv (MCatchup { from = srv.id });
-          (match slot srv stuck with
-          | Value cmd when owner t stuck = srv.id && not (is_committed srv stuck)
+          (match Log.get srv.log stuck with
+          | Value cmd when owner t stuck = srv.id && not (Log.chosen srv.log stuck)
             ->
               (* Our own append lost its acks in transit: retransmit.
                  [MAck] replies dedupe through the per-peer tally. *)
-              if Vec.get srv.acks stuck = Replica.no_tally then
-                Vec.set srv.acks stuck 0;
+              if Log.acks srv.log stuck = Log.no_tally then
+                Log.open_tally srv.log stuck;
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_appends (t.n - 1);
               broadcast t srv
@@ -732,10 +675,7 @@ and watchdog t srv =
               Hashtbl.replace srv.revocations stuck
                 {
                   seen = Array.make t.n false;
-                  found =
-                    (match slot srv stuck with
-                     | Value c -> Some c
-                     | Unknown | Skip -> None);
+                  found = held_cmd srv stuck;
                 }
             end;
             (* Re-broadcast even when a poll is already pending: the earlier
@@ -762,16 +702,15 @@ and hold_own_slot t srv (cmd : Types.cmd) =
      to the first turn nobody has touched. *)
   if not t.config.bug_slot_reuse then
     while
-      srv.next_own < Vec.length srv.slots
-      && (slot srv srv.next_own <> Unknown || is_committed srv srv.next_own)
+      Log.get srv.log srv.next_own <> Unknown || Log.chosen srv.log srv.next_own
     do
       srv.next_own <- srv.next_own + t.n
     done;
   let inst = srv.next_own in
   srv.next_own <- inst + t.n;
-  ensure srv inst;
+  Log.ensure srv.log inst;
   set_value srv inst cmd;
-  Vec.set srv.acks inst 0;
+  Log.open_tally srv.log inst;
   push_waiting srv.waiting inst cmd;
   Span.mark t.spans ~trace:cmd.Types.id ~node:srv.id ~phase:"append"
     ~now:(Engine.now t.engine);
@@ -786,7 +725,7 @@ and flush_appends t srv =
   Metrics.add srv.pr.pr_appends (t.n - 1);
   broadcast t srv (MAppend { from = srv.id; items });
   if t.n = 1 then
-    List.iter (fun (inst, _) -> Vec.set srv.committed inst true) items;
+    List.iter (fun (inst, _) -> Log.choose srv.log inst) items;
   advance_frontiers t srv
 
 let submit_cmd t srv (cmd : Types.cmd) =
@@ -800,20 +739,17 @@ let submit_cmd t srv (cmd : Types.cmd) =
 let create ?(telemetry = Telemetry.disabled) config net =
   let engine = Net.engine net in
   let n = Net.size net in
-  Replica.check_tally_width ~who:"Mencius.create" n;
+  Log.check_tally_width ~who:"Mencius.create" n;
   let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
         {
           id;
-          slots = Vec.create ();
-          committed = Vec.create ();
+          log = Log.create Unknown;
           next_own = id;
           known_frontier = 0;
           commit_frontier = 0;
-          acks = Vec.create ();
           revocations = Hashtbl.create 8;
-          promised = Vec.create ();
           unapplied_writes = [||];
           applied = 0;
           waiting =
@@ -859,24 +795,24 @@ let committed_ops t ~node =
   let srv = t.servers.(node) in
   List.filter_map
     (fun i ->
-      match slot srv i with
+      match Log.get srv.log i with
       | Value cmd -> Some cmd.Types.op
       | Skip | Unknown -> None)
     (List.init srv.commit_frontier Fun.id)
 let known_frontier t ~node = t.servers.(node).known_frontier
 let applied_value t ~node ~key = Replica.applied_value t.base ~node ~key
-let slot_count t ~node = Vec.length t.servers.(node).slots
+let slot_count t ~node = Log.length t.servers.(node).log
 
 let skipped_count t ~node =
   let srv = t.servers.(node) in
   let c = ref 0 in
-  Vec.iteri (fun _ s -> if s = Skip then incr c) srv.slots;
+  Log.iteri (fun _ s -> if s = Skip then incr c) srv.log;
   !c
 
 let dump_slots t ~node =
   let srv = t.servers.(node) in
   let buf = Buffer.create 256 in
-  Vec.iteri
+  Log.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char buf ' ';
       Buffer.add_string buf (string_of_int i);
@@ -887,8 +823,8 @@ let dump_slots t ~node =
       | Value { op = Types.Get _; _ } -> Buffer.add_string buf "G"
       | Skip -> Buffer.add_string buf "S"
       | Unknown -> Buffer.add_string buf "U");
-      if not (is_committed srv i) then Buffer.add_char buf '!')
-    srv.slots;
+      if not (Log.chosen srv.log i) then Buffer.add_char buf '!')
+    srv.log;
   Buffer.contents buf
 
 (* ---- model-checker inspection hooks ---- *)
@@ -908,21 +844,21 @@ let dump_state ?(rename = Fun.id) t ~node =
   in
   let mask = Replica.mask ~rename in
   add "|ak:%s"
-    (Replica.render_tallies ~rename ~n:t.n (fun f -> Vec.iteri f srv.acks));
+    (Replica.render_tallies ~rename ~n:t.n srv.log);
   tbl "rv" srv.revocations (fun (i, r) ->
       Printf.sprintf "%d=%s/%s" i
         (mask r.seen)
         (Types.render_cmd_opt ~rename r.found));
-  let promised = ref [] in
-  Vec.iteri
-    (fun i p -> if p then promised := string_of_int i :: !promised)
-    srv.promised;
-  add "|pm:%s" (String.concat ";" (List.rev !promised));
+  let pm = ref [] in
+  for i = Log.length srv.log - 1 downto 0 do
+    if promised srv i then pm := string_of_int i :: !pm
+  done;
+  add "|pm:%s" (String.concat ";" !pm);
   add "%s" (Replica.render_store srv.node);
   (* The unapplied write slots of each key, rebuilt from the slots. *)
   let writes = Hashtbl.create 8 in
-  for i = Vec.length srv.slots - 1 downto srv.applied do
-    match Vec.get srv.slots i with
+  for i = Log.length srv.log - 1 downto srv.applied do
+    match Log.get srv.log i with
     | Value { op = Types.Put { key; _ }; _ } ->
         Hashtbl.replace writes key
           (i :: Option.value ~default:[] (Hashtbl.find_opt writes key))
@@ -953,7 +889,9 @@ let dump_state ?(rename = Fun.id) t ~node =
 let mono_view t ~node =
   let srv = t.servers.(node) in
   let committed_count = ref 0 in
-  Vec.iteri (fun _ b -> if b then incr committed_count) srv.committed;
+  Log.iteri
+    (fun i _ -> if Log.chosen srv.log i then incr committed_count)
+    srv.log;
   [|
     srv.known_frontier;
     srv.commit_frontier;
@@ -977,10 +915,10 @@ let invariant_violation t =
       Array.iter
         (fun b ->
           if a.id < b.id then
-            let upto = min (Vec.length a.slots) (Vec.length b.slots) - 1 in
+            let upto = min (Log.length a.log) (Log.length b.log) - 1 in
             for i = 0 to upto do
-              if is_committed a i && is_committed b i then
-                match (slot a i, slot b i) with
+              if Log.chosen a.log i && Log.chosen b.log i then
+                match (Log.get a.log i, Log.get b.log i) with
                 | Value ca, Value cb when ca.Types.id <> cb.Types.id ->
                     fail "slot-agreement: nodes %d,%d slot %d: %s vs %s" a.id
                       b.id i (Types.render_cmd ca) (Types.render_cmd cb)
@@ -997,17 +935,17 @@ let invariant_violation t =
   let placed = Hashtbl.create 64 in
   Array.iter
     (fun s ->
-      Vec.iteri
+      Log.iteri
         (fun i sl ->
           match sl with
-          | Value cmd when is_committed s i -> (
+          | Value cmd when Log.chosen s.log i -> (
               match Hashtbl.find_opt placed cmd.Types.id with
               | Some j when j <> i ->
                   fail "dup-command: %s committed at slots %d and %d"
                     (Types.render_cmd cmd) j i
               | _ -> Hashtbl.replace placed cmd.Types.id i)
           | Unknown | Value _ | Skip -> ())
-        s.slots)
+        s.log)
     t.servers;
   !violation
 

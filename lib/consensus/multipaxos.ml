@@ -23,17 +23,6 @@ let default_config =
     bug_no_takeover_after_restart = false;
   }
 
-type inst = {
-  mutable accepted_bal : int;
-  mutable accepted_cmd : Types.cmd option option;
-      (** [None] = nothing accepted; [Some c] = accepted (c = None is noop) *)
-  mutable chosen : bool;
-  mutable acks : int;
-      (** the leader's tally of the peers that acked it (see
-          {!Replica.no_tally}); per peer, so a duplicated [AcceptOk]
-          under fault injection cannot count twice *)
-}
-
 type msg =
   | Prepare of { bal : int; from : int }
   | PrepareOk of {
@@ -77,7 +66,10 @@ type server = {
   mutable ballot : int;  (** highest ballot seen *)
   mutable is_leader : bool;
   mutable leader_hint : int;
-  insts : inst Vec.t;
+  log : Types.cmd option option Log.t;
+      (** per instance: the accepted value ([None] = nothing accepted,
+          [Some None] = a noop) and ballot, the chosen flag, and the
+          leader's tally of the peers that acked it *)
   mutable next_inst : int;  (** leader: next free instance *)
   mutable executed : int;  (** prefix [0..executed) applied to the store *)
   prepare_oks : (int, int) Hashtbl.t;  (** voter -> 1 (set) *)
@@ -127,20 +119,26 @@ let msg_size t = function
   | Forward cmd -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
   | Complete _ -> (p t).reply_bytes
 
-let ensure srv i =
-  while Vec.length srv.insts <= i do
-    Vec.push srv.insts
-      {
-        accepted_bal = -1;
-        accepted_cmd = None;
-        chosen = false;
-        acks = Replica.no_tally;
-      }
-  done
+(* Accept [cmd] at instance [i], growing the log to hold it. *)
+let accept srv i ~bal cmd =
+  Log.ensure srv.log i;
+  Log.set_ballot srv.log i bal;
+  Log.set srv.log i (Some cmd)
 
-let inst srv i =
-  ensure srv i;
-  Vec.get srv.insts i
+(* Every accepted (instance, ballot, value), by descending instance. *)
+let accepted srv =
+  let acc = ref [] in
+  Log.iteri
+    (fun i v ->
+      let b = Log.ballot srv.log i in
+      match v with
+      | Some c when b >= 0 -> acc := (i, b, c) :: !acc
+      | Some _ | None -> ())
+    srv.log;
+  !acc
+
+(* The value an instance is chosen or re-proposed with. *)
+let value_at srv i = match Log.get srv.log i with Some c -> c | None -> None
 
 (* Ballots are globally unique per server: b = round * n + id. *)
 let next_ballot t srv = ((srv.ballot / t.n) + 1) * t.n + srv.id
@@ -195,44 +193,24 @@ let render_msg ?(rename = Fun.id) ~n = function
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
-let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* Execute the decided prefix in order. *)
 let rec execute t srv =
-  let len = Vec.length srv.insts in
-  let continue = ref true in
-  while !continue && srv.executed < len do
-    let it = Vec.get srv.insts srv.executed in
-    if it.chosen then begin
-      Metrics.inc srv.node.commits;
-      (match it.accepted_cmd with
-      | Some (Some ({ op = Types.Put { key; write_id; _ }; _ } as cmd)) ->
-          Replica.apply srv.node ~key write_id;
-          if srv.is_leader then begin
-            Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
-              ~now:(Engine.now t.engine);
-            complete_at_origin t srv cmd { Types.value = None }
-          end
-      | Some (Some ({ op = Types.Get { key }; _ } as cmd)) ->
-          if srv.is_leader then begin
-            Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
-              ~now:(Engine.now t.engine);
-            complete_at_origin t srv cmd
-              { Types.value = Replica.read srv.node ~key }
-          end
-      | Some None | None -> ());
-      srv.executed <- srv.executed + 1
-    end
-    else continue := false
+  while Log.chosen srv.log srv.executed do
+    Metrics.inc srv.node.commits;
+    (match Log.get srv.log srv.executed with
+    | Some (Some cmd) -> Replica.commit t.base srv.node ~reply:srv.is_leader cmd
+    | Some None | None -> ());
+    srv.executed <- srv.executed + 1
   done
 
 (* Record a decision without executing; callers run one [execute] walk
    per delivered batch instead of per instance. *)
 and choose srv i cmd =
-  let it = inst srv i in
-  if not it.chosen then begin
-    it.chosen <- true;
-    it.accepted_cmd <- Some cmd;
+  Log.ensure srv.log i;
+  if not (Log.chosen srv.log i) then begin
+    Log.choose srv.log i;
+    Log.set srv.log i (Some cmd);
     true
   end
   else false
@@ -254,10 +232,8 @@ and propose t srv (cmd : Types.cmd) =
         Itbl.replace srv.proposed_cmds cmd.id 0;
         let i = srv.next_inst in
         srv.next_inst <- i + 1;
-        let it = inst srv i in
-        it.accepted_bal <- srv.ballot;
-        it.accepted_cmd <- Some (Some cmd);
-        it.acks <- 0;
+        accept srv i ~bal:srv.ballot (Some cmd);
+        Log.open_tally srv.log i;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
         (* The instance is fully set up above; only its Accept broadcast
@@ -302,34 +278,24 @@ and become_leader t srv =
   (* Adopt the highest-ballot accepted value per instance; re-propose each
      adopted instance at our ballot so it can be chosen. *)
   let best = Hashtbl.create 64 in
-  Vec.iter
-    (fun (i, b, c) ->
-      match Hashtbl.find_opt best i with
-      | Some (b', _) when b' >= b -> ()
-      | _ -> Hashtbl.replace best i (b, c))
-    srv.gathered;
+  let adopt (i, b, c) =
+    match Hashtbl.find_opt best i with
+    | Some (b', _) when b' >= b -> ()
+    | _ -> Hashtbl.replace best i (b, c)
+  in
+  Vec.iter adopt srv.gathered;
   (* Include our own accepted values. *)
-  Vec.iteri
-    (fun i it ->
-      if it.accepted_bal >= 0 then
-        match Hashtbl.find_opt best i with
-        | Some (b', _) when b' >= it.accepted_bal -> ()
-        | _ -> (
-            match it.accepted_cmd with
-            | Some c -> Hashtbl.replace best i (it.accepted_bal, c)
-            | None -> ()))
-    srv.insts;
+  List.iter adopt (accepted srv);
   let max_i = Hashtbl.fold (fun i _ acc -> max i acc) best (-1) in
   srv.next_inst <- max_i + 1;
+  Log.ensure srv.log max_i;
   for i = 0 to max_i do
-    let it = inst srv i in
-    if not it.chosen then begin
+    if not (Log.chosen srv.log i) then begin
       let value =
         match Hashtbl.find_opt best i with Some (_, c) -> c | None -> None
       in
-      it.accepted_bal <- srv.ballot;
-      it.accepted_cmd <- Some value;
-      it.acks <- 0;
+      accept srv i ~bal:srv.ballot value;
+      Log.open_tally srv.log i;
       Metrics.add srv.pr.pr_accepts (t.n - 1);
       broadcast t srv
         (Accept { bal = srv.ballot; from = srv.id; items = [ (i, value) ] })
@@ -354,16 +320,8 @@ and handle t srv msg =
           srv.is_leader <- false;
           srv.leader_hint <- from;
           srv.last_leader_sign <- Engine.now t.engine;
-          let accepted = ref [] in
-          Vec.iteri
-            (fun i it ->
-              if it.accepted_bal >= 0 then
-                match it.accepted_cmd with
-                | Some c -> accepted := (i, it.accepted_bal, c) :: !accepted
-                | None -> ())
-            srv.insts;
           send t ~src:srv.id ~dst:from
-            (PrepareOk { bal; from = srv.id; accepted = !accepted })
+            (PrepareOk { bal; from = srv.id; accepted = accepted srv })
         end
     | PrepareOk { bal; from; accepted } ->
         if bal = srv.ballot && not srv.is_leader then begin
@@ -393,9 +351,10 @@ and handle t srv msg =
         end
     | AcceptOk { bal; from; insts } ->
         if bal = srv.ballot && srv.is_leader then begin
-          match tally_acks t srv from insts with
+          match Log.tally srv.log ~majority:(majority t) ~from insts with
           | [] -> ()
-          | items ->
+          | chosen ->
+              let items = List.map (fun i -> (i, value_at srv i)) chosen in
               (* One execute walk and one Learn broadcast per ack. *)
               execute t srv;
               broadcast t srv (Learn { items })
@@ -406,30 +365,8 @@ and handle t srv msg =
 and accept_items srv bal = function
   | [] -> []
   | (i, cmd) :: rest ->
-      let it = inst srv i in
-      it.accepted_bal <- bal;
-      it.accepted_cmd <- Some cmd;
+      accept srv i ~bal cmd;
       i :: accept_items srv bal rest
-
-(* Count [from]'s ack of each instance and choose those reaching a
-   majority; the newly chosen (instance, value) pairs, in ack order. *)
-and tally_acks t srv from = function
-  | [] -> []
-  | i :: rest when i >= Vec.length srv.insts ->
-      (* an instance past the log's end has no tally *)
-      tally_acks t srv from rest
-  | i :: rest ->
-      let it = Vec.get srv.insts i in
-      if it.acks = Replica.no_tally then tally_acks t srv from rest
-      else begin
-        it.acks <- it.acks lor (1 lsl from);
-        if Replica.popcount it.acks + 1 >= majority t && not it.chosen then begin
-          let cmd = match it.accepted_cmd with Some c -> c | None -> None in
-          ignore (choose srv i cmd);
-          (i, cmd) :: tally_acks t srv from rest
-        end
-        else tally_acks t srv from rest
-      end
 
 (* Leader-failure watchdog: lowest live replica takes over.  The same
    tick is the leader's repair timer: an [Accept] or its [AcceptOk]s can
@@ -450,14 +387,11 @@ and watchdog t srv =
         in
         if srv.is_leader then
           for i = srv.executed to srv.next_inst - 1 do
-            let it = inst srv i in
-            if not it.chosen then begin
-              let cmd =
-                match it.accepted_cmd with Some c -> c | None -> None
-              in
-              it.accepted_bal <- srv.ballot;
-              it.accepted_cmd <- Some cmd;
-              if it.acks = Replica.no_tally then it.acks <- 0;
+            Log.ensure srv.log i;
+            if not (Log.chosen srv.log i) then begin
+              let cmd = value_at srv i in
+              accept srv i ~bal:srv.ballot cmd;
+              if Log.acks srv.log i = Log.no_tally then Log.open_tally srv.log i;
               Metrics.inc srv.node.retransmits;
               Metrics.add srv.pr.pr_accepts (t.n - 1);
               broadcast t srv
@@ -480,7 +414,7 @@ and watchdog t srv =
 let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
   let engine = Net.engine net in
   let n = Net.size net in
-  Replica.check_tally_width ~who:"Multipaxos.create" n;
+  Log.check_tally_width ~who:"Multipaxos.create" n;
   let base = Replica.create ~telemetry ~params:config.params net in
   let servers =
     Array.init n (fun id ->
@@ -489,7 +423,7 @@ let create ?(telemetry = Telemetry.disabled) ?(leader = 0) config net =
           ballot = 0;
           is_leader = false;
           leader_hint = leader;
-          insts = Vec.create ();
+          log = Log.create None;
           next_inst = 0;
           executed = 0;
           prepare_oks = Hashtbl.create 8;
@@ -547,8 +481,9 @@ let leader_of t =
 let ballot_of t ~node = t.servers.(node).ballot
 
 let chosen_count t ~node =
+  let log = t.servers.(node).log in
   let c = ref 0 in
-  Vec.iteri (fun _ it -> if it.chosen then incr c) t.servers.(node).insts;
+  Log.iteri (fun i _ -> if Log.chosen log i then incr c) log;
   !c
 
 let executed_prefix t ~node = t.servers.(node).executed
@@ -557,7 +492,7 @@ let committed_ops t ~node =
   let srv = t.servers.(node) in
   List.filter_map
     (fun i ->
-      match (Vec.get srv.insts i).accepted_cmd with
+      match Log.get srv.log i with
       | Some (Some cmd) -> Some cmd.Types.op
       | Some None | None -> None)
     (List.init srv.executed Fun.id)
@@ -586,14 +521,12 @@ let dump_state ?(rename = Fun.id) t ~node =
     (if srv.is_leader then "L" else "F")
     (rename srv.leader_hint) srv.next_inst srv.executed srv.last_leader_sign
     (if srv.down then "D" else "U");
-  Vec.iteri
-    (fun _ it ->
-      add "%d:%s%s;" (rb it.accepted_bal)
-        (match it.accepted_cmd with
-        | None -> "_"
-        | Some c -> Types.render_cmd_opt ~rename c)
-        (if it.chosen then "!" else ""))
-    srv.insts;
+  Log.iteri
+    (fun i v ->
+      add "%d:%s%s;" (rb (Log.ballot srv.log i))
+        (match v with None -> "_" | Some c -> Types.render_cmd_opt ~rename c)
+        (if Log.chosen srv.log i then "!" else ""))
+    srv.log;
   add "%s" (Replica.render_store srv.node);
   (* keyed by voter node id: sort after renaming, or two symmetric
      states would render their voter sets in different orders *)
@@ -612,8 +545,7 @@ let dump_state ?(rename = Fun.id) t ~node =
                  (Types.render_cmd_opt ~rename c))
              (Vec.to_list srv.gathered))));
   add "|ao:%s"
-    (Replica.render_tallies ~rename ~n:t.n (fun f ->
-         Vec.iteri (fun i it -> f i it.acks) srv.insts));
+    (Replica.render_tallies ~rename ~n:t.n srv.log);
   add "|pc:%s"
     (String.concat ";"
        (List.map string_of_int (Itbl.sorted_keys srv.proposed_cmds)));
@@ -630,9 +562,7 @@ let dump_state ?(rename = Fun.id) t ~node =
    ever grow. *)
 let mono_view t ~node =
   let srv = t.servers.(node) in
-  let chosen = ref 0 in
-  Vec.iteri (fun _ it -> if it.chosen then incr chosen) srv.insts;
-  [| srv.ballot; srv.executed; !chosen |]
+  [| srv.ballot; srv.executed; chosen_count t ~node |]
 
 let invariant_violation t =
   let violation = ref None in
@@ -647,24 +577,19 @@ let invariant_violation t =
       Array.iter
         (fun b ->
           if a.id < b.id then
-            let upto = min (Vec.length a.insts) (Vec.length b.insts) - 1 in
+            let upto = min (Log.length a.log) (Log.length b.log) - 1 in
             for i = 0 to upto do
-              let ia = Vec.get a.insts i and ib = Vec.get b.insts i in
-              if ia.chosen && ib.chosen then
-                let id_of it =
-                  match it.accepted_cmd with
+              let va = Log.get a.log i and vb = Log.get b.log i in
+              if Log.chosen a.log i && Log.chosen b.log i then
+                let id_of = function
                   | Some (Some c) -> Some c.Types.id
                   | Some None | None -> None
                 in
-                if id_of ia <> id_of ib then
+                if id_of va <> id_of vb then
                   fail "chosen-agreement: nodes %d,%d instance %d: %s vs %s"
                     a.id b.id i
-                    (match ia.accepted_cmd with
-                    | Some c -> Types.render_cmd_opt c
-                    | None -> "_")
-                    (match ib.accepted_cmd with
-                    | Some c -> Types.render_cmd_opt c
-                    | None -> "_")
+                    (match va with Some c -> Types.render_cmd_opt c | None -> "_")
+                    (match vb with Some c -> Types.render_cmd_opt c | None -> "_")
             done)
         t.servers)
     t.servers;
@@ -672,16 +597,16 @@ let invariant_violation t =
   let placed = Hashtbl.create 64 in
   Array.iter
     (fun s ->
-      Vec.iteri
-        (fun i it ->
-          match it.accepted_cmd with
-          | Some (Some c) when it.chosen -> (
+      Log.iteri
+        (fun i v ->
+          match v with
+          | Some (Some c) when Log.chosen s.log i -> (
               match Hashtbl.find_opt placed c.Types.id with
               | Some j when j <> i ->
                   fail "dup-command: %s chosen at instances %d and %d"
                     (Types.render_cmd c) j i
               | _ -> Hashtbl.replace placed c.Types.id i)
           | _ -> ())
-        s.insts)
+        s.log)
     t.servers;
   !violation

@@ -111,7 +111,7 @@ type server = {
   mutable voted_for : int option;
   mutable role : role;
   mutable leader_hint : int;
-  log : (Types.entry * int) Vec.t;
+  log : (Types.entry * int) Log.t;
   mutable commit_index : int;
   mutable last_applied : int;
   key_last_write : Itbl.t;
@@ -240,10 +240,10 @@ let render_msg ?(rename = Fun.id) = function
 
 (* ---- log helpers ---- *)
 
-let last_index srv = Vec.length srv.log - 1
-
-let term_at srv i =
-  if i < 0 || i > last_index srv then -1 else (fst (Vec.get srv.log i)).Types.term
+(* What the log reads as past its end: term -1 precedes every term. *)
+let no_entry = ({ Types.term = -1; cmd = None }, -1)
+let last_index srv = Log.length srv.log - 1
+let term_at srv i = if i < 0 then -1 else (fst (Log.get srv.log i)).Types.term
 
 (* Only a quorum-lease read consults [key_last_write] (Figure 13), so the
    other read modes leave it empty and their log writes skip the probes. *)
@@ -257,7 +257,6 @@ let note_write t srv idx (e : Types.entry) =
 
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
-let complete_at_origin t srv cmd v = Replica.reply t.base ~src:srv.id cmd v
 
 (* ---- applying committed entries ---- *)
 
@@ -265,21 +264,9 @@ let rec apply_committed t srv =
   while srv.last_applied < srv.commit_index do
     srv.last_applied <- srv.last_applied + 1;
     Metrics.inc srv.node.commits;
-    let entry, _bal = Vec.get srv.log srv.last_applied in
+    let entry, _bal = Log.get srv.log srv.last_applied in
     (match entry.Types.cmd with
-    | Some ({ op = Put { key; write_id; _ }; _ } as cmd) ->
-        Replica.apply srv.node ~key write_id;
-        if srv.role = Leader then begin
-          Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
-            ~now:(Engine.now t.engine);
-          complete_at_origin t srv cmd { Types.value = None }
-        end
-    | Some ({ op = Get { key }; _ } as cmd) ->
-        if srv.role = Leader then begin
-          Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"quorum_commit"
-            ~now:(Engine.now t.engine);
-          complete_at_origin t srv cmd { Types.value = Replica.read srv.node ~key }
-        end
+    | Some cmd -> Replica.commit t.base srv.node ~reply:(srv.role = Leader) cmd
     | None -> ())
   done;
   (* Wake local reads blocked on the commit index (quorum-lease mode).
@@ -341,7 +328,7 @@ and send_batch t srv peer =
   let entries =
     List.init
       (max 0 (srv.flush_to - next + 1))
-      (fun k -> Vec.get srv.log (next + k))
+      (fun k -> Log.get srv.log (next + k))
   in
   srv.inflight.(peer) <- srv.inflight.(peer) + 1;
   Metrics.inc srv.pr.pr_appends;
@@ -489,7 +476,8 @@ and serve_local_read t srv (cmd : Types.cmd) =
         let key = Types.key_of cmd.op in
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"local_read"
           ~now:(Engine.now t.engine);
-        complete_at_origin t srv cmd { Types.value = Replica.read srv.node ~key }
+        Replica.reply t.base ~src:srv.id cmd
+          { Types.value = Replica.read srv.node ~key }
       end)
 
 and append_cmd t srv (cmd : Types.cmd) =
@@ -504,7 +492,7 @@ and append_cmd t srv (cmd : Types.cmd) =
       else if srv.role = Leader && not srv.down then begin
         Itbl.replace srv.appended_cmds cmd.id 0;
         let entry = { Types.term = srv.term; cmd = Some cmd } in
-        Vec.push srv.log (entry, srv.term);
+        Log.push srv.log (entry, srv.term);
         note_write t srv (last_index srv) entry;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
@@ -651,14 +639,14 @@ and become_leader t srv =
      let rec adopt idx =
        match Hashtbl.find_opt best idx with
        | Some (entry, bal) ->
-           Vec.push srv.log (entry, bal);
+           Log.push srv.log (entry, bal);
            note_write t srv (last_index srv) entry;
            adopt (idx + 1)
        | None -> ()
      in
      adopt (last_index srv + 1));
   (* A fresh no-op lets the new term commit inherited entries (5.4.2). *)
-  Vec.push srv.log ({ Types.term = srv.term; cmd = None }, srv.term);
+  Log.push srv.log ({ Types.term = srv.term; cmd = None }, srv.term);
   Array.iteri (fun i _ -> srv.next_index.(i) <- last_index srv) srv.next_index;
   Array.fill srv.match_index 0 t.n (-1);
   Array.fill srv.inflight 0 t.n 0;
@@ -742,7 +730,7 @@ and handle t srv msg =
               (max 0 (last_index srv - last_idx))
               (fun k ->
                 let idx = last_idx + 1 + k in
-                let entry, bal = Vec.get srv.log idx in
+                let entry, bal = Log.get srv.log idx in
                 (idx, entry, bal))
           else []
         in
@@ -902,29 +890,30 @@ and accept_entries t srv ~prev_idx ~entries ~term =
      least the committing term, or a later election's highest-ballot
      adoption could prefer a stale competing entry carried at a higher
      wire ballot. *)
-  let star_bal bal =
-    if t.config.flavor = Star then max bal term else bal
+  (* The received pair itself unless that raises its ballot, so the log
+     shares the message's tuple. *)
+  let stored ((entry, bal) as e) =
+    if t.config.flavor = Star && bal < term then (entry, term) else e
   in
   let idx = ref (prev_idx + 1) in
   List.iter
-    (fun ((entry : Types.entry), bal) ->
+    (fun (((entry : Types.entry), _) as e) ->
       let i = !idx in
       if i > last_index srv then begin
-        Vec.push srv.log (entry, star_bal bal);
+        Log.push srv.log (stored e);
         note_write t srv i entry
       end
       else begin
-        let existing, _ = Vec.get srv.log i in
+        let existing, _ = Log.get srv.log i in
         if existing.Types.term <> entry.Types.term then begin
           (match t.config.flavor with
-          | Vanilla -> Vec.truncate srv.log i
+          | Vanilla -> Log.truncate srv.log i
           | Star -> ());
-          if i > last_index srv then Vec.push srv.log (entry, star_bal bal)
-          else Vec.set srv.log i (entry, star_bal bal);
+          if i > last_index srv then Log.push srv.log (stored e)
+          else Log.set srv.log i (stored e);
           note_write t srv i entry
         end
-        else if t.config.flavor = Star then
-          Vec.set srv.log i (entry, star_bal bal)
+        else if t.config.flavor = Star then Log.set srv.log i (stored e)
       end;
       incr idx)
     entries
@@ -973,7 +962,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           voted_for = None;
           role = Follower;
           leader_hint = 0;
-          log = Vec.create ();
+          log = Log.create no_entry;
           commit_index = -1;
           last_applied = -1;
           key_last_write = Itbl.create ();
@@ -1025,7 +1014,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
         servers;
       let leader = servers.(l) in
       leader.role <- Leader;
-      Vec.push leader.log ({ Types.term = 1; cmd = None }, 1);
+      Log.push leader.log ({ Types.term = 1; cmd = None }, 1);
       leader.flush_to <- 0;
       leader.match_index.(l) <- 0;
       Array.iteri (fun i _ -> leader.next_index.(i) <- 0) leader.next_index;
@@ -1066,18 +1055,18 @@ let leader_of t =
 
 let term_of t ~node = t.servers.(node).term
 let commit_index t ~node = t.servers.(node).commit_index
-let log_length t ~node = Vec.length t.servers.(node).log
+let log_length t ~node = Log.length t.servers.(node).log
 
 let applied_value t ~node ~key = Replica.applied_value t.base ~node ~key
 
 let log_entries t ~node =
-  List.map fst (Vec.to_list t.servers.(node).log)
+  List.map fst (Log.to_list t.servers.(node).log)
 
 let committed_ops t ~node =
   let srv = t.servers.(node) in
   List.filter_map
     (fun i ->
-      Option.map (fun (c : Types.cmd) -> c.op) (fst (Vec.get srv.log i)).Types.cmd)
+      Option.map (fun (c : Types.cmd) -> c.op) (fst (Log.get srv.log i)).Types.cmd)
     (List.init (min srv.commit_index (last_index srv) + 1) Fun.id)
 
 let lease_active t ~node = quorum_lease_active t t.servers.(node)
@@ -1123,7 +1112,7 @@ let dump_state ?(rename = Fun.id) t ~node =
     (role_char srv.role) (rename srv.leader_hint) srv.commit_index
     srv.last_applied
     (if srv.down then "D" else "U");
-  Vec.iteri
+  Log.iteri
     (fun _ (e, b) -> add "%s/b%d;" (Types.render_entry ~rename e) b)
     srv.log;
   add "%s" (Replica.render_store srv.node);
@@ -1189,7 +1178,7 @@ let peek t ~node =
             pe_ballot = b;
             pe_cmd = Option.map (fun (c : Types.cmd) -> c.id) e.cmd;
           })
-        (Vec.to_list srv.log);
+        (Log.to_list srv.log);
   }
 
 (* Components that must never decrease along any execution.  The log
@@ -1200,12 +1189,12 @@ let mono_view t ~node =
   match t.config.flavor with
   | Vanilla -> [| srv.term; srv.commit_index |]
   | Star ->
-      let len = Vec.length srv.log in
+      let len = Log.length srv.log in
       Array.init (3 + len) (fun i ->
           if i = 0 then srv.term
           else if i = 1 then srv.commit_index
           else if i = 2 then len
-          else snd (Vec.get srv.log (i - 3)))
+          else snd (Log.get srv.log (i - 3)))
 
 let entry_eq (e1 : Types.entry) (e2 : Types.entry) =
   e1.term = e2.term
@@ -1238,7 +1227,7 @@ let invariant_violation t =
           if a.id < b.id then
             let upto = min (last_index a) (last_index b) in
             for i = 0 to upto do
-              let ea, _ = Vec.get a.log i and eb, _ = Vec.get b.log i in
+              let ea, _ = Log.get a.log i and eb, _ = Log.get b.log i in
               if ea.Types.term = eb.Types.term && not (entry_eq ea eb) then
                 fail "log-matching: nodes %d,%d index %d term %d: %s vs %s"
                   a.id b.id i ea.Types.term (Types.render_entry ea)
@@ -1248,8 +1237,8 @@ let invariant_violation t =
                 && ea.Types.term = eb.Types.term
                 && i > 0
               then begin
-                let pa, _ = Vec.get a.log (i - 1)
-                and pb, _ = Vec.get b.log (i - 1) in
+                let pa, _ = Log.get a.log (i - 1)
+                and pb, _ = Log.get b.log (i - 1) in
                 if not (entry_eq pa pb) then
                   fail
                     "log-matching-prefix: nodes %d,%d differ at %d below a \
@@ -1273,7 +1262,7 @@ let invariant_violation t =
                 fail "leader-completeness: leader %d (term %d) misses committed index %d of node %d"
                   l.id l.term i s.id
               else
-                let el, _ = Vec.get l.log i and es, _ = Vec.get s.log i in
+                let el, _ = Log.get l.log i and es, _ = Log.get s.log i in
                 if not (entry_eq el es) then
                   fail "leader-completeness: leader %d disagrees with node %d at committed index %d"
                     l.id s.id i
@@ -1287,7 +1276,7 @@ let invariant_violation t =
         (fun b ->
           if a.id < b.id then
             for i = 0 to min a.commit_index b.commit_index do
-              let ea, _ = Vec.get a.log i and eb, _ = Vec.get b.log i in
+              let ea, _ = Log.get a.log i and eb, _ = Log.get b.log i in
               if not (entry_eq ea eb) then
                 fail "state-machine-safety: nodes %d,%d disagree at committed index %d"
                   a.id b.id i
@@ -1298,7 +1287,7 @@ let invariant_violation t =
      term (vanilla degenerates to equality). *)
   Array.iter
     (fun s ->
-      Vec.iteri
+      Log.iteri
         (fun i (e, b) ->
           let bad =
             match t.config.flavor with

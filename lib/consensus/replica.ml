@@ -185,17 +185,18 @@ let apply nd ~key value = Itbl.replace nd.store key value
 let read nd ~key = Itbl.find_opt nd.store key
 let applied_value b ~node ~key = read b.nodes.(node) ~key
 
-(* ---- ack tallies ---- *)
+let answer b nd (cmd : Types.cmd) =
+  Span.mark b.spans ~trace:cmd.id ~node:nd.id ~phase:"quorum_commit"
+    ~now:(Engine.now b.engine);
+  match cmd.op with
+  | Get { key } -> reply b ~src:nd.id cmd { Types.value = read nd ~key }
+  | Put _ -> reply b ~src:nd.id cmd { Types.value = None }
 
-let no_tally = -1
-
-let check_tally_width ~who n =
-  if n > Sys.int_size - 1 then
-    invalid_arg
-      (Printf.sprintf "%s: %d replicas, an ack tally holds at most %d" who n
-         (Sys.int_size - 1))
-
-let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+let commit b nd ~reply (cmd : Types.cmd) =
+  (match cmd.op with
+  | Put { key; write_id; _ } -> apply nd ~key write_id
+  | Get _ -> ());
+  if reply then answer b nd cmd
 
 (* ---- model-checker fingerprints ---- *)
 
@@ -209,15 +210,17 @@ let mask ~rename a =
     (Array.to_list
        (Array.map (fun b -> if b then "1" else "0") (permuted ~rename a)))
 
-let render_tallies ~rename ~n iteri =
+let render_tallies ~rename ~n log =
   let open_ = ref [] in
-  iteri (fun i acks ->
-      if acks <> no_tally then
-        open_ :=
-          Printf.sprintf "%d=%s" i
-            (mask ~rename (Array.init n (fun p -> acks land (1 lsl p) <> 0)))
-          :: !open_);
-  String.concat ";" (List.rev !open_)
+  for i = Log.length log - 1 downto 0 do
+    let acks = Log.acks log i in
+    if acks <> Log.no_tally then
+      open_ :=
+        Printf.sprintf "%d=%s" i
+          (mask ~rename (Array.init n (fun p -> acks land (1 lsl p) <> 0)))
+        :: !open_
+  done;
+  String.concat ";" !open_
 
 let sorted_bindings tbl =
   List.sort

@@ -76,23 +76,13 @@ val read : node -> key:int -> int option
 
 val applied_value : 'msg t -> node:int -> key:int -> int option
 
-(** {1 Ack tallies}
+val commit : 'msg t -> node -> reply:bool -> Types.cmd -> unit
+(** Execute a committed command at the node: {!apply} a [Put], then, if
+    [reply], {!answer} it. *)
 
-    The acks one log instance has gathered live in the log beside it
-    (DESIGN.md, "Replica base"), as an [int] whose bit [p] is set once
-    peer [p] acked: a duplicated ack sets a bit already set, so it never
-    counts twice, and the tally allocates nothing. *)
-
-val no_tally : int
-(** [-1]: the instance has no tally open.  No tally of at most
-    [Sys.int_size - 1] replicas has the sign bit set. *)
-
-val check_tally_width : who:string -> int -> unit
-(** @raise Invalid_argument if [n] replicas do not fit a tally, that is
-    [n > Sys.int_size - 1]; [who] names the core's constructor. *)
-
-val popcount : int -> int
-(** The peers a tally counts. *)
+val answer : 'msg t -> node -> Types.cmd -> unit
+(** Mark the command's [quorum_commit] span and send its [Complete]; a
+    [Get] returns its key's {!read}. *)
 
 (** {1 Model-checker fingerprints} *)
 
@@ -103,11 +93,9 @@ val permuted : rename:(int -> int) -> 'a array -> 'a array
 val mask : rename:(int -> int) -> bool array -> string
 (** {!permuted}, as ['0']/['1'] characters. *)
 
-val render_tallies :
-  rename:(int -> int) -> n:int -> ((int -> int -> unit) -> unit) -> string
-(** [render_tallies ~rename ~n iteri]: the open tallies [iteri] visits,
-    by ascending instance, as [i=m] joined by [';'], where [m] is the
-    {!mask} of the peers the tally counts. *)
+val render_tallies : rename:(int -> int) -> n:int -> 'v Log.t -> string
+(** The log's open tallies, by ascending index, as [i=m] joined by [';'],
+    where [m] is the {!mask} of the peers the tally counts. *)
 
 val sorted_bindings : (int, 'a) Hashtbl.t -> (int * 'a) list
 (** Bindings by ascending key, independent of insertion history. *)

@@ -7,10 +7,6 @@ let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get";
   v.data.(i)
 
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Vec.set";
-  v.data.(i) <- x
-
 let[@perf.hot] push v x =
   if v.len = Array.length v.data then begin
     let cap = max 8 (2 * v.len) in
@@ -22,18 +18,10 @@ let[@perf.hot] push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let truncate v n = if n < v.len then v.len <- max 0 n
 let clear v = v.len <- 0
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
-  done
-
-let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
   done
 
 let to_list v = List.init v.len (fun i -> v.data.(i))

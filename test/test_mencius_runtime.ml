@@ -280,6 +280,36 @@ let test_commutative_read_waits_for_earlier_write () =
   done;
   Alcotest.(check (option (option int))) "the read returns the write" (Some (Some 1)) !read
 
+(* A revocation poll is a Paxos phase 1 that outranks the owner's own
+   append.  Node 1 answers node 0's poll of slot 4, node 4's first turn;
+   node 4's append to that slot then arrives and must be refused and left
+   unacked, or node 4 could commit a value the revocation decides to
+   skip.  Node 2, which promised nothing, holds and acks the same append. *)
+let test_promise_refuses_owner_append () =
+  let engine, _, t = mk () in
+  let wire, deliver_where = capture_wire engine t in
+  Mencius.deliver t ~node:1 (Mencius.MRevoke { from = 0; inst = 4 });
+  Mencius.submit t ~node:4 (put ~key:70 700) (fun _ -> ());
+  run_ms engine 1;
+  deliver_where (fun ~src ~dst -> src = 4 && (dst = 1 || dst = 2));
+  let acked_by node =
+    Queue.fold
+      (fun acc (src, dst, msg) ->
+        acc
+        || src = node && dst = 4
+           && match msg with Mencius.MAck _ -> true | _ -> false)
+      false wire
+  in
+  let slot4 node =
+    List.nth (String.split_on_char ' ' (Mencius.dump_slots t ~node)) 4
+  in
+  Alcotest.(check bool) "the promised replica does not ack" false (acked_by 1);
+  Alcotest.(check string) "the promised replica leaves the slot open" "4:U!"
+    (slot4 1);
+  Alcotest.(check bool) "an unpromised replica acks" true (acked_by 2);
+  Alcotest.(check string) "an unpromised replica holds the value" "4:V(w700)!"
+    (slot4 2)
+
 (* A read held back by a write remembers that write, and must drop it
    when the write is revoked, even while an earlier slot still holds the
    applied prefix back.  At node 1, by hand-delivered messages:
@@ -449,6 +479,8 @@ let () =
           Alcotest.test_case "restart" `Quick test_restart_rejoins;
           Alcotest.test_case "revoked own op never acknowledged" `Quick
             test_revoked_own_op_never_acknowledged;
+          Alcotest.test_case "a promise refuses the owner's append" `Quick
+            test_promise_refuses_owner_append;
           Alcotest.test_case "duplicate acks count once" `Quick
             test_duplicate_acks_count_once;
           Alcotest.test_case "tally width" `Quick test_tally_width;

@@ -7,41 +7,30 @@ let test_push_get () =
     Vec.push v (i * 2)
   done;
   Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get" 84 (Vec.get v 42);
-  Alcotest.(check (option int)) "last" (Some 198) (Vec.last v)
+  Alcotest.(check int) "get" 84 (Vec.get v 42)
 
-let test_set () =
+let test_clear () =
   let v = Vec.create () in
-  Vec.push v 1;
-  Vec.push v 2;
-  Vec.set v 0 9;
-  Alcotest.(check (list int)) "after set" [ 9; 2 ] (Vec.to_list v)
-
-let test_truncate () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2; 3; 4; 5 ];
-  Vec.truncate v 2;
-  Alcotest.(check (list int)) "truncated" [ 1; 2 ] (Vec.to_list v);
-  Vec.truncate v 10;
-  Alcotest.(check int) "longer truncate is a no-op" 2 (Vec.length v);
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  Vec.clear v;
+  Alcotest.(check int) "empty" 0 (Vec.length v);
   Vec.push v 7;
-  Alcotest.(check (list int)) "push after truncate" [ 1; 2; 7 ] (Vec.to_list v)
+  Alcotest.(check (list int)) "push after clear" [ 7 ] (Vec.to_list v)
 
 let test_bounds () =
   let v = Vec.create () in
   Vec.push v 1;
   Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec.get")
     (fun () -> ignore (Vec.get v 1));
-  Alcotest.check_raises "set out of bounds" (Invalid_argument "Vec.set")
-    (fun () -> Vec.set v (-1) 0)
+  Alcotest.check_raises "negative get" (Invalid_argument "Vec.get")
+    (fun () -> ignore (Vec.get v (-1)))
 
-let test_iteri () =
+let test_iter () =
   let v = Vec.create () in
   List.iter (Vec.push v) [ 10; 20; 30 ];
   let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  Alcotest.(check (list (pair int int)))
-    "indexed" [ (0, 10); (1, 20); (2, 30) ] (List.rev !acc)
+  Vec.iter (fun x -> acc := x :: !acc) v;
+  Alcotest.(check (list int)) "in order" [ 10; 20; 30 ] (List.rev !acc)
 
 let prop_push_list_roundtrip =
   QCheck.Test.make ~name:"push/to_list roundtrip" ~count:200
@@ -51,32 +40,14 @@ let prop_push_list_roundtrip =
       List.iter (Vec.push v) xs;
       Vec.to_list v = xs)
 
-let prop_truncate_prefix =
-  QCheck.Test.make ~name:"truncate keeps a prefix" ~count:200
-    QCheck.(pair (small_list int) small_nat)
-    (fun (xs, n) ->
-      let v = Vec.create () in
-      List.iter (Vec.push v) xs;
-      Vec.truncate v n;
-      Vec.to_list v = List.filteri (fun i _ -> i < n) xs)
-
-(* Model-based property: a random sequence of push/set/truncate ops applied
-   to both the Vec and a plain-list model must agree at every step. *)
-type vop = Push of int | Set of int * int | Truncate of int
+(* Model-based property: a random sequence of push/clear ops applied to
+   both the Vec and a plain-list model must agree at every step. *)
+type vop = Push of int | Clear
 
 let vop_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun x -> Push x) small_int;
-        map2 (fun i x -> Set (i, x)) small_nat small_int;
-        map (fun n -> Truncate n) small_nat;
-      ])
+  QCheck.Gen.(frequency [ (9, map (fun x -> Push x) small_int); (1, return Clear) ])
 
-let pp_vop = function
-  | Push x -> Printf.sprintf "push %d" x
-  | Set (i, x) -> Printf.sprintf "set %d %d" i x
-  | Truncate n -> Printf.sprintf "truncate %d" n
+let pp_vop = function Push x -> Printf.sprintf "push %d" x | Clear -> "clear"
 
 let prop_model_agreement =
   QCheck.Test.make ~name:"random op sequence matches list model" ~count:300
@@ -93,27 +64,22 @@ let prop_model_agreement =
           | Push x ->
               Vec.push v x;
               model := !model @ [ x ]
-          | Set (i, x) when i < List.length !model ->
-              Vec.set v i x;
-              model := List.mapi (fun j y -> if j = i then x else y) !model
-          | Set (_, _) -> () (* out of bounds: model untouched, Vec rejects *)
-          | Truncate n ->
-              Vec.truncate v n;
-              model := List.filteri (fun j _ -> j < n) !model);
+          | Clear ->
+              Vec.clear v;
+              model := []);
           Vec.to_list v = !model
           && Vec.length v = List.length !model
-          && Vec.last v
-             = (match List.rev !model with [] -> None | x :: _ -> Some x))
+          && List.for_all2 ( = ) (List.init (Vec.length v) (Vec.get v)) !model)
         ops)
 
-let prop_set_out_of_bounds_rejected =
-  QCheck.Test.make ~name:"set past the end always raises" ~count:100
+let prop_get_out_of_bounds_rejected =
+  QCheck.Test.make ~name:"get past the end always raises" ~count:100
     QCheck.(pair (small_list int) small_nat)
     (fun (xs, extra) ->
       let v = Vec.create () in
       List.iter (Vec.push v) xs;
-      match Vec.set v (List.length xs + extra) 0 with
-      | () -> false
+      match Vec.get v (List.length xs + extra) with
+      | _ -> false
       | exception Invalid_argument _ -> true)
 
 let () =
@@ -122,17 +88,15 @@ let () =
       ( "vec",
         [
           Alcotest.test_case "push/get" `Quick test_push_get;
-          Alcotest.test_case "set" `Quick test_set;
-          Alcotest.test_case "truncate" `Quick test_truncate;
+          Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "bounds" `Quick test_bounds;
-          Alcotest.test_case "iteri" `Quick test_iteri;
+          Alcotest.test_case "iter" `Quick test_iter;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_push_list_roundtrip;
-            prop_truncate_prefix;
             prop_model_agreement;
-            prop_set_out_of_bounds_rejected;
+            prop_get_out_of_bounds_rejected;
           ] );
     ]
