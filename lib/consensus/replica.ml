@@ -41,6 +41,8 @@ type 'msg t = {
   mutable cmd_id_stride : int;
   mutable wire : (src:int -> dst:int -> size:int -> 'msg -> unit) option;
   mutable hooks : 'msg hooks;
+  mutable client_hop : int -> Types.cmd -> unit;
+      (** the submit hop's handler, built once in [create] *)
 }
 
 (* Placeholder until the core binds: a core's hooks close over the core,
@@ -68,6 +70,17 @@ let hold b nd =
   end
 
 let drop_batch nd = nd.held <- 0
+
+(* ---- client hop ---- *)
+
+(* The client-to-colocated-replica hop delivers the [cmd] to its origin
+   replica, [node]. *)
+let client_hop b node (cmd : Types.cmd) =
+  Span.mark b.spans ~trace:cmd.id ~node ~phase:"client_hop"
+    ~now:(Engine.now b.engine);
+  b.hooks.client node cmd
+
+let render_submit rename cmd = "Submit(" ^ Types.render_cmd ~rename cmd ^ ")"
 
 (* ---- construction ---- *)
 
@@ -105,8 +118,10 @@ let create ?(telemetry = Telemetry.disabled) ~params net =
       cmd_id_stride = 1;
       wire = None;
       hooks = unbound ();
+      client_hop = (fun _ _ -> ());
     }
   in
+  b.client_hop <- client_hop b;
   Array.iter
     (fun nd ->
       nd.flush_timer <-
@@ -125,12 +140,8 @@ let send b ~src ~dst msg =
   match b.wire with
   | Some wire when src <> dst -> wire ~src ~dst ~size:(b.hooks.size msg) msg
   | _ ->
-      (* Defined together, the two closures share one block and one copy
-         of [b], [dst] and [msg]: a word less per message than two
-         separate closures. *)
-      let[@warning "-39"] rec info rename = b.hooks.render rename msg
-      and deliver () = b.hooks.handle dst msg in
-      Net.send b.net ~src ~dst ~size:(b.hooks.size msg) ~info deliver
+      Net.post b.net ~src ~dst ~size:(b.hooks.size msg)
+        ~render:b.hooks.render ~handle:b.hooks.handle msg
 
 let broadcast b ~src msg =
   for dst = 0 to Array.length b.nodes - 1 do
@@ -153,14 +164,9 @@ let submit_id b ~node op k =
     { Types.id; op; origin = node; submitted_us = Engine.now b.engine }
   in
   Span.mark b.spans ~trace:id ~node ~phase:"submit" ~now:(Engine.now b.engine);
-  (* Client-to-colocated-replica hop. *)
-  Net.send b.net ~src:node ~dst:node
+  Net.post b.net ~src:node ~dst:node
     ~size:(b.params.msg_header_bytes + Types.op_size op)
-    ~info:(fun rename -> "Submit(" ^ Types.render_cmd ~rename cmd ^ ")")
-    (fun () ->
-      Span.mark b.spans ~trace:id ~node ~phase:"client_hop"
-        ~now:(Engine.now b.engine);
-      b.hooks.client node cmd);
+    ~render:render_submit ~handle:b.client_hop cmd;
   id
 
 let reply b ~src (cmd : Types.cmd) reply =

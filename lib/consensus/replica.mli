@@ -44,7 +44,8 @@ val node : 'msg t -> int -> node
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Through the [wire] hook when one is set and [src <> dst]; otherwise
-    over the simulated net to [hooks.handle dst]. *)
+    {!Raftpax_sim.Net.post} with [hooks.render] and [hooks.handle], so the
+    message travels as its payload plus the net's one delivery closure. *)
 
 val broadcast : 'msg t -> src:int -> 'msg -> unit  (** to the others, by id *)
 

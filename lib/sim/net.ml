@@ -52,8 +52,19 @@ type t = {
   mutable dropped : int;
 }
 
+(* A delivery closure carries its link as one int, [src lsl link_bits lor
+   dst]: one word less than two ids, so it is 7 words with [t], the
+   payload and the handler. *)
+let link_bits = 16
+let max_nodes = 1 lsl link_bits
+
 let create ?(drop_probability = 0.0) ?(jitter_us = 200) engine ~nodes =
   let n = List.length nodes in
+  (* Before any allocation: [link_last_arrival] alone is n*n words. *)
+  if n > max_nodes then
+    invalid_arg
+      (Printf.sprintf "Net.create: %d nodes, at most %d fit a packed link" n
+         max_nodes);
   let sites = Array.make n Topology.Oregon in
   List.iter (fun node -> sites.(node.id) <- node.site) nodes;
   {
@@ -106,11 +117,12 @@ let node_down t id = t.down.(id)
 let cut t src dst =
   match t.partition with Some p -> p src dst | None -> false
 
-(* Top level rather than local to [send], so a send allocates only the
-   delivery closure, not a helper closure as well. *)
-let deliver_at t ~now ~src ~dst deliver when_us =
+(* Top level rather than local to [transmit], so a send allocates only
+   the delivery closure, not a helper closure as well. *)
+let deliver_at t ~now ~link ~handle msg when_us =
   Engine.schedule ~kind:Engine.Message t.engine ~delay:(when_us - now)
     (fun () ->
+      let src = link lsr link_bits and dst = link land (max_nodes - 1) in
       (* Faults are evaluated at delivery time as well, so a node that
          crashes (or a link that is cut) mid-flight loses the message. *)
       if t.down.(dst) || t.down.(src) || cut t src dst then begin
@@ -119,17 +131,10 @@ let deliver_at t ~now ~src ~dst deliver when_us =
         | Some p -> Metrics.inc p.dropped_c.(src)
         | None -> ()
       end
-      else deliver ())
+      else handle dst msg)
 
-let send ?(info = fun _ -> "") t ~src ~dst ~size deliver =
-  match t.capture with
-  | Some hook ->
-      (* Model-checker interception: every send becomes an explicit
-         pending message under the checker's control; timing, chaos and
-         probes are bypassed.  A down sender still silently loses the
-         message at send time, mirroring the normal path below. *)
-      if not t.down.(src) then hook ~src ~dst ~size ~info deliver
-  | None ->
+(* The timed path every send takes when no capture hook is set. *)
+let transmit t ~src ~dst ~size ~handle msg =
   if t.down.(src) then ()
   else begin
     t.sent <- t.sent + 1;
@@ -186,13 +191,38 @@ let send ?(info = fun _ -> "") t ~src ~dst ~size deliver =
     | None -> ());
     if dropped_at_send then t.dropped <- t.dropped + 1
     else begin
-      deliver_at t ~now ~src ~dst deliver arrival;
+      let link = (src lsl link_bits) lor dst in
+      deliver_at t ~now ~link ~handle msg arrival;
       if duplicate then
         (* The copy takes its own (unclamped) path, arriving a little
            later — or, relative to subsequent traffic, out of order. *)
-        deliver_at t ~now ~src ~dst deliver (arrival + 1 + Rng.int t.rng 50_000)
+        deliver_at t ~now ~link ~handle msg
+          (arrival + 1 + Rng.int t.rng 50_000)
     end
   end
+
+let post t ~src ~dst ~size ~render ~handle msg =
+  match t.capture with
+  | Some hook ->
+      (* Model-checker interception: every send becomes an explicit
+         pending message under the checker's control; timing, chaos and
+         probes are bypassed.  A down sender still silently loses the
+         message at send time, mirroring [transmit].  Only here are the
+         renderer and the delivery thunk built. *)
+      if not t.down.(src) then
+        hook ~src ~dst ~size
+          ~info:(fun rename -> render rename msg)
+          (fun () -> handle dst msg)
+  | None -> transmit t ~src ~dst ~size ~handle msg
+
+let no_render _ _ = ""
+let run_thunk _dst deliver = deliver ()
+
+let send ?info t ~src ~dst ~size deliver =
+  let render =
+    match info with None -> no_render | Some info -> fun rename _ -> info rename
+  in
+  post t ~src ~dst ~size ~render ~handle:run_thunk deliver
 
 let sent_count t = t.sent
 let dropped_count t = t.dropped

@@ -7,9 +7,12 @@
     the TCP-stream assumption real implementations (etcd) make.  Messages
     can be dropped by probability or cut by a partition predicate.
 
-    The transport is payload-agnostic: the caller passes a closure that
-    delivers the typed message, so the network needs no knowledge of
-    protocol message types. *)
+    The transport is payload-agnostic: the caller hands over the typed
+    message with a handler and a renderer ({!post}), so the network needs
+    no knowledge of protocol message types.  A message in flight is its
+    payload plus one delivery closure (7 words); the renderer is applied
+    only under a {!capture} hook.  {!send} is the same path for a
+    message that is already a thunk. *)
 
 type t
 
@@ -24,6 +27,8 @@ val create :
   Engine.t ->
   nodes:node list ->
   t
+(** Raises [Invalid_argument] when [nodes] has more than 65 536 entries
+    (a link packs both node ids into one int), before allocating. *)
 
 val engine : t -> Engine.t
 val nodes : t -> node list
@@ -58,7 +63,7 @@ val set_chaos : t -> chaos option -> unit
 type monitor = now:int -> src:int -> dst:int -> size:int -> dropped:bool -> unit
 
 val set_monitor : t -> monitor option -> unit
-(** Observation tap: called once per {!send} with the send-time fault
+(** Observation tap: called once per {!post} or {!send} with the send-time fault
     decision ([dropped] covers probability drops, partition cuts and chaos
     drops; a mid-flight crash loss is not reported). *)
 
@@ -71,10 +76,11 @@ type capture =
   unit
 
 val set_capture : t -> capture option -> unit
-(** Model-checker interception: while set, {!send} hands every message
-    (its delivery closure plus a payload renderer) to the hook instead
-    of scheduling it, bypassing timing, chaos and probes.  The hook
-    decides if/when to invoke the closure.  The renderer takes a node-id
+(** Model-checker interception: while set, {!post} and {!send} hand
+    every message (a delivery thunk plus a payload renderer, both built
+    only on this path) to the hook instead of scheduling it, bypassing
+    timing, chaos and probes.  The hook decides if/when to invoke the
+    thunk.  The renderer takes a node-id
     renaming so the checker can re-fingerprint captured messages under a
     symmetry permutation; pass [Fun.id] for the plain rendering.  A down
     sender is still silenced at send time; delivery-time down/partition
@@ -91,6 +97,24 @@ val set_node_down : t -> int -> bool -> unit
 
 val node_down : t -> int -> bool
 
+val post :
+  t ->
+  src:int ->
+  dst:int ->
+  size:int ->
+  render:((int -> int) -> 'msg -> string) ->
+  handle:(int -> 'msg -> unit) ->
+  'msg ->
+  unit
+(** [post t ~src ~dst ~size ~render ~handle msg] transmits [msg], a
+    message of [size] bytes; [handle dst msg] runs at the destination's
+    delivery time unless the message is dropped.  Sending to self
+    delivers after {!Topology.local_us}.  The only allocation is the
+    delivery closure, so pass a [handle] and a [render] built once, not
+    per message.  [render] shows the payload to the capture hook, under
+    the node-id renaming it is given (protocols pass their
+    [render_msg ~rename]); it is never applied on the normal path. *)
+
 val send :
   ?info:((int -> int) -> string) ->
   t ->
@@ -99,12 +123,10 @@ val send :
   size:int ->
   (unit -> unit) ->
   unit
-(** [send t ~src ~dst ~size deliver] transmits a message of [size] bytes;
-    [deliver] runs at the destination's delivery time unless the message is
-    dropped.  Sending to self delivers after {!Topology.local_us}.
-    [info] lazily renders the payload for the capture hook, under the
-    node-id renaming it is given (protocols pass it down to their
-    [render_msg ~rename]); it is never forced on the normal path. *)
+(** [send t ~src ~dst ~size deliver] is {!post} for a message that is
+    its own thunk: [deliver] runs at the destination's delivery time,
+    with the same timing, faults and counters.  [info] renders it for the
+    capture hook; the default renders [""]. *)
 
 (** {1 Introspection for tests and benches} *)
 

@@ -39,9 +39,12 @@ let window t ~from_us ~until_us =
   out
 
 let throughput_ops t ~from_us ~until_us =
-  let w = window t ~from_us ~until_us in
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if t.times.(i) >= from_us && t.times.(i) < until_us then incr n
+  done;
   let span = float_of_int (until_us - from_us) /. 1_000_000.0 in
-  if span <= 0.0 then 0.0 else float_of_int w.len /. span
+  if span <= 0.0 then 0.0 else float_of_int !n /. span
 
 let sorted_samples t =
   match t.sorted with

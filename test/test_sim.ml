@@ -611,6 +611,111 @@ let test_net_crash_in_flight () =
   Engine.run_all e;
   Alcotest.(check bool) "message lost mid-flight" false !got
 
+let test_net_too_many_nodes () =
+  (* A link packs two 16-bit ids into one int; the check runs before the
+     n*n link table is allocated, so this list costs only itself. *)
+  let e = Engine.create () in
+  let nodes = List.init 65_537 (fun id -> { Net.id; site = Topology.Oregon }) in
+  match Net.create e ~nodes with
+  | _ -> Alcotest.fail "65 537 nodes accepted"
+  | exception Invalid_argument _ -> ()
+
+(* [post] and [send] share one timed path: the same script of sends, one
+   net posting typed payloads and the other sending the equivalent
+   thunks, must deliver at the same times in the same order and count
+   the same sends and drops, under chaos (delay, drop, duplicate,
+   reorder), a partition cut and a mid-flight crash. *)
+let test_net_post_matches_send () =
+  let run ~post =
+    let e = Engine.create ~seed:29L () in
+    let nodes = List.mapi (fun i site -> { Net.id = i; site }) Topology.sites in
+    let net = Net.create ~drop_probability:0.05 ~jitter_us:500 e ~nodes in
+    Net.set_chaos net
+      (Some
+         {
+           Net.delay_us = 40_000;
+           dup_probability = 0.2;
+           drop_probability = 0.1;
+           reorder = true;
+         });
+    let log = ref [] in
+    let handle dst m = log := (Engine.now e, dst, m) :: !log in
+    let render rename m = Printf.sprintf "m%d@%d" m (rename 0) in
+    for i = 0 to 299 do
+      Engine.schedule e ~delay:(i * 500) (fun () ->
+          let src = i mod 5 and dst = i * 3 mod 5 in
+          let size = 100 + (i * 37 mod 4000) in
+          if post then Net.post net ~src ~dst ~size ~render ~handle i
+          else Net.send net ~src ~dst ~size (fun () -> handle dst i))
+    done;
+    (* Cut {0, 1} from {2, 3, 4} for a while, and crash node 3 with
+       messages to it still in flight. *)
+    Engine.schedule e ~delay:20_000 (fun () ->
+        Net.set_partition net (Some (fun a b -> a < 2 <> (b < 2))));
+    Engine.schedule e ~delay:60_000 (fun () -> Net.set_partition net None);
+    Engine.schedule e ~delay:90_000 (fun () -> Net.set_node_down net 3 true);
+    Engine.schedule e ~delay:120_000 (fun () -> Net.set_node_down net 3 false);
+    Engine.run_all e;
+    (List.rev !log, Net.sent_count net, Net.dropped_count net)
+  in
+  let posted, p_sent, p_dropped = run ~post:true in
+  let sent, s_sent, s_dropped = run ~post:false in
+  let row = Alcotest.(list (triple int int int)) in
+  Alcotest.check row "deliveries" sent posted;
+  Alcotest.(check int) "sent_count" s_sent p_sent;
+  Alcotest.(check int) "dropped_count" s_dropped p_dropped;
+  (* The script must reach what it claims to cover. *)
+  let ids = List.map (fun (_, _, m) -> m) posted in
+  let distinct = List.sort_uniq Int.compare ids in
+  Alcotest.(check bool) "some duplicated" true
+    (List.length ids > List.length distinct);
+  Alcotest.(check bool) "some dropped" true (p_dropped > 0);
+  (* Message [i] rides link [i mod 5]: reordering shows as a first copy
+     overtaking an earlier message of the same link. *)
+  let seen = Hashtbl.create 64 and last = Array.make 5 (-1) in
+  let overtaken = ref false in
+  List.iter
+    (fun m ->
+      if not (Hashtbl.mem seen m) then begin
+        Hashtbl.add seen m ();
+        if m < last.(m mod 5) then overtaken := true
+        else last.(m mod 5) <- m
+      end)
+    ids;
+  Alcotest.(check bool) "some reordered" true !overtaken
+
+let test_net_post_capture () =
+  let e = Engine.create () in
+  let nodes = List.mapi (fun i site -> { Net.id = i; site }) Topology.sites in
+  let net = Net.create e ~nodes in
+  let captured = ref [] in
+  Net.set_capture net
+    (Some
+       (fun ~src ~dst ~size ~info deliver ->
+         captured := (src, dst, size, info, deliver) :: !captured));
+  let handled = ref [] in
+  let handle dst m = handled := (dst, m) :: !handled in
+  let render rename m = Printf.sprintf "m%d to %d" m (rename 4) in
+  Net.post net ~src:1 ~dst:4 ~size:77 ~render ~handle 42;
+  Net.set_node_down net 2 true;
+  Net.post net ~src:2 ~dst:0 ~size:10 ~render ~handle 7;
+  Engine.run_all e;
+  match !captured with
+  | [ (src, dst, size, info, deliver) ] ->
+      Alcotest.(check (triple int int int)) "link and size" (1, 4, 77)
+        (src, dst, size);
+      Alcotest.(check string) "info is render" (render Fun.id 42) (info Fun.id);
+      let swap i = 4 - i in
+      Alcotest.(check string) "under a renaming" (render swap 42) (info swap);
+      Alcotest.(check (list (pair int int))) "not delivered by the net" []
+        !handled;
+      deliver ();
+      Alcotest.(check (list (pair int int))) "thunk runs handle dst msg"
+        [ (4, 42) ] !handled;
+      Alcotest.(check int) "no timed send" 0 (Net.sent_count net)
+  | l -> Alcotest.failf "%d captured, expected 1 (down sender silenced)"
+           (List.length l)
+
 (* ---- cpu ---- *)
 
 let test_cpu_queueing () =
@@ -670,6 +775,39 @@ let test_hop_alloc () =
   if per_hop > 18.5 then
     Alcotest.failf "%.2f minor words per hop, more than 18" per_hop
 
+(* [test_hop_alloc]'s twin over [Net.post], with a typed payload and a
+   handler built once, as the replicas send.  Per hop: the payload (2
+   words), the delivery closure (7) and the test's completion closure
+   (5), 14 words; a hop over [send] pays 18, its own thunk (6 words) in
+   place of the payload.  Before [post] a replica message paid 18 words
+   besides its payload: a shared renderer/delivery closure (9), the
+   [Some info] box (2) and the delivery closure (7). *)
+type hop = { hop_seq : int }
+
+let test_post_hop_alloc () =
+  let e, net = mk_net () in
+  let cpus = Array.init (Net.size net) (fun _ -> Cpu.create e) in
+  let sends = ref 0 and warm = 10_000 and total = 50_000 in
+  let words_at_warm = ref 0.0 in
+  let render _ m = string_of_int m.hop_seq in
+  let rec hop src =
+    incr sends;
+    if !sends = warm then words_at_warm := Gc.minor_words ();
+    if !sends <= total then begin
+      let dst = (src + 1) mod Net.size net in
+      Net.post net ~src ~dst ~size:100 ~render ~handle { hop_seq = !sends }
+    end
+  and handle dst _ = Cpu.exec cpus.(dst) ~cost_us:5 (fun () -> hop dst) in
+  for i = 0 to 99 do
+    hop (i mod Net.size net)
+  done;
+  Engine.run_all e;
+  let per_hop =
+    (Gc.minor_words () -. !words_at_warm) /. float_of_int (total - warm)
+  in
+  if per_hop > 14.5 then
+    Alcotest.failf "%.2f minor words per hop, more than 14" per_hop
+
 (* ---- stats ---- *)
 
 let test_stats_percentiles () =
@@ -719,6 +857,28 @@ let test_stats_window_throughput () =
   (* 50 samples in [250ms..750ms) => 50 / 0.5s = 100 ops/s *)
   let tput = Stats.throughput_ops s ~from_us:250_000 ~until_us:750_000 in
   Alcotest.(check (float 1.0)) "windowed" 100.0 tput
+
+(* [throughput_ops] counts in place; it must read what the windowed
+   copy's length gives, including empty and inverted windows.  More than
+   1 024 samples cross the initial capacity, and a dense time range puts
+   samples on the window's edges. *)
+let prop_stats_throughput_is_window_count =
+  QCheck.Test.make ~name:"throughput_ops = count (window) / span" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 2_500) (int_range 0 20_000))
+        (int_range 0 21_000) (int_range 0 21_000))
+    (fun (times, from_us, until_us) ->
+      let s = Stats.create () in
+      List.iter (fun at_us -> Stats.record s ~latency_us:1 ~at_us) times;
+      let span = float_of_int (until_us - from_us) /. 1_000_000.0 in
+      let want =
+        if span <= 0.0 then 0.0
+        else
+          float_of_int (Stats.count (Stats.window s ~from_us ~until_us))
+          /. span
+      in
+      Stats.throughput_ops s ~from_us ~until_us = want)
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () in
@@ -789,6 +949,10 @@ let () =
           Alcotest.test_case "partition" `Quick test_net_partition;
           Alcotest.test_case "down node" `Quick test_net_down_node;
           Alcotest.test_case "crash in flight" `Quick test_net_crash_in_flight;
+          Alcotest.test_case "too many nodes" `Quick test_net_too_many_nodes;
+          Alcotest.test_case "post matches send" `Quick
+            test_net_post_matches_send;
+          Alcotest.test_case "post under capture" `Quick test_net_post_capture;
         ] );
       ( "cpu",
         [
@@ -796,7 +960,10 @@ let () =
           Alcotest.test_case "idle gap" `Quick test_cpu_idle_gap;
         ] );
       ( "alloc",
-        [ Alcotest.test_case "words per hop" `Quick test_hop_alloc ] );
+        [
+          Alcotest.test_case "words per hop" `Quick test_hop_alloc;
+          Alcotest.test_case "words per posted hop" `Quick test_post_hop_alloc;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
@@ -804,6 +971,7 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick
             test_stats_cache_invalidation;
           Alcotest.test_case "window" `Quick test_stats_window_throughput;
+          QCheck_alcotest.to_alcotest prop_stats_throughput_is_window_count;
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "empty" `Quick test_stats_empty;
         ] );
