@@ -30,10 +30,13 @@ let record t ~latency_us ~at_us =
 
 let count t = t.len
 
+let in_window t i ~from_us ~until_us =
+  t.times.(i) >= from_us && t.times.(i) < until_us
+
 let window t ~from_us ~until_us =
   let out = create () in
   for i = 0 to t.len - 1 do
-    if t.times.(i) >= from_us && t.times.(i) < until_us then
+    if in_window t i ~from_us ~until_us then
       record out ~latency_us:t.latencies.(i) ~at_us:t.times.(i)
   done;
   out
@@ -41,7 +44,7 @@ let window t ~from_us ~until_us =
 let throughput_ops t ~from_us ~until_us =
   let n = ref 0 in
   for i = 0 to t.len - 1 do
-    if t.times.(i) >= from_us && t.times.(i) < until_us then incr n
+    if in_window t i ~from_us ~until_us then incr n
   done;
   let span = float_of_int (until_us - from_us) /. 1_000_000.0 in
   if span <= 0.0 then 0.0 else float_of_int !n /. span
