@@ -4,10 +4,12 @@
     python3 bench/engine_gate.py COMMITTED.json FRESH.json
 
 Compares every row of a fresh `bench/main.exe engine` artifact with the
-committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops` and
-`minor_words_per_op` are pure functions of the binary and the seed, so
-any difference means the simulated behaviour or its allocation changed
-and the artifact must be regenerated in the same change.  The events/s
+committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops`,
+`minor_words_per_op` and `promoted_words_per_op` are pure functions of
+the binary and the seed (each row starts from `Gc.full_major`, so its
+minor heap starts empty), so any difference means the simulated
+behaviour or its allocation changed and the artifact must be
+regenerated in the same change.  The events/s
 floor cannot catch this: wasted events raise it.  Exits 1 on a
 mismatch, a missing row or an extra row.
 """
@@ -15,7 +17,13 @@ mismatch, a missing row or an extra row.
 import json
 import sys
 
-FIELDS = ("sim_events", "ops", "throughput_ops", "minor_words_per_op")
+FIELDS = (
+    "sim_events",
+    "ops",
+    "throughput_ops",
+    "minor_words_per_op",
+    "promoted_words_per_op",
+)
 
 
 def rows(path):
@@ -37,7 +45,7 @@ def main(committed_path, fresh_path):
             problems.append(f"{name}: not in the committed artifact")
         else:
             for field in FIELDS:
-                old, new = committed[key][field], fresh[key][field]
+                old, new = committed[key].get(field), fresh[key].get(field)
                 if old != new:
                     problems.append(f"{name}: {field} committed {old}, fresh {new}")
     for p in problems:

@@ -510,6 +510,33 @@ let micro () =
     @ List.init 10_000 (fun t ->
           Lin_check.Read { key = 0; started_us = t; returned = Some (t / 10) })
   in
+  (* Lease-read shaped, as a lease-reads run records it: 20 000 writes,
+     5% of them on the hot key and the rest over 100 000 keys, with nine
+     reads between consecutive writes, 180 000 in all, each returning its
+     key's latest acknowledged write; the committed order is the write
+     order. *)
+  let lease_order, lease_events =
+    let rng = Sim.Rng.create 11L in
+    let key () =
+      if Sim.Rng.int rng 100 < 5 then W.hot_key else Sim.Rng.int rng 100_000
+    in
+    let latest = Hashtbl.create 1024 in
+    let order = ref [] and events = ref [] in
+    for id = 0 to 19_999 do
+      let t = 10 * id in
+      let k = key () in
+      order := Raftpax_consensus.Types.Put { key = k; size = 8; write_id = id } :: !order;
+      events := Lin_check.Write_complete { write_id = id; key = k; at_us = t } :: !events;
+      Hashtbl.replace latest k id;
+      for r = 1 to 9 do
+        let k = key () in
+        events :=
+          Lin_check.Read { key = k; started_us = t + r; returned = Hashtbl.find_opt latest k }
+          :: !events
+      done
+    done;
+    (List.rev !order, List.rev !events)
+  in
   (* A queue held at [n] pending events: each fires and reschedules
      itself [1, 2n) µs ahead, n on average, so a run of 1 µs fires one
      event on average and the row reads ns per fire-and-reschedule at
@@ -551,6 +578,9 @@ let micro () =
       Test.make ~name:"kvstore/lin-check-hot-key"
         (Staged.stage (fun () ->
              ignore (Lin_check.check ~committed_order:hot_order hot_events)));
+      Test.make ~name:"kvstore/lin-check-lease-shaped"
+        (Staged.stage (fun () ->
+             ignore (Lin_check.check ~committed_order:lease_order lease_events)));
     ]
   in
   let benchmark test =
@@ -590,8 +620,8 @@ let engine_events_floor = 300_000.0
 
 let fig_engine () =
   Fmt.pr "== engine: sim hot-path microbenchmark (fig9 workload, 50 clients/region) ==@.";
-  Fmt.pr "%-14s %6s %12s %8s %14s %9s %10s %10s@." "system" "batch"
-    "sim_events" "wall_s" "events/s" "ops" "wall_ops/s" "minorw/op";
+  Fmt.pr "%-14s %6s %12s %8s %14s %9s %10s %10s %10s@." "system" "batch"
+    "sim_events" "wall_s" "events/s" "ops" "wall_ops/s" "minorw/op" "promw/op";
   (* (protocol, batch_size, wall-clock ops/s) per row, for the speedup
      summary: batching is the perf optimization under test, so the
      interesting ratio is ops completed per wall second at equal
@@ -621,9 +651,10 @@ let fig_engine () =
           let events_per_sec = float_of_int r.H.sim_events /. wall in
           let wall_ops_per_sec = float_of_int ops /. wall in
           let words_per_op = r.H.minor_words /. float_of_int (max 1 ops) in
-          Fmt.pr "%-14s %6d %12d %8.2f %14.0f %9d %10.0f %10.0f@."
+          let promoted_per_op = r.H.promoted_words /. float_of_int (max 1 ops) in
+          Fmt.pr "%-14s %6d %12d %8.2f %14.0f %9d %10.0f %10.0f %10.2f@."
             (H.protocol_name proto) batch_size r.H.sim_events wall
-            events_per_sec ops wall_ops_per_sec words_per_op;
+            events_per_sec ops wall_ops_per_sec words_per_op promoted_per_op;
           assert (r.H.consistency_violations = 0);
           (* sanity floor: a hot-path regression fails loudly in CI *)
           assert (events_per_sec >= engine_events_floor);
@@ -650,6 +681,7 @@ let fig_engine () =
                 ("throughput_ops", Json.Float r.H.throughput_ops);
                 ("wall_ops_per_sec", Json.Float wall_ops_per_sec);
                 ("minor_words_per_op", Json.Float words_per_op);
+                ("promoted_words_per_op", Json.Float promoted_per_op);
                 ("events_floor", Json.Float engine_events_floor);
               ]
             :: !recorded)

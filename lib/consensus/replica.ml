@@ -36,7 +36,7 @@ type 'msg t = {
   spans : Span.t;
   params : Types.params;
   nodes : node array;
-  completions : (int, Types.reply -> unit) Hashtbl.t;
+  completions : (Types.reply -> unit) Pending.t;
   mutable next_cmd_id : int;
   mutable cmd_id_stride : int;
   mutable wire : (src:int -> dst:int -> size:int -> 'msg -> unit) option;
@@ -84,6 +84,10 @@ let render_submit rename cmd = "Submit(" ^ Types.render_cmd ~rename cmd ^ ")"
 
 (* ---- construction ---- *)
 
+(* The completion table's free value: [complete] tells an absent command
+   by this closure's identity. *)
+let no_completion (_ : Types.reply) = ()
+
 let create ?(telemetry = Telemetry.disabled) ~params net =
   let engine = Net.engine net in
   let m = telemetry.Telemetry.metrics in
@@ -113,7 +117,7 @@ let create ?(telemetry = Telemetry.disabled) ~params net =
       spans = telemetry.Telemetry.spans;
       params;
       nodes;
-      completions = Hashtbl.create 16;
+      completions = Pending.create ~empty:no_completion;
       next_cmd_id = 0;
       cmd_id_stride = 1;
       wire = None;
@@ -159,7 +163,7 @@ let set_cmd_ids b ~base ~stride =
 let submit_id b ~node op k =
   let id = b.next_cmd_id in
   b.next_cmd_id <- id + b.cmd_id_stride;
-  Hashtbl.replace b.completions id k;
+  Pending.replace b.completions id k;
   let cmd =
     { Types.id; op; origin = node; submitted_us = Engine.now b.engine }
   in
@@ -177,13 +181,13 @@ let render_complete cmd_id (reply : Types.reply) =
     (match reply.value with None -> "-" | Some v -> string_of_int v)
 
 let complete b ~node cmd_id reply =
-  match Hashtbl.find_opt b.completions cmd_id with
-  | Some k ->
-      Hashtbl.remove b.completions cmd_id;
-      Span.mark b.spans ~trace:cmd_id ~node ~phase:"reply"
-        ~now:(Engine.now b.engine);
-      k reply
-  | None -> () (* duplicate completion after a leader change *)
+  let k = Pending.take b.completions cmd_id in
+  (* [no_completion]: a duplicate completion after a leader change *)
+  if k != no_completion then begin
+    Span.mark b.spans ~trace:cmd_id ~node ~phase:"reply"
+      ~now:(Engine.now b.engine);
+    k reply
+  end
 
 (* ---- applied state ---- *)
 

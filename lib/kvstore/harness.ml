@@ -70,6 +70,7 @@ type result = {
   requests : request list;
   sim_events : int;
   minor_words : float;
+  promoted_words : float;
 }
 
 type instance = {
@@ -127,7 +128,7 @@ let run cfg =
   and write_leader = Stats.create ()
   and write_follower = Stats.create () in
   let retries = ref 0 in
-  let events = ref [] in
+  let history = Lin_check.History.create () in
   let requests = ref [] in
   let end_us = cfg.duration_s * 1_000_000 in
   (* Closed-loop clients: one outstanding op each, retry on timeout. *)
@@ -164,17 +165,14 @@ let run cfg =
               Stats.record
                 (if at_leader then read_leader else read_follower)
                 ~latency_us:latency ~at_us:now;
-              events :=
-                Lin_check.Read
-                  { key; started_us = started; returned = reply.Types.value }
-                :: !events
+              Lin_check.History.read history ~key ~started_us:started
+                ~returned:reply.Types.value
           | Types.Put { write_id; key; _ } ->
               Stats.record
                 (if at_leader then write_leader else write_follower)
                 ~latency_us:latency ~at_us:now;
-              events :=
-                Lin_check.Write_complete { write_id; key; at_us = now }
-                :: !events);
+              Lin_check.History.write_complete history ~write_id ~key
+                ~at_us:now);
           client_loop c ()
         end)
     in
@@ -190,14 +188,16 @@ let run cfg =
       Engine.schedule engine ~delay:jitter (client_loop c)
     done
   done;
+  let promoted_before = (Gc.quick_stat ()).Gc.promoted_words in
   let minor_before = Gc.minor_words () in
   Engine.run engine ~until:end_us;
   let minor_words = Gc.minor_words () -. minor_before in
+  let promoted_words = (Gc.quick_stat ()).Gc.promoted_words -. promoted_before in
   let sim_events = Engine.events_executed engine in
   (* ---- consistency check against the committed order ---- *)
   let committed_order = inst.committed_ops ~node:leader in
   let violations =
-    (Lin_check.check ~committed_order !events).Lin_check.violations
+    (Lin_check.History.check ~committed_order history).Lin_check.violations
     |> List.length
   in
   let from_us = cfg.warmup_s * 1_000_000 in
@@ -219,4 +219,5 @@ let run cfg =
     requests = List.rev !requests;
     sim_events;
     minor_words;
+    promoted_words;
   }

@@ -81,6 +81,9 @@ type result = {
   minor_words : float;
       (** minor-heap words allocated across the simulation loop
           ({!Gc.minor_words} delta; excludes the post-run lin check) *)
+  promoted_words : float;
+      (** words promoted from the minor to the major heap across the
+          same loop ({!Gc.quick_stat} delta) *)
 }
 
 (** {1 Projections of {!Protocol.runtime}} *)

@@ -23,11 +23,15 @@
     then the write at the floor ([-1] if the floor is [-1]).  Violations
     come in event order.
 
-    Cost: O((W + R) log W + C) time and O(W + C) space for W
-    acknowledged writes, R reads and C committed operations.  Each key's
-    acknowledged writes are sorted by completion time once, with a
-    running maximum of their positions, so a read finds its floor by
-    binary search.  A history with no read returns at once. *)
+    Cost: O(W log W + R log w + C) time and O(W + R + C) space for W
+    acknowledged writes, R reads, C committed operations and at most w
+    acknowledged writes of the key a read reads.  A history is checked
+    from its {!History} columns: the acknowledged writes are sorted by
+    key and completion time once, with a running maximum of their
+    positions inside each key's run; a read finds its key's run with one
+    [Itbl] probe and its floor by a binary search inside the run; a
+    returned id finds its position with one [Itbl] probe by write id.
+    A history with no read returns at once. *)
 
 type event =
   | Write_complete of { write_id : int; key : int; at_us : int }
@@ -43,8 +47,38 @@ type violation = {
 
 type result = { reads_checked : int; violations : violation list }
 
+(** A client history in two growable [int] arrays, recorded as
+    operations complete: each read is three ints and each acknowledged
+    write three,
+    with no per-event box, list cell or table bucket.  Read results and
+    violations come in recording order, which is {e event order}.
+    [min_int] stands for a read that returned [None], so it may be
+    neither a key nor a write id. *)
+module History : sig
+  type t
+
+  val create : unit -> t
+
+  val read : t -> key:int -> started_us:int -> returned:int option -> unit
+  (** @raise Invalid_argument on a [min_int] key or returned id. *)
+
+  val write_complete : t -> write_id:int -> key:int -> at_us:int -> unit
+  (** @raise Invalid_argument on a [min_int] key or write id. *)
+
+  val iter_write_ids : (int -> unit) -> t -> unit
+  (** The acknowledged writes' ids, in recording order. *)
+
+  val check :
+    committed_order:Raftpax_consensus.Types.op list -> t -> result
+  (** The oracle.  Its cost is one [Itbl] probe plus O(log w{_k}) per
+      read of a key with w{_k} acknowledged writes. *)
+end
+
 val check :
   committed_order:Raftpax_consensus.Types.op list -> event list -> result
+(** The oracle of {!History.check}: the list's writes are recorded into a
+    {!History} and its reads checked in list order, without a copy.
+    @raise Invalid_argument on a [min_int] key or id. *)
 
 val check_sharded :
   committed_orders:Raftpax_consensus.Types.op list array ->
@@ -52,8 +86,9 @@ val check_sharded :
   event list ->
   result array
 (** Per-group oracles for a sharded run: slices the events by key
-    ownership ([group_of_key]) and runs {!check} for each group against
-    that group's own committed order ([committed_orders.(g)]).  Sound for
+    ownership ([group_of_key]) and runs {!check} on each group's slice
+    against that group's own committed order ([committed_orders.(g)]),
+    as {!Shard.run} does with one {!History} per group.  Sound for
     the same reason the single-group check is — each key lives in exactly
     one group's state machine, so per-key linearizability is decided
     entirely by that group's order. *)

@@ -94,6 +94,7 @@ type group_run = {
   protocol : Harness.protocol;
   read_stats : Stats.t;
   write_stats : Stats.t;
+  history : Lin_check.History.t;  (** the group's keys, in completion order *)
   mutable ops : int;
   mutable retries : int;
 }
@@ -125,6 +126,7 @@ let run cfg =
       protocol = group_protocol cfg g;
       read_stats = Stats.create ();
       write_stats = Stats.create ();
+      history = Lin_check.History.create ();
       ops = 0;
       retries = 0;
     }
@@ -135,7 +137,6 @@ let run cfg =
   let groups = Array.of_list (build 0) in
   let group_of_key key = Workload.group_of_key ~shards:cfg.shards key in
   let wl = Workload.create ~seed:cfg.seed ~regions cfg.workload in
-  let events = ref [] in
   let end_us = cfg.duration_s * 1_000_000 in
   (* Closed-loop clients, one outstanding op each, retry on timeout.
      Every op is routed to its key's owning group and submitted at that
@@ -165,15 +166,12 @@ let run cfg =
              (match op with
              | Types.Get { key } ->
                  Stats.record g.read_stats ~latency_us:latency ~at_us:now;
-                 events :=
-                   Lin_check.Read
-                     { key; started_us = started; returned = reply.Types.value }
-                   :: !events
+                 Lin_check.History.read g.history ~key ~started_us:started
+                   ~returned:reply.Types.value
              | Types.Put { write_id; key; _ } ->
                  Stats.record g.write_stats ~latency_us:latency ~at_us:now;
-                 events :=
-                   Lin_check.Write_complete { write_id; key; at_us = now }
-                   :: !events);
+                 Lin_check.History.write_complete g.history ~write_id ~key
+                   ~at_us:now);
              client_loop c ()
            end))
   in
@@ -185,13 +183,16 @@ let run cfg =
     done
   done;
   Engine.run engine ~until:end_us;
-  (* ---- per-group consistency oracles ---- *)
+  (* ---- per-group consistency oracles: each key lives in exactly one
+     group's state machine, so its group's order decides it ---- *)
   let committed_orders =
     Array.map (fun g -> g.inst.Harness.committed_ops ~node:g.leader) groups
   in
   let checks =
-    Lin_check.check_sharded ~committed_orders ~group_of_key
-      (List.rev !events)
+    Array.mapi
+      (fun i g ->
+        Lin_check.History.check ~committed_order:committed_orders.(i) g.history)
+      groups
   in
   let from_us = cfg.warmup_s * 1_000_000 in
   let until_us = (cfg.duration_s - cfg.cooldown_s) * 1_000_000 in

@@ -112,7 +112,7 @@ let run cfg =
   let final_end = probe_start + probe_window_us in
 
   (* ---- closed-loop clients ---- *)
-  let events = ref [] in
+  let history = Lin_check.History.create () in
   let ops_completed = ref 0 in
   let next_write_id = ref 0 in
   let fresh_write_id () =
@@ -162,16 +162,14 @@ let run cfg =
           incr ops_completed;
           (match op with
           | Types.Get { key } ->
-              events :=
-                Lin_check.Read { key; started_us = started; returned = reply.Types.value }
-                :: !events;
+              Lin_check.History.read history ~key ~started_us:started
+                ~returned:reply.Types.value;
               Trace.record trace ~now
                 (Fmt.str "OP done client=%d %a -> %a" client pp_op op
                    Fmt.(option ~none:(any "none") int)
                    reply.Types.value)
           | Types.Put { key; write_id; _ } ->
-              events :=
-                Lin_check.Write_complete { write_id; key; at_us = now } :: !events;
+              Lin_check.History.write_complete history ~write_id ~key ~at_us:now;
               Trace.record trace ~now
                 (Fmt.str "OP done client=%d %a" client pp_op op));
           client_loop client rng ()
@@ -278,24 +276,18 @@ let run cfg =
                 [ first_diff 0 o longest ])
             orders))
   in
-  let acked_writes =
-    List.filter_map
-      (function
-        | Lin_check.Write_complete { write_id; _ } -> Some write_id
-        | Lin_check.Read _ -> None)
-      !events
-  in
   let committed_ids = Itbl.create () in
   List.iter
     (function
       | Types.Put { write_id; _ } -> Itbl.replace committed_ids write_id 0
       | Types.Get _ -> ())
     longest;
-  let lost_writes =
-    List.length
-      (List.filter (fun id -> Option.is_none (Itbl.find_opt committed_ids id)) acked_writes)
-  in
-  let lin = Lin_check.check ~committed_order:longest (List.rev !events) in
+  let lost_writes = ref 0 in
+  Lin_check.History.iter_write_ids
+    (fun id -> if not (Itbl.mem committed_ids id) then incr lost_writes)
+    history;
+  let lost_writes = !lost_writes in
+  let lin = Lin_check.History.check ~committed_order:longest history in
   let failures =
     List.concat
       [

@@ -87,20 +87,22 @@ let histogram t name ~node =
   end
 
 (* The index of [v]'s highest set bit (0 below 2), capped at the last
-   bucket: a binary search over bit ranges, six halving steps whatever
-   the value. *)
+   bucket: a binary search over bit ranges, unrolled into six
+   shift-and-select steps with no loop and no branch past the first. *)
 let bucket_of v =
   if v < 2 then 0
   else begin
-    let i = ref 0 and v = ref v and bits = ref 32 in
-    while !bits > 0 do
-      if !v lsr !bits <> 0 then begin
-        v := !v lsr !bits;
-        i := !i + !bits
-      end;
-      bits := !bits lsr 1
-    done;
-    min !i (n_buckets - 1)
+    let b = Bool.to_int (v lsr 32 <> 0) lsl 5 in
+    let v = v lsr b and i = b in
+    let b = Bool.to_int (v lsr 16 <> 0) lsl 4 in
+    let v = v lsr b and i = i + b in
+    let b = Bool.to_int (v lsr 8 <> 0) lsl 3 in
+    let v = v lsr b and i = i + b in
+    let b = Bool.to_int (v lsr 4 <> 0) lsl 2 in
+    let v = v lsr b and i = i + b in
+    let b = Bool.to_int (v lsr 2 <> 0) lsl 1 in
+    let v = v lsr b and i = i + b in
+    min (i + Bool.to_int (v lsr 1 <> 0)) (n_buckets - 1)
   end
 
 let observe h v =

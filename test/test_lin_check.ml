@@ -297,6 +297,137 @@ let test_phantom_on_unacknowledged_key () =
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
 
+(* ---- the History recorder against both list oracles ---- *)
+
+(* Record the events through the recorder's own calls, as a run does. *)
+let recorded events =
+  let h = Lin_check.History.create () in
+  List.iter
+    (function
+      | Lin_check.Write_complete { write_id; key; at_us } ->
+          Lin_check.History.write_complete h ~write_id ~key ~at_us
+      | Lin_check.Read { key; started_us; returned } ->
+          Lin_check.History.read h ~key ~started_us ~returned)
+    events;
+  h
+
+let all_three_agree (committed_order, events) =
+  let reference = Reference.check ~committed_order events in
+  Lin_check.check ~committed_order events = reference
+  && Lin_check.History.check ~committed_order (recorded events) = reference
+
+let history_agrees =
+  QCheck.Test.make ~count:2000
+    ~name:"History.check equals check and the quadratic reference" history
+    all_three_agree
+
+(* One hot key with 200-300 committed writes, acknowledged one every
+   1-3 us in an order that drifts from the log's, and reads of it in
+   between that return any committed id of it, [None] or a phantom; a
+   few writes and reads of a cold key ride along.  The floors move
+   inside one long run, so a floor taken from anywhere but the read's
+   own place in the run is caught. *)
+let hot_history =
+  let open QCheck.Gen in
+  let gen =
+    int_range 200 300 >>= fun n ->
+    let order =
+      List.init n (fun id -> put 0 id) @ [ put 1 1000; put 1 1001 ]
+    in
+    list_repeat n (int_range 1 3) >>= fun gaps ->
+    list_repeat n (int_range (-2) 2) >>= fun drift ->
+    list_size (int_range 200 400)
+      (pair (int_range 0 (3 * n))
+         (frequency
+            [
+              (6, map Option.some (int_range 0 (n - 1)));
+              (1, return None);
+              (1, return (Some 5000));
+            ]))
+    >>= fun reads ->
+    let t = ref 0 in
+    let writes =
+      List.mapi
+        (fun id (gap, d) ->
+          t := !t + gap;
+          (* neighbours may swap completion order *)
+          let id = max 0 (min (n - 1) (id + d)) in
+          (!t, wc id 0 !t))
+        (List.combine gaps drift)
+    in
+    let reads = List.map (fun (at, ret) -> (at, rd 0 at ret)) reads in
+    let cold = [ (1, wc 1000 1 1); (2, rd 1 2 (Some 1000)); (3, rd 1 3 None) ] in
+    let events =
+      List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (cold @ writes @ reads)
+    in
+    return (order, List.map snd events)
+  in
+  QCheck.make
+    ~print:(fun (order, events) ->
+      Printf.sprintf "%d committed / %s" (List.length order)
+        (show_list show_event events))
+    gen
+
+let hot_key_agrees =
+  QCheck.Test.make ~count:200 ~name:"hot key: History.check equals the reference"
+    hot_history all_three_agree
+
+let test_id_under_two_keys () =
+  (* write 7 is committed under key 1, then key 2, then key 1 again: a
+     read of key 1 returning 7 sits at position 3, one of key 2 at 1 *)
+  let committed_order = [ put 1 7; put 2 7; put 1 8; put 1 7; put 2 9 ] in
+  let events =
+    [
+      wc 7 2 10;
+      wc 8 1 20;
+      wc 9 2 30;
+      rd 1 40 (Some 7) (* position 3 >= floor 2: fresh *);
+      rd 2 40 (Some 7) (* position 1 < floor 4: stale *);
+      rd 2 25 (Some 7) (* floor 1: fresh *);
+      rd 3 40 (Some 7) (* never committed under key 3 *);
+    ]
+  in
+  let expect =
+    Lin_check.
+      [
+        { v_key = 2; v_returned = Some 7; v_expected_after = 9; v_started_us = 40 };
+        { v_key = 3; v_returned = Some 7; v_expected_after = -1; v_started_us = 40 };
+      ]
+  in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check int) (name ^ ": checked") 4 r.Lin_check.reads_checked;
+      Alcotest.(check bool) (name ^ ": violations") true
+        (r.Lin_check.violations = expect))
+    [
+      ("list", Lin_check.check ~committed_order events);
+      ("history", Lin_check.History.check ~committed_order (recorded events));
+      ("reference", Reference.check ~committed_order events);
+    ]
+
+let test_violations_in_event_order () =
+  (* two violations, the phantom first in event order *)
+  let events =
+    [ wc 10 1 100; rd 1 150 (Some 77); wc 11 1 160; rd 1 200 (Some 10) ]
+  in
+  let keys r =
+    List.map (fun v -> v.Lin_check.v_started_us) r.Lin_check.violations
+  in
+  Alcotest.(check (list int)) "list adapter" [ 150; 200 ] (keys (check events));
+  Alcotest.(check (list int)) "history" [ 150; 200 ]
+    (keys (Lin_check.History.check ~committed_order:order (recorded events)))
+
+let test_history_recording () =
+  let h = recorded [ wc 10 1 100; rd 1 150 None; wc 11 1 160; wc 12 1 170 ] in
+  let ids = ref [] in
+  Lin_check.History.iter_write_ids (fun id -> ids := id :: !ids) h;
+  Alcotest.(check (list int)) "write ids in order" [ 10; 11; 12 ] (List.rev !ids);
+  Alcotest.(check int) "reads" 1
+    (Lin_check.History.check ~committed_order:order h).Lin_check.reads_checked;
+  Alcotest.check_raises "min_int is None's mark"
+    (Invalid_argument "Lin_check: min_int key or id") (fun () ->
+      Lin_check.History.read h ~key:1 ~started_us:0 ~returned:(Some min_int))
+
 let () =
   Alcotest.run "lin_check"
     [
@@ -319,10 +450,16 @@ let () =
           Alcotest.test_case "no reads" `Quick test_no_reads;
           Alcotest.test_case "phantom on unacknowledged key" `Quick
             test_phantom_on_unacknowledged_key;
+          Alcotest.test_case "one id under two keys" `Quick test_id_under_two_keys;
+          Alcotest.test_case "violations in event order" `Quick
+            test_violations_in_event_order;
+          Alcotest.test_case "history recording" `Quick test_history_recording;
         ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest agrees_with_reference;
           QCheck_alcotest.to_alcotest sharded_is_per_group;
+          QCheck_alcotest.to_alcotest history_agrees;
+          QCheck_alcotest.to_alcotest hot_key_agrees;
         ] );
     ]

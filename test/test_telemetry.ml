@@ -164,14 +164,45 @@ let bucket_by_shifts v =
     min !i 61
   end
 
+(* The six-step halving loop the unrolled [Metrics.bucket_of] replaced. *)
+let bucket_by_halving v =
+  if v < 2 then 0
+  else begin
+    let i = ref 0 and v = ref v and bits = ref 32 in
+    while !bits > 0 do
+      if !v lsr !bits <> 0 then begin
+        v := !v lsr !bits;
+        i := !i + !bits
+      end;
+      bits := !bits lsr 1
+    done;
+    min !i 61
+  end
+
+let bucket_agrees v =
+  Metrics.bucket_of v = bucket_by_shifts v && Metrics.bucket_of v = bucket_by_halving v
+
 let prop_bucket_of =
-  QCheck.Test.make ~name:"bucket_of equals the shift loop" ~count:2000
+  QCheck.Test.make ~name:"bucket_of equals both loops" ~count:2000
     QCheck.(pair int (int_bound 62))
     (fun (x, k) ->
       (* [x lsr k] spreads the samples over every bit width. *)
-      List.for_all
-        (fun v -> Metrics.bucket_of v = bucket_by_shifts v)
+      List.for_all bucket_agrees
         [ 0; 1; max_int; min_int; x; x lsr k; 1 lsl k; (1 lsl k) - 1 ])
+
+let test_bucket_edges () =
+  let edges =
+    [ 0; 1; -1; -2; min_int; max_int; max_int - 1 ]
+    @ List.concat_map
+        (fun k -> let p = 1 lsl k in [ p - 1; p; p + 1; -p ])
+        (List.init 63 Fun.id)
+  in
+  List.iter
+    (fun v ->
+      if not (bucket_agrees v) then
+        Alcotest.failf "bucket_of %d = %d, loops say %d and %d" v
+          (Metrics.bucket_of v) (bucket_by_shifts v) (bucket_by_halving v))
+    edges
 
 (* ---- disabled telemetry allocates nothing ---- *)
 
@@ -339,6 +370,7 @@ let () =
         [
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           QCheck_alcotest.to_alcotest prop_bucket_of;
+          Alcotest.test_case "bucket_of edges" `Quick test_bucket_edges;
           Alcotest.test_case "disabled zero-alloc" `Quick test_disabled_zero_alloc;
           Alcotest.test_case "counters on all nodes" `Quick test_counters_all_nodes;
           Alcotest.test_case "probe parity" `Quick test_probe_parity;
