@@ -6,10 +6,16 @@
 Compares every row of a fresh `bench/main.exe engine` artifact with the
 committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops`,
 `minor_words_per_op` and `promoted_words_per_op` are pure functions of
-the binary and the seed (each row starts from `Gc.full_major`, so its
-minor heap starts empty), so any difference means the simulated
+the binary and the seed, so any difference means the simulated
 behaviour or its allocation changed and the artifact must be
-regenerated in the same change.  The events/s
+regenerated in the same change.  Each row runs in a child process
+forked from the same parent state and starts from `Gc.full_major`, so
+its minor heap starts empty and its major heap does not carry what
+earlier rows grew: run in one process, a row's promoted words depended
+on the rows before it (reversing the row order moved Raft*-Mencius b1
+from 34.53 to 37.37 promoted words/op), although its minor words did
+not.  A row's figures are therefore the same in any row order, and a
+row whose code did not change keeps them.  The events/s
 floor cannot catch this: wasted events raise it.  Exits 1 on a
 mismatch, a missing row or an extra row.
 """

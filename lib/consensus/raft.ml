@@ -124,6 +124,9 @@ type server = {
   (* leader bookkeeping *)
   next_index : int array;
   match_index : int array;
+  frontier : int array;
+      (** scratch for {!quorum_frontier}: the match indexes sorted, so the
+          per-ack commit scan allocates nothing *)
   inflight : int array;  (* in-flight append batches per follower *)
   votes : bool array;
   vote_extras : (int * Types.entry * int) Vec.t;
@@ -140,6 +143,12 @@ type server = {
       (** [peer_grants.(x).(h)]: deadline of the lease x reported granting
           to h in its latest ack (leader-side bookkeeping) *)
   mutable pending_reads : (int * (unit -> unit)) list;
+      (** quorum-lease reads blocked on the commit index, newest first:
+          (threshold, serve) *)
+  mutable pending_min : int;
+      (** the smallest threshold in [pending_reads] ([max_int] when it is
+          empty).  Derived state, so [dump_state] leaves it out: a commit
+          below it can release no read, and skips the partition. *)
   mutable verified_term : int;
   mutable verified_to : int;
       (** Raft* only: the highest log index known to match the log of the
@@ -184,6 +193,12 @@ let p t = t.config.params
 
 (* ---- message sizes ---- *)
 
+(* [Types.batch_bytes] over an [Append]'s entries, read in place from the
+   (entry, ballot) pairs. *)
+let rec entries_bytes params acc = function
+  | [] -> acc
+  | (e, _) :: rest -> entries_bytes params (acc + Types.entry_bytes params e) rest
+
 let msg_size t = function
   | RequestVote _ -> (p t).msg_header_bytes
   | Vote { extras; _ } ->
@@ -191,7 +206,8 @@ let msg_size t = function
       + List.fold_left
           (fun acc (_, e, _) -> acc + Types.entry_bytes (p t) e)
           0 extras
-  | Append { entries; _ } -> Types.batch_bytes (p t) (List.map fst entries)
+  | Append { entries; _ } ->
+      (p t).msg_header_bytes + entries_bytes (p t) 0 entries
   | Ack { holders; _ } -> (p t).msg_header_bytes + (16 * List.length holders)
   | Forward cmd -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
   | Complete _ -> (p t).reply_bytes
@@ -258,6 +274,135 @@ let note_write t srv idx (e : Types.entry) =
 let send t ~src ~dst msg = Replica.send t.base ~src ~dst msg
 let broadcast t srv msg = Replica.broadcast t.base ~src:srv.id msg
 
+(* ---- commit and lease scans ----
+
+   These run on every ack, append or read, so they are loops over the
+   server's arrays and the message's lists: none of them allocates
+   beyond the value it returns. *)
+
+(* Highest index replicated on a majority: the majority-th largest match
+   index, with the leader standing at its own last index.  The indexes are
+   sorted in the [frontier] scratch array by insertion sort (n is the
+   cluster size, a handful). *)
+let quorum_frontier t srv =
+  let xs = srv.frontier in
+  Array.blit srv.match_index 0 xs 0 t.n;
+  xs.(srv.id) <- last_index srv;
+  for i = 1 to t.n - 1 do
+    let x = xs.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && xs.(!j) > x do
+      xs.(!j + 1) <- xs.(!j);
+      decr j
+    done;
+    xs.(!j + 1) <- x
+  done;
+  xs.(t.n - majority t)
+
+(* Figure 13's LeaderLearn: the holder set is the union of the leases
+   granted by every commit-quorum member (reported in their acks) and by
+   the leader itself; each such holder must have acknowledged the entry
+   before it commits.  Returns the smallest match index among the holders
+   required at [m] ([max_int] when unconstrained): [m] commits iff that
+   bound is [>= m], and when it is not, no index in its gap can commit
+   either (a holder required at [m] stays required below it), so the scan
+   may jump straight to the bound. *)
+let holders_min_match t srv ~now m =
+  match t.config.read_mode with
+  | Quorum_lease ->
+      let bound = ref max_int in
+      for h = 0 to t.n - 1 do
+        if h <> srv.id && srv.my_grants.(h) >= now then
+          bound := Int.min !bound srv.match_index.(h)
+      done;
+      for x = 0 to t.n - 1 do
+        if x <> srv.id && srv.match_index.(x) >= m then begin
+          let row = srv.peer_grants.(x) in
+          for h = 0 to t.n - 1 do
+            if h <> srv.id && row.(h) >= now then
+              bound := Int.min !bound srv.match_index.(h)
+          done
+        end
+      done;
+      !bound
+  | Log_read | Leader_lease -> max_int
+
+(* The earliest deadline among the still-valid leases the leader knows
+   of, its own grants and those its peers reported ([max_int] if none). *)
+let earliest_valid_lease t srv ~now =
+  let earliest = ref max_int in
+  for x = -1 to t.n - 1 do
+    let row = if x < 0 then srv.my_grants else srv.peer_grants.(x) in
+    for h = 0 to t.n - 1 do
+      let d = row.(h) in
+      if d >= now && d < !earliest then earliest := d
+    done
+  done;
+  !earliest
+
+let quorum_lease_active t srv =
+  let now = Engine.now t.engine in
+  let valid = ref 1 (* self-grant *) in
+  for i = 0 to t.n - 1 do
+    if i <> srv.id && srv.grant_from.(i) >= now then incr valid
+  done;
+  !valid >= majority t
+
+let refresh_leader_lease t srv =
+  let now = Engine.now t.engine in
+  let fresh = ref 1 in
+  for i = 0 to t.n - 1 do
+    if
+      i <> srv.id
+      && srv.follower_last_ack.(i) >= now - (2 * (p t).heartbeat_interval_us)
+    then incr fresh
+  done;
+  if !fresh >= majority t then begin
+    if srv.leader_lease_until < now then Metrics.inc srv.pr.pr_lease_grants
+    else Metrics.inc srv.pr.pr_lease_renewals;
+    srv.leader_lease_until <- now + (p t).election_timeout_min_us
+  end
+
+(* The (holder, deadline) leases this server has granted and that are
+   still valid — attached to acks in quorum-lease mode (Figure 13).
+   Consed in ascending holder order, so the list reads in descending
+   holder id. *)
+let my_valid_grants t srv =
+  if t.config.read_mode <> Quorum_lease then []
+  else begin
+    let now = Engine.now t.engine in
+    let acc = ref [] in
+    for h = 0 to t.n - 1 do
+      let deadline = srv.my_grants.(h) in
+      if h <> srv.id && deadline >= now then acc := (h, deadline) :: !acc
+    done;
+    !acc
+  end
+
+(* An ack's holder leases merged into the leader's row for the acker. *)
+let rec merge_holders row = function
+  | [] -> ()
+  | (h, deadline) :: rest ->
+      if deadline > row.(h) then row.(h) <- deadline;
+      merge_holders row rest
+
+(* The smallest threshold among blocked reads ([max_int] for none). *)
+let rec min_threshold acc = function
+  | [] -> acc
+  | (threshold, _) :: rest -> min_threshold (Int.min acc threshold) rest
+
+(* The log's copy of an accepted (entry, ballot) pair.  Raft*: every
+   entry in an accepted batch is re-accepted at the replicating leader's
+   term (spec AcceptEntries rewrites logBallot to [term]
+   unconditionally) — not just the matching-term slots.  A commit-quorum
+   member must hold the committed entry at a ballot at least the
+   committing term, or a later election's highest-ballot adoption could
+   prefer a stale competing entry carried at a higher wire ballot.  The
+   received pair itself unless that raises its ballot, so the log shares
+   the message's tuple. *)
+let stored t ~term ((entry, bal) as e) =
+  if t.config.flavor = Star && bal < term then (entry, term) else e
+
 (* ---- applying committed entries ---- *)
 
 let rec apply_committed t srv =
@@ -270,66 +415,33 @@ let rec apply_committed t srv =
     | None -> ())
   done;
   (* Wake local reads blocked on the commit index (quorum-lease mode).
-     The partition is skipped entirely when nothing is blocked — the
-     common case on every append outside quorum-lease runs. *)
-  if srv.pending_reads <> [] then begin
+     No read waits on a threshold below [pending_min], so a commit short
+     of it skips the partition — as it does when nothing is blocked, the
+     common case on every append outside quorum-lease runs.  The blocked
+     list and its minimum are settled before any read is served. *)
+  if srv.commit_index >= srv.pending_min then begin
     let ready, blocked =
       List.partition (fun (threshold, _) -> srv.commit_index >= threshold) srv.pending_reads
     in
     srv.pending_reads <- blocked;
+    srv.pending_min <- min_threshold max_int blocked;
     List.iter (fun (_, serve) -> serve ()) ready
   end
 
 (* ---- leases ---- *)
 
-and quorum_lease_active t srv =
-  let now = Engine.now t.engine in
-  let valid = ref 1 (* self-grant *) in
-  Array.iteri
-    (fun i deadline -> if i <> srv.id && deadline >= now then incr valid)
-    srv.grant_from;
-  !valid >= majority t
-
 and leader_lease_valid t srv =
   srv.role = Leader && Engine.now t.engine <= srv.leader_lease_until
-
-and refresh_leader_lease t srv =
-  let now = Engine.now t.engine in
-  let fresh = ref 1 in
-  Array.iteri
-    (fun i ack ->
-      if i <> srv.id && ack >= now - (2 * (p t).heartbeat_interval_us) then
-        incr fresh)
-    srv.follower_last_ack;
-  if !fresh >= majority t then begin
-    if srv.leader_lease_until < now then Metrics.inc srv.pr.pr_lease_grants
-    else Metrics.inc srv.pr.pr_lease_renewals;
-    srv.leader_lease_until <- now + (p t).election_timeout_min_us
-  end
-
-(* The (holder, deadline) leases this server has granted and that are
-   still valid — attached to acks in quorum-lease mode (Figure 13). *)
-and my_valid_grants t srv =
-  if t.config.read_mode <> Quorum_lease then []
-  else begin
-    let now = Engine.now t.engine in
-    let acc = ref [] in
-    Array.iteri
-      (fun h deadline ->
-        if h <> srv.id && deadline >= now then acc := (h, deadline) :: !acc)
-      srv.my_grants;
-    !acc
-  end
 
 (* ---- replication (leader side) ---- *)
 
 and send_batch t srv peer =
   let next = srv.next_index.(peer) in
-  let entries =
-    List.init
-      (max 0 (srv.flush_to - next + 1))
-      (fun k -> Log.get srv.log (next + k))
-  in
+  let entries = ref [] in
+  for i = srv.flush_to downto next do
+    entries := Log.get srv.log i :: !entries
+  done;
+  let entries = !entries in
   srv.inflight.(peer) <- srv.inflight.(peer) + 1;
   Metrics.inc srv.pr.pr_appends;
   (* Optimistic next-index: pipeline further batches without waiting. *)
@@ -347,14 +459,13 @@ and send_batch t srv peer =
 
 and maybe_replicate t srv =
   if srv.role = Leader then
-    Array.iter
-      (fun peer ->
-        if
-          peer.id <> srv.id
-          && srv.inflight.(peer.id) < (p t).pipeline_window
-          && srv.next_index.(peer.id) <= srv.flush_to
-        then send_batch t srv peer.id)
-      t.servers
+    for peer = 0 to t.n - 1 do
+      if
+        peer <> srv.id
+        && srv.inflight.(peer) < (p t).pipeline_window
+        && srv.next_index.(peer) <= srv.flush_to
+      then send_batch t srv peer
+    done
 
 (* Release the accumulated batch to replication: the base's flush hook.
    One call replicates every command appended since the previous flush
@@ -369,59 +480,21 @@ and flush_batch t srv =
 and advance_commit t srv =
   if srv.role = Leader then begin
     let now = Engine.now t.engine in
-    (* Highest index replicated on a majority: the majority-th largest
-       match index, with the leader standing at its own last index.
-       [quorum_match m] holds iff [m <= frontier] (match counts are
+    (* [quorum_match m] holds iff [m <= quorum_frontier] (match counts are
        monotone downward), so the commit scan can start there instead of
        probing every in-flight index from the log tip — with hundreds of
        closed-loop clients the tip-to-commit gap is the outstanding-op
        count, and this runs once per ack. *)
-    let quorum_frontier () =
-      let xs = Array.copy srv.match_index in
-      xs.(srv.id) <- last_index srv;
-      (* n = cluster size (<= a handful), not data volume. *)
-      (Array.sort Int.compare xs [@perf.allow "sort-in-loop"]);
-      xs.(t.n - majority t)
-    in
-    (* Figure 13's LeaderLearn: the holder set is the union of the
-       leases granted by every commit-quorum member (reported in their
-       acks) and by the leader itself; each such holder must have
-       acknowledged the entry before it commits.  Returns the smallest
-       match index among the holders required at [m] ([max_int] when
-       unconstrained): [m] commits iff that bound is [>= m], and when it
-       is not, no index in its gap can commit either (a holder required
-       at [m] stays required below it), so the scan may jump straight to
-       the bound. *)
-    let holders_min_match m =
-      match t.config.read_mode with
-      | Quorum_lease ->
-          let bound = ref max_int in
-          let require h =
-            if h <> srv.id then bound := min !bound srv.match_index.(h)
-          in
-          Array.iteri
-            (fun h deadline -> if deadline >= now then require h)
-            srv.my_grants;
-          Array.iteri
-            (fun x row ->
-              if x <> srv.id && srv.match_index.(x) >= m then
-                Array.iteri
-                  (fun h deadline -> if deadline >= now then require h)
-                  row)
-            srv.peer_grants;
-          !bound
-      | Log_read | Leader_lease -> max_int
-    in
     (* 5.4.2: only an entry of the current term commits by counting
        replicas, but committing it commits the whole prefix (inherited
        old-term entries included) — so scan downward for the highest
        committable index. *)
     let new_commit = ref srv.commit_index in
     let blocked_on_holder = ref false in
-    let m = ref (min (last_index srv) (quorum_frontier ())) in
+    let m = ref (min (last_index srv) (quorum_frontier t srv)) in
     while !m > srv.commit_index && !new_commit = srv.commit_index do
       if term_at srv !m = srv.term then begin
-        let bound = holders_min_match !m in
+        let bound = holders_min_match t srv ~now !m in
         if bound >= !m then new_commit := !m
         else begin
           blocked_on_holder := true;
@@ -437,13 +510,7 @@ and advance_commit t srv =
     if !blocked_on_holder then
       (* A lease holder is behind (possibly down): retry when the earliest
          blocking lease expires. *)
-      let earliest =
-        let min_valid acc d = if d >= now then min acc d else acc in
-        let own = Array.fold_left min_valid max_int srv.my_grants in
-        Array.fold_left
-          (fun acc row -> Array.fold_left min_valid acc row)
-          own srv.peer_grants
-      in
+      let earliest = earliest_valid_lease t srv ~now in
       if earliest < max_int then arm_commit_retry t srv ~at:(earliest + 1)
   end
 
@@ -522,6 +589,7 @@ and handle_client t srv (cmd : Types.cmd) =
             if srv.commit_index >= threshold then serve_local_read t srv cmd
             else begin
               Metrics.inc srv.pr.pr_lease_waits;
+              srv.pending_min <- Int.min srv.pending_min threshold;
               srv.pending_reads <-
                 ( threshold,
                   fun () ->
@@ -743,7 +811,7 @@ and handle t srv msg =
           let count = Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 srv.votes in
           if count >= majority t then become_leader t srv
         end
-    | Append { term; leader; prev_idx; prev_term; entries; commit } ->
+    | Append { term; leader; entries; _ } ->
         if term < srv.term then begin
           Metrics.inc srv.node.acks_sent;
           send t ~src:srv.id ~dst:leader
@@ -767,90 +835,14 @@ and handle t srv msg =
           (* The consistency check runs in processing order (inside the CPU
              queue): an earlier batch's log write may still be queued, and
              checking against the stale log would reject valid batches. *)
-          Cpu.exec srv.node.cpu ~cost_us:cost (fun () ->
-              if not srv.down then begin
-                (* Raft*'s acceptor rules.  Vanilla needs only the
-                   prev-term consistency check: truncation preserves log
-                   matching, so agreement at [prev] attests the whole
-                   prefix.  Star overwrites point-wise and never
-                   truncates, which voids both halves of that argument:
-
-                   - a batch ending below our log end would leave a stale
-                     old-term suffix whose tip no longer reflects the log
-                     content, breaking the up-to-date vote check
-                     ([would_shorten], spec AcceptEntries's
-                     [l_index >= last_index]);
-                   - extra-entry adoption lets the new leader's log agree
-                     with ours at [prev] while disagreeing below it, so a
-                     batch anchored past our verified frontier could make
-                     [min commit match_idx] commit a never-replicated
-                     stale gap ([unverified_gap]).
-
-                   A rejection reports the frontier so the leader's
-                   back-off resends a batch overlapping it, which then
-                   extends the frontier — one extra round trip per leader
-                   change, after which pipelined batches stay
-                   contiguous. *)
-                if t.config.flavor = Star && term > srv.verified_term then begin
-                  srv.verified_term <- term;
-                  srv.verified_to <- srv.commit_index
-                end;
-                let stale = t.config.flavor = Star && term < srv.term in
-                let would_shorten =
-                  t.config.flavor = Star && prev_idx + k < last_index srv
-                in
-                let unverified_gap =
-                  t.config.flavor = Star && prev_idx > srv.verified_to
-                in
-                if
-                  stale || would_shorten || unverified_gap
-                  || not (prev_idx < 0 || term_at srv prev_idx = prev_term)
-                then begin
-                  Metrics.inc srv.node.acks_sent;
-                  send t ~src:srv.id ~dst:leader
-                    (Ack
-                       {
-                         term = srv.term;
-                         from = srv.id;
-                         success = false;
-                         match_idx =
-                           (if t.config.flavor = Star then srv.verified_to
-                            else srv.commit_index);
-                         holders = my_valid_grants t srv;
-                       })
-                end
-                else begin
-                  accept_entries t srv ~prev_idx ~entries ~term;
-                  let match_idx = prev_idx + k in
-                  if t.config.flavor = Star then
-                    srv.verified_to <- max srv.verified_to match_idx;
-                  srv.commit_index <-
-                    max srv.commit_index (min commit match_idx);
-                  apply_committed t srv;
-                  activate_pending_grants t srv;
-                  Metrics.inc srv.node.acks_sent;
-                  send t ~src:srv.id ~dst:leader
-                    (Ack
-                       {
-                         term = srv.term;
-                         from = srv.id;
-                         success = true;
-                         match_idx;
-                         holders = my_valid_grants t srv;
-                       })
-                end
-              end)
+          Cpu.exec srv.node.cpu ~cost_us:cost (fun () -> accept_append t srv msg k)
         end
     | Ack { term; from; success; match_idx; holders } ->
         if term > srv.term then step_down t srv term
         else if srv.role = Leader then begin
           srv.inflight.(from) <- max 0 (srv.inflight.(from) - 1);
           srv.follower_last_ack.(from) <- Engine.now t.engine;
-          List.iter
-            (fun (h, deadline) ->
-              srv.peer_grants.(from).(h) <-
-                max srv.peer_grants.(from).(h) deadline)
-            holders;
+          merge_holders srv.peer_grants.(from) holders;
           refresh_leader_lease t srv;
           if success then begin
             srv.match_index.(from) <- max srv.match_index.(from) match_idx;
@@ -865,42 +857,108 @@ and handle t srv msg =
           maybe_replicate t srv
         end
 
+(* The follower's side of an [Append], run when its CPU charge is done:
+   the message itself is the closure's one payload. *)
+and accept_append t srv msg k =
+  match msg with
+  | Append { term; leader; prev_idx; prev_term; entries; commit } ->
+      if not srv.down then begin
+        (* Raft*'s acceptor rules.  Vanilla needs only the prev-term
+           consistency check: truncation preserves log matching, so
+           agreement at [prev] attests the whole prefix.  Star overwrites
+           point-wise and never truncates, which voids both halves of that
+           argument:
+
+           - a batch ending below our log end would leave a stale old-term
+             suffix whose tip no longer reflects the log content, breaking
+             the up-to-date vote check ([would_shorten], spec
+             AcceptEntries's [l_index >= last_index]);
+           - extra-entry adoption lets the new leader's log agree with ours
+             at [prev] while disagreeing below it, so a batch anchored past
+             our verified frontier could make [min commit match_idx] commit
+             a never-replicated stale gap ([unverified_gap]).
+
+           A rejection reports the frontier so the leader's back-off
+           resends a batch overlapping it, which then extends the frontier
+           — one extra round trip per leader change, after which pipelined
+           batches stay contiguous. *)
+        if t.config.flavor = Star && term > srv.verified_term then begin
+          srv.verified_term <- term;
+          srv.verified_to <- srv.commit_index
+        end;
+        let stale = t.config.flavor = Star && term < srv.term in
+        let would_shorten =
+          t.config.flavor = Star && prev_idx + k < last_index srv
+        in
+        let unverified_gap = t.config.flavor = Star && prev_idx > srv.verified_to in
+        if
+          stale || would_shorten || unverified_gap
+          || not (prev_idx < 0 || term_at srv prev_idx = prev_term)
+        then begin
+          Metrics.inc srv.node.acks_sent;
+          send t ~src:srv.id ~dst:leader
+            (Ack
+               {
+                 term = srv.term;
+                 from = srv.id;
+                 success = false;
+                 match_idx =
+                   (if t.config.flavor = Star then srv.verified_to
+                    else srv.commit_index);
+                 holders = my_valid_grants t srv;
+               })
+        end
+        else begin
+          accept_entries t srv ~term (prev_idx + 1) entries;
+          let match_idx = prev_idx + k in
+          if t.config.flavor = Star then
+            srv.verified_to <- max srv.verified_to match_idx;
+          srv.commit_index <- max srv.commit_index (min commit match_idx);
+          apply_committed t srv;
+          activate_pending_grants t srv;
+          Metrics.inc srv.node.acks_sent;
+          send t ~src:srv.id ~dst:leader
+            (Ack
+               {
+                 term = srv.term;
+                 from = srv.id;
+                 success = true;
+                 match_idx;
+                 holders = my_valid_grants t srv;
+               })
+        end
+      end
+  | RequestVote _ | Vote _ | Ack _ | Forward _ | Complete _ | Grant _
+  | GrantConfirm _ ->
+      ()
+
+(* Runs on every accepted [Append]; with no grant waiting there is
+   nothing to partition. *)
 and activate_pending_grants t srv =
-  let ready, waiting =
-    List.partition
-      (fun (_, _, required) -> last_index srv >= required)
-      srv.pending_grants
-  in
-  srv.pending_grants <- waiting;
-  List.iter
-    (fun (from, deadline, _) ->
-      srv.grant_from.(from) <- max srv.grant_from.(from) deadline;
-      Metrics.inc srv.pr.pr_lease_confirms;
-      send t ~src:srv.id ~dst:from (GrantConfirm { from = srv.id; deadline }))
-    ready
+  if srv.pending_grants <> [] then begin
+    let ready, waiting =
+      List.partition
+        (fun (_, _, required) -> last_index srv >= required)
+        srv.pending_grants
+    in
+    srv.pending_grants <- waiting;
+    List.iter
+      (fun (from, deadline, _) ->
+        srv.grant_from.(from) <- max srv.grant_from.(from) deadline;
+        Metrics.inc srv.pr.pr_lease_confirms;
+        send t ~src:srv.id ~dst:from (GrantConfirm { from = srv.id; deadline }))
+      ready
+  end
 
 (* Log reconciliation.  Vanilla erases the conflicting suffix; Raft*
    overwrites the replicated range (rewriting ballots) and never shortens
-   the log. *)
-and accept_entries t srv ~prev_idx ~entries ~term =
-  (* Raft*: every entry in an accepted batch is re-accepted at the
-     replicating leader's term (spec AcceptEntries rewrites logBallot to
-     [term] unconditionally) — not just the matching-term slots.  A
-     commit-quorum member must hold the committed entry at a ballot at
-     least the committing term, or a later election's highest-ballot
-     adoption could prefer a stale competing entry carried at a higher
-     wire ballot. *)
-  (* The received pair itself unless that raises its ballot, so the log
-     shares the message's tuple. *)
-  let stored ((entry, bal) as e) =
-    if t.config.flavor = Star && bal < term then (entry, term) else e
-  in
-  let idx = ref (prev_idx + 1) in
-  List.iter
-    (fun (((entry : Types.entry), _) as e) ->
-      let i = !idx in
+   the log.  [accept_entries t srv ~term i entries] writes [entries] from
+   index [i] on. *)
+and accept_entries t srv ~term i = function
+  | [] -> ()
+  | (((entry : Types.entry), _) as e) :: rest ->
       if i > last_index srv then begin
-        Log.push srv.log (stored e);
+        Log.push srv.log (stored t ~term e);
         note_write t srv i entry
       end
       else begin
@@ -909,14 +967,13 @@ and accept_entries t srv ~prev_idx ~entries ~term =
           (match t.config.flavor with
           | Vanilla -> Log.truncate srv.log i
           | Star -> ());
-          if i > last_index srv then Log.push srv.log (stored e)
-          else Log.set srv.log i (stored e);
+          if i > last_index srv then Log.push srv.log (stored t ~term e)
+          else Log.set srv.log i (stored t ~term e);
           note_write t srv i entry
         end
-        else if t.config.flavor = Star then Log.set srv.log i (stored e)
+        else if t.config.flavor = Star then Log.set srv.log i (stored t ~term e)
       end;
-      incr idx)
-    entries
+      accept_entries t srv ~term (i + 1) rest
 
 (* ---- lease renewal loop (quorum-lease mode) ---- *)
 
@@ -969,6 +1026,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           appended_cmds = Itbl.create ();
           next_index = Array.make n 0;
           match_index = Array.make n (-1);
+          frontier = Array.make n 0;
           inflight = Array.make n 0;
           votes = Array.make n false;
           vote_extras = Vec.create ();
@@ -980,6 +1038,7 @@ let create ?(telemetry = Telemetry.disabled) config net =
           confirmed_grants = Array.make n min_int;
           peer_grants = Array.make_matrix n n min_int;
           pending_reads = [];
+          pending_min = max_int;
           flush_to = -1;
           verified_term = 0;
           verified_to = -1;
@@ -1086,6 +1145,7 @@ let restart t ~node =
   Array.fill srv.inflight 0 t.n 0;
   Replica.drop_batch srv.node;
   srv.pending_reads <- [];
+  srv.pending_min <- max_int;
   Array.fill srv.grant_from 0 t.n min_int;
   srv.pending_grants <- [];
   Array.fill srv.my_grants 0 t.n min_int;
@@ -1298,5 +1358,16 @@ let invariant_violation t =
             fail "ballot-field: node %d index %d ballot %d vs term %d" s.id i
               b e.Types.term)
         s.log)
+    t.servers;
+  (* The read-wakeup floor is derived state and must equal the smallest
+     threshold a blocked read waits on: above it, a commit that should
+     release a read skips it; below it, every apply partitions for
+     nothing. *)
+  Array.iter
+    (fun s ->
+      let floor = min_threshold max_int s.pending_reads in
+      if s.pending_min <> floor then
+        fail "read-wakeup-floor: node %d pending_min %d, blocked reads wait from %d"
+          s.id s.pending_min floor)
     t.servers;
   !violation

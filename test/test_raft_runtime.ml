@@ -299,6 +299,151 @@ let test_pql_reads_wait_at_leader_and_follower () =
     Alcotest.(check string) (Fmt.str "node %d kw" node) "5=2" (last_writes t ~node)
   done
 
+(* Blocked reads wake by threshold: the commit of the lower write index
+   releases only the reads waiting on it, newest first (the order the
+   blocked list keeps), and the reads behind the later write stay blocked
+   until that write commits.  The setup is
+   [test_pql_reads_wait_at_leader_and_follower]'s, with a second write
+   20 ms after the first, so the two commit at different times. *)
+let test_pql_reads_wake_by_threshold () =
+  let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
+  Raft.submit t ~node:0 (put ~key:5 1) (fun _ -> ());
+  Raft.submit t ~node:0 (put ~key:6 1) (fun _ -> ());
+  run_and_wait engine ~ms:2000;
+  let t0 = Engine.now engine in
+  let done_at = Hashtbl.create 8 and order = ref [] in
+  let finish label = Hashtbl.replace done_at label (Engine.now engine - t0) in
+  let at label = Hashtbl.find done_at label in
+  let submit_at ~delay op label check =
+    Engine.schedule engine ~delay (fun () ->
+        Raft.submit t ~node:0 op (fun r ->
+            check r;
+            order := label :: !order;
+            finish label))
+  in
+  let reads_value v r = Alcotest.(check (option int)) "read value" (Some v) r.Types.value in
+  submit_at ~delay:0 (put ~key:5 2) "w5" ignore;
+  submit_at ~delay:20_000 (put ~key:6 3) "w6" ignore;
+  (* the leader has appended the first write by 10 ms, the second by
+     30 ms *)
+  submit_at ~delay:10_000 (Types.Get { key = 5 }) "r5a" (reads_value 2);
+  submit_at ~delay:12_000 (Types.Get { key = 5 }) "r5b" (reads_value 2);
+  submit_at ~delay:40_000 (Types.Get { key = 6 }) "r6a" (reads_value 3);
+  submit_at ~delay:42_000 (Types.Get { key = 6 }) "r6b" (reads_value 3);
+  Engine.schedule engine ~delay:45_000 (fun () ->
+      Alcotest.(check (option string)) "four reads blocked" None
+        (Raft.invariant_violation t));
+  run_and_wait engine ~ms:3000;
+  Alcotest.(check int) "all six done" 6 (Hashtbl.length done_at);
+  Alcotest.(check bool)
+    (Fmt.str "w5 (%dus) commits before w6 (%dus)" (at "w5") (at "w6"))
+    true
+    (at "w5" < at "w6");
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Fmt.str "%s (%dus) waited for w5 (%dus), not for w6 (%dus)" r (at r)
+           (at "w5") (at "w6"))
+        true
+        (at r >= at "w5" && at r < at "w6"))
+    [ "r5a"; "r5b" ];
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Fmt.str "%s (%dus) waited for w6 (%dus)" r (at r) (at "w6"))
+        true
+        (at r >= at "w6"))
+    [ "r6a"; "r6b" ];
+  let reads = List.filter (fun l -> l.[0] = 'r') (List.rev !order) in
+  Alcotest.(check (list string)) "newest blocked read first"
+    [ "r5b"; "r5a"; "r6b"; "r6a" ] reads;
+  Alcotest.(check (option string)) "no read left blocked" None
+    (Raft.invariant_violation t)
+
+(* A restart drops the reads a replica held blocked (their clients were
+   lost with the crash) and the wakeup floor with them: a read blocked
+   after the restart is released by its own write's commit, and the
+   floor stays the blocked reads' smallest threshold throughout. *)
+let test_pql_restart_resets_blocked_reads () =
+  let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
+  Raft.submit t ~node:0 (put ~key:5 1) (fun _ -> ());
+  run_and_wait engine ~ms:2000;
+  let stranded = ref false in
+  Raft.submit t ~node:0 (put ~key:5 2) (fun _ -> ());
+  (* Ohio (node 1) has the append by 30 ms, and the write cannot commit
+     before about 60 ms *)
+  Engine.schedule engine ~delay:30_000 (fun () ->
+      Raft.submit t ~node:1 (Types.Get { key = 5 }) (fun _ -> stranded := true));
+  Engine.schedule engine ~delay:35_000 (fun () ->
+      Alcotest.(check (option string)) "floor with a read blocked" None
+        (Raft.invariant_violation t);
+      Raft.crash t ~node:1);
+  run_and_wait engine ~ms:1000;
+  Raft.restart t ~node:1;
+  Alcotest.(check (option string)) "floor after the restart" None
+    (Raft.invariant_violation t);
+  (* The restarted replica regains its leases and catches up. *)
+  run_and_wait engine ~ms:3000;
+  Alcotest.(check bool) "lease active again" true (Raft.lease_active t ~node:1);
+  let t0 = Engine.now engine in
+  let write_done_at = ref (-1) and read = ref (None, -1) in
+  Raft.submit t ~node:0 (put ~key:7 3) (fun _ ->
+      write_done_at := Engine.now engine - t0);
+  Engine.schedule engine ~delay:30_000 (fun () ->
+      Raft.submit t ~node:1 (Types.Get { key = 7 }) (fun r ->
+          read := (r.Types.value, Engine.now engine - t0));
+      Alcotest.(check (option string)) "floor with the new read blocked" None
+        (Raft.invariant_violation t));
+  run_and_wait engine ~ms:3000;
+  let value, at = !read in
+  Alcotest.(check (option int)) "new read released with the write" (Some 3) value;
+  Alcotest.(check bool)
+    (Fmt.str "new read (%dus) waited for the commit (%dus)" at !write_done_at)
+    true
+    (!write_done_at > 0 && at >= !write_done_at);
+  Alcotest.(check bool) "the crashed read is never answered" false !stranded;
+  Alcotest.(check (option string)) "floor at the end" None
+    (Raft.invariant_violation t)
+
+(* Minor words per committed write of a fixed-seed Raft*-PQL run in
+   which reads keep blocking: 100 closed-loop clients over 5 replicas,
+   10 hot keys, one write in five, 2 s after a 1 s warmup.  Minor words
+   are a pure function of the code, so the bound is pinned near the
+   figure this code reaches, 639.3 words per write over 414 writes, at
+   700 (about 10% headroom).  Run with the wakeup partition back on
+   every apply while any read is blocked, the same run allocates 900.4,
+   and fails the bound. *)
+let test_pql_words_per_write () =
+  let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
+  let rng = Sim.Rng.create 11L in
+  let end_us = 3_000_000 in
+  let writes = ref 0 and committed = ref 0 in
+  let rec client node () =
+    if Engine.now engine < end_us then begin
+      let key = Sim.Rng.int rng 10 in
+      if Sim.Rng.int rng 5 = 0 then begin
+        incr writes;
+        Raft.submit t ~node (put ~key !writes) (fun _ ->
+            incr committed;
+            client node ())
+      end
+      else Raft.submit t ~node (Types.Get { key }) (fun _ -> client node ())
+    end
+  in
+  run_and_wait engine ~ms:1000;
+  for node = 0 to 4 do
+    for _ = 1 to 20 do
+      client node ()
+    done
+  done;
+  let before = Gc.minor_words () in
+  Engine.run engine ~until:end_us;
+  let per_write = (Gc.minor_words () -. before) /. float_of_int !committed in
+  Alcotest.(check bool) "writes committed" true (!committed > 100);
+  if per_write > 700.0 then
+    Alcotest.failf "%.2f minor words per committed write, more than 700"
+      per_write
+
 let test_pql_write_waits_for_all_holders () =
   let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
   run_and_wait engine ~ms:1000;
@@ -437,6 +582,12 @@ let () =
           Alcotest.test_case "PQL read waits" `Quick test_pql_read_waits_for_conflicting_write;
           Alcotest.test_case "PQL reads wait at leader and follower" `Quick
             test_pql_reads_wait_at_leader_and_follower;
+          Alcotest.test_case "PQL reads wake by threshold" `Quick
+            test_pql_reads_wake_by_threshold;
+          Alcotest.test_case "PQL restart resets blocked reads" `Quick
+            test_pql_restart_resets_blocked_reads;
+          Alcotest.test_case "PQL words per committed write" `Quick
+            test_pql_words_per_write;
           Alcotest.test_case "last writes only under PQL" `Quick
             test_last_writes_only_under_pql;
           Alcotest.test_case "PQL write waits" `Quick test_pql_write_waits_for_all_holders;
