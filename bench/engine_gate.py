@@ -8,16 +8,18 @@ committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops`,
 `minor_words_per_op` and `promoted_words_per_op` are pure functions of
 the binary and the seed, so any difference means the simulated
 behaviour or its allocation changed and the artifact must be
-regenerated in the same change.  Each row runs in a child process
-forked from the same parent state and starts from `Gc.full_major`, so
-its minor heap starts empty and its major heap does not carry what
-earlier rows grew: run in one process, a row's promoted words depended
-on the rows before it (reversing the row order moved Raft*-Mencius b1
-from 34.53 to 37.37 promoted words/op), although its minor words did
-not.  A row's figures are therefore the same in any row order, and a
-row whose code did not change keeps them.  The events/s
-floor cannot catch this: wasted events raise it.  Exits 1 on a
-mismatch, a missing row or an extra row.
+regenerated in the same change.  The events/s floor cannot catch this:
+wasted events raise it.  Exits 1 on a mismatch, a missing row or an
+extra row.
+
+Each row runs in a fresh process of `bench/main.exe` (its
+`--engine-row I` mode) and starts from `Gc.full_major`.  A row's
+promoted words depend on the heap its process holds when the row
+starts: in one process they moved with the order of the rows, and in
+children forked from the driving process with what the driver held
+(EXPERIMENTS.md, "Engine rows in their own processes").  Its minor
+words never moved.  A fresh process starts every row from the same
+heap, so a row whose code did not change keeps its figures.
 """
 
 import json

@@ -619,7 +619,7 @@ let micro () =
 let engine_events_floor = 300_000.0
 
 (* What an engine row keeps of its [H.run]: every field the artifact
-   records, measured in the row's own process (see [in_child]). *)
+   records, measured in the row's own process (see [row_in_process]). *)
 type engine_row = {
   er_sim_events : int;
   er_wall : float;
@@ -629,6 +629,16 @@ type engine_row = {
   er_promoted_words : float;
   er_violations : int;
 }
+
+(* The engine rows in the order they run: every protocol, unbatched and
+   at [engine_batch]. *)
+let engine_rows =
+  List.concat_map
+    (fun proto -> [ (proto, (1, 0)); (proto, engine_batch) ])
+    [ H.Raft_star; H.Raft_pql; H.Multipaxos; H.Mencius ]
+
+let engine_cfg (proto, (batch_size, batch_delay_us)) =
+  run_cfg ~batch_size ~batch_delay_us proto
 
 let engine_row cfg =
   (* Start from an empty minor heap so minor-words/op is comparable
@@ -651,34 +661,37 @@ let engine_row cfg =
     er_violations = r.H.consistency_violations;
   }
 
-(* [f ()] computed in a forked child and its result marshalled back.
-   A row's promoted words depend on the rows run before it in the same
-   process, even after [Gc.full_major]: with the rows in reverse order
-   MultiPaxos b1 promoted 43.04 words/op instead of 42.63 and Mencius b1
-   37.37 instead of 34.53, while every row's minor words stayed equal,
-   and [Gc.compact ()] (a full major collection in OCaml 5.1) did not
-   remove it.  What carries over is most likely the major heap the
-   earlier rows grew, which sets when the major GC forces a minor
-   collection.  Every child forks from the same parent state, so each
-   row's minor and promoted words are the same in any row order. *)
-let in_child f =
-  Format.pp_print_flush Format.std_formatter ();
+(* Row [i] of [engine_rows], measured in a fresh process of this
+   executable (its [--engine-row I] mode, which writes the marshalled
+   row to stdout).  A row's promoted words depend on the heap its
+   process holds when the row starts, even after [Gc.full_major] or
+   [Gc.compact ()]: in one process they moved with the order of the
+   rows, and in children forked from the driving process with what the
+   driver held.  A fresh process starts every row from the same heap,
+   so a row's minor and promoted words are the same in any row order.
+   Each row then pays the first-touch page faults that, in one process,
+   only the first row paid: about 8% of its events/s (EXPERIMENTS.md,
+   "Engine rows in their own processes"). *)
+let row_in_process i =
   flush_all ();
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let oc = Unix.out_channel_of_descr wr in
-      Marshal.to_channel oc (f ()) [];
-      close_out oc;
-      Unix._exit 0
-  | pid ->
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      let v = Marshal.from_channel ic in
-      close_in ic;
-      ignore (Unix.waitpid [] pid);
-      v
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let args =
+    [ Sys.executable_name; "--engine-row"; string_of_int i ]
+    @ if !quick then [] else [ "full" ]
+  in
+  let pid =
+    Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin wr
+      Unix.stderr
+  in
+  Unix.close wr;
+  let ic = Unix.in_channel_of_descr rd in
+  let row : engine_row option =
+    try Some (Marshal.from_channel ic) with End_of_file | Failure _ -> None
+  in
+  close_in ic;
+  match (snd (Unix.waitpid [] pid), row) with
+  | Unix.WEXITED 0, Some row -> row
+  | _ -> failwith (Fmt.str "engine row %d: its process failed" i)
 
 let fig_engine () =
   Fmt.pr "== engine: sim hot-path microbenchmark (fig9 workload, 50 clients/region) ==@.";
@@ -689,55 +702,52 @@ let fig_engine () =
      interesting ratio is ops completed per wall second at equal
      simulated duration. *)
   let rows = ref [] in
-  List.iter
-    (fun proto ->
-      List.iter
-        (fun (batch_size, batch_delay_us) ->
-          let cfg = run_cfg ~batch_size ~batch_delay_us proto in
-          let row = in_child (fun () -> engine_row cfg) in
-          let ops = row.er_ops in
-          let wall = row.er_wall in
-          let events_per_sec = float_of_int row.er_sim_events /. wall in
-          let wall_ops_per_sec = float_of_int ops /. wall in
-          let words_per_op = row.er_minor_words /. float_of_int (max 1 ops) in
-          let promoted_per_op =
-            row.er_promoted_words /. float_of_int (max 1 ops)
-          in
-          Fmt.pr "%-14s %6d %12d %8.2f %14.0f %9d %10.0f %10.0f %10.2f@."
-            (H.protocol_name proto) batch_size row.er_sim_events wall
-            events_per_sec ops wall_ops_per_sec words_per_op promoted_per_op;
-          assert (row.er_violations = 0);
-          (* sanity floor: a hot-path regression fails loudly in CI *)
-          assert (events_per_sec >= engine_events_floor);
-          rows := (proto, batch_size, wall_ops_per_sec) :: !rows;
-          recorded :=
-            Json.Obj
-              [
-                ("protocol", Json.String (H.protocol_name proto));
-                ( "config",
-                  Json.Obj
-                    [
-                      ( "clients_per_region",
-                        Json.Int cfg.H.workload.W.clients_per_region );
-                      ("read_fraction", Json.Float cfg.H.workload.W.read_fraction);
-                      ("duration_s", Json.Int cfg.H.duration_s);
-                      ("seed", Json.Int (Int64.to_int cfg.H.seed));
-                      ("batch_size", Json.Int batch_size);
-                      ("batch_delay_us", Json.Int batch_delay_us);
-                    ] );
-                ("sim_events", Json.Int row.er_sim_events);
-                ("wall_s", Json.Float wall);
-                ("events_per_sec", Json.Float events_per_sec);
-                ("ops", Json.Int ops);
-                ("throughput_ops", Json.Float row.er_throughput_ops);
-                ("wall_ops_per_sec", Json.Float wall_ops_per_sec);
-                ("minor_words_per_op", Json.Float words_per_op);
-                ("promoted_words_per_op", Json.Float promoted_per_op);
-                ("events_floor", Json.Float engine_events_floor);
-              ]
-            :: !recorded)
-        [ (1, 0); engine_batch ])
-    [ H.Raft_star; H.Raft_pql; H.Multipaxos; H.Mencius ];
+  List.iteri
+    (fun i ((proto, (batch_size, batch_delay_us)) as spec) ->
+      let cfg = engine_cfg spec in
+      let row = row_in_process i in
+      let ops = row.er_ops in
+      let wall = row.er_wall in
+      let events_per_sec = float_of_int row.er_sim_events /. wall in
+      let wall_ops_per_sec = float_of_int ops /. wall in
+      let words_per_op = row.er_minor_words /. float_of_int (max 1 ops) in
+      let promoted_per_op =
+        row.er_promoted_words /. float_of_int (max 1 ops)
+      in
+      Fmt.pr "%-14s %6d %12d %8.2f %14.0f %9d %10.0f %10.0f %10.2f@."
+        (H.protocol_name proto) batch_size row.er_sim_events wall
+        events_per_sec ops wall_ops_per_sec words_per_op promoted_per_op;
+      assert (row.er_violations = 0);
+      (* sanity floor: a hot-path regression fails loudly in CI *)
+      assert (events_per_sec >= engine_events_floor);
+      rows := (proto, batch_size, wall_ops_per_sec) :: !rows;
+      recorded :=
+        Json.Obj
+          [
+            ("protocol", Json.String (H.protocol_name proto));
+            ( "config",
+              Json.Obj
+                [
+                  ( "clients_per_region",
+                    Json.Int cfg.H.workload.W.clients_per_region );
+                  ("read_fraction", Json.Float cfg.H.workload.W.read_fraction);
+                  ("duration_s", Json.Int cfg.H.duration_s);
+                  ("seed", Json.Int (Int64.to_int cfg.H.seed));
+                  ("batch_size", Json.Int batch_size);
+                  ("batch_delay_us", Json.Int batch_delay_us);
+                ] );
+            ("sim_events", Json.Int row.er_sim_events);
+            ("wall_s", Json.Float wall);
+            ("events_per_sec", Json.Float events_per_sec);
+            ("ops", Json.Int ops);
+            ("throughput_ops", Json.Float row.er_throughput_ops);
+            ("wall_ops_per_sec", Json.Float wall_ops_per_sec);
+            ("minor_words_per_op", Json.Float words_per_op);
+            ("promoted_words_per_op", Json.Float promoted_per_op);
+            ("events_floor", Json.Float engine_events_floor);
+          ]
+        :: !recorded)
+    engine_rows;
   List.iter
     (fun proto ->
       let find b =
@@ -833,8 +843,20 @@ let strip_trailing_slash dir =
   let n = String.length dir in
   if n > 1 && dir.[n - 1] = '/' then String.sub dir 0 (n - 1) else dir
 
+(* [--engine-row I [full]]: measure row [I] of [engine_rows] alone and
+   write it, marshalled, to stdout (see [row_in_process]). *)
+let engine_row_mode = function
+  | "--engine-row" :: i :: rest ->
+      if List.mem "full" rest then quick := false;
+      let row = engine_row (engine_cfg (List.nth engine_rows (int_of_string i))) in
+      set_binary_mode_out stdout true;
+      Marshal.to_channel stdout row [];
+      exit 0
+  | _ -> ()
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  engine_row_mode args;
   let rec take_out acc = function
     | [] -> List.rev acc
     | "--out" :: dir :: rest ->

@@ -145,10 +145,6 @@ type server = {
   mutable pending_reads : (int * (unit -> unit)) list;
       (** quorum-lease reads blocked on the commit index, newest first:
           (threshold, serve) *)
-  mutable pending_min : int;
-      (** the smallest threshold in [pending_reads] ([max_int] when it is
-          empty).  Derived state, so [dump_state] leaves it out: a commit
-          below it can release no read, and skips the partition. *)
   mutable verified_term : int;
   mutable verified_to : int;
       (** Raft* only: the highest log index known to match the log of the
@@ -386,10 +382,10 @@ let rec merge_holders row = function
       if deadline > row.(h) then row.(h) <- deadline;
       merge_holders row rest
 
-(* The smallest threshold among blocked reads ([max_int] for none). *)
-let rec min_threshold acc = function
-  | [] -> acc
-  | (threshold, _) :: rest -> min_threshold (Int.min acc threshold) rest
+(* Whether a commit through [ci] releases any blocked read. *)
+let rec any_ready ci = function
+  | [] -> false
+  | (threshold, _) :: rest -> ci >= threshold || any_ready ci rest
 
 (* The log's copy of an accepted (entry, ballot) pair.  Raft*: every
    entry in an accepted batch is re-accepted at the replicating leader's
@@ -415,16 +411,14 @@ let rec apply_committed t srv =
     | None -> ())
   done;
   (* Wake local reads blocked on the commit index (quorum-lease mode).
-     No read waits on a threshold below [pending_min], so a commit short
-     of it skips the partition — as it does when nothing is blocked, the
-     common case on every append outside quorum-lease runs.  The blocked
-     list and its minimum are settled before any read is served. *)
-  if srv.commit_index >= srv.pending_min then begin
+     Most commits release none, so a scan that allocates nothing gates
+     the partition — as does an empty list, the common case on every
+     append outside quorum-lease runs. *)
+  if any_ready srv.commit_index srv.pending_reads then begin
     let ready, blocked =
       List.partition (fun (threshold, _) -> srv.commit_index >= threshold) srv.pending_reads
     in
     srv.pending_reads <- blocked;
-    srv.pending_min <- min_threshold max_int blocked;
     List.iter (fun (_, serve) -> serve ()) ready
   end
 
@@ -589,7 +583,6 @@ and handle_client t srv (cmd : Types.cmd) =
             if srv.commit_index >= threshold then serve_local_read t srv cmd
             else begin
               Metrics.inc srv.pr.pr_lease_waits;
-              srv.pending_min <- Int.min srv.pending_min threshold;
               srv.pending_reads <-
                 ( threshold,
                   fun () ->
@@ -1038,7 +1031,6 @@ let create ?(telemetry = Telemetry.disabled) config net =
           confirmed_grants = Array.make n min_int;
           peer_grants = Array.make_matrix n n min_int;
           pending_reads = [];
-          pending_min = max_int;
           flush_to = -1;
           verified_term = 0;
           verified_to = -1;
@@ -1145,7 +1137,6 @@ let restart t ~node =
   Array.fill srv.inflight 0 t.n 0;
   Replica.drop_batch srv.node;
   srv.pending_reads <- [];
-  srv.pending_min <- max_int;
   Array.fill srv.grant_from 0 t.n min_int;
   srv.pending_grants <- [];
   Array.fill srv.my_grants 0 t.n min_int;
@@ -1358,16 +1349,5 @@ let invariant_violation t =
             fail "ballot-field: node %d index %d ballot %d vs term %d" s.id i
               b e.Types.term)
         s.log)
-    t.servers;
-  (* The read-wakeup floor is derived state and must equal the smallest
-     threshold a blocked read waits on: above it, a commit that should
-     release a read skips it; below it, every apply partitions for
-     nothing. *)
-  Array.iter
-    (fun s ->
-      let floor = min_threshold max_int s.pending_reads in
-      if s.pending_min <> floor then
-        fail "read-wakeup-floor: node %d pending_min %d, blocked reads wait from %d"
-          s.id s.pending_min floor)
     t.servers;
   !violation

@@ -168,7 +168,5 @@ val mono_view : t -> node:int -> int array
 val invariant_violation : t -> string option
 (** Evaluates the executable safety invariants over the whole cluster:
     Election Safety, Log Matching, Leader Completeness (against the
-    max-term live leader), State-Machine Safety, the Raft* per-entry
-    ballot field bound, and (quorum-lease reads) that each replica's
-    read-wakeup floor equals the smallest commit index its blocked reads
-    wait for.  [None] means all hold. *)
+    max-term live leader), State-Machine Safety, and the Raft* per-entry
+    ballot field bound.  [None] means all hold. *)

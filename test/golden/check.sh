@@ -31,9 +31,13 @@ generate() {
       "$repro" nemesis all --seed 1 --seeds 200 ;;
     ledger_exact_smoke)
       # The exact rows are a pure function of seed and code; the gc.*
-      # rows move with allocation and are left out.
+      # rows move with allocation and are left out.  A run exits 1 on a
+      # lin-check violation, a second pass that disagrees on an exact row
+      # or a missing metric, so every run's status must reach the
+      # pipeline: called under `if !`, this function runs without
+      # errexit, and the loop alone would return only the last run's.
       for w in lease-reads sharded-writes failover; do
-        "$ledger" run --seed 1 --smoke --workload "$w"
+        "$ledger" run --seed 1 --smoke --workload "$w" || exit 1
       done | grep ' exact$' | grep -v '^[^ ]* gc\.' ;;
     spec_checks)
       test/golden/spec_checks.sh "$repro" ;;

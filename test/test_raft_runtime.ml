@@ -331,8 +331,8 @@ let test_pql_reads_wake_by_threshold () =
   submit_at ~delay:40_000 (Types.Get { key = 6 }) "r6a" (reads_value 3);
   submit_at ~delay:42_000 (Types.Get { key = 6 }) "r6b" (reads_value 3);
   Engine.schedule engine ~delay:45_000 (fun () ->
-      Alcotest.(check (option string)) "four reads blocked" None
-        (Raft.invariant_violation t));
+      Alcotest.(check (list string)) "four reads blocked" []
+        (List.filter (fun l -> l.[0] = 'r') !order));
   run_and_wait engine ~ms:3000;
   Alcotest.(check int) "all six done" 6 (Hashtbl.length done_at);
   Alcotest.(check bool)
@@ -357,13 +357,12 @@ let test_pql_reads_wake_by_threshold () =
   let reads = List.filter (fun l -> l.[0] = 'r') (List.rev !order) in
   Alcotest.(check (list string)) "newest blocked read first"
     [ "r5b"; "r5a"; "r6b"; "r6a" ] reads;
-  Alcotest.(check (option string)) "no read left blocked" None
+  Alcotest.(check (option string)) "safety invariants" None
     (Raft.invariant_violation t)
 
 (* A restart drops the reads a replica held blocked (their clients were
-   lost with the crash) and the wakeup floor with them: a read blocked
-   after the restart is released by its own write's commit, and the
-   floor stays the blocked reads' smallest threshold throughout. *)
+   lost with the crash): the stranded read is never answered, and a read
+   blocked after the restart is released by its own write's commit. *)
 let test_pql_restart_resets_blocked_reads () =
   let engine, _, t = mk (Raft.raft_pql ~leader:0 ()) in
   Raft.submit t ~node:0 (put ~key:5 1) (fun _ -> ());
@@ -374,14 +373,9 @@ let test_pql_restart_resets_blocked_reads () =
      before about 60 ms *)
   Engine.schedule engine ~delay:30_000 (fun () ->
       Raft.submit t ~node:1 (Types.Get { key = 5 }) (fun _ -> stranded := true));
-  Engine.schedule engine ~delay:35_000 (fun () ->
-      Alcotest.(check (option string)) "floor with a read blocked" None
-        (Raft.invariant_violation t);
-      Raft.crash t ~node:1);
+  Engine.schedule engine ~delay:35_000 (fun () -> Raft.crash t ~node:1);
   run_and_wait engine ~ms:1000;
   Raft.restart t ~node:1;
-  Alcotest.(check (option string)) "floor after the restart" None
-    (Raft.invariant_violation t);
   (* The restarted replica regains its leases and catches up. *)
   run_and_wait engine ~ms:3000;
   Alcotest.(check bool) "lease active again" true (Raft.lease_active t ~node:1);
@@ -391,9 +385,7 @@ let test_pql_restart_resets_blocked_reads () =
       write_done_at := Engine.now engine - t0);
   Engine.schedule engine ~delay:30_000 (fun () ->
       Raft.submit t ~node:1 (Types.Get { key = 7 }) (fun r ->
-          read := (r.Types.value, Engine.now engine - t0));
-      Alcotest.(check (option string)) "floor with the new read blocked" None
-        (Raft.invariant_violation t));
+          read := (r.Types.value, Engine.now engine - t0)));
   run_and_wait engine ~ms:3000;
   let value, at = !read in
   Alcotest.(check (option int)) "new read released with the write" (Some 3) value;
@@ -402,7 +394,7 @@ let test_pql_restart_resets_blocked_reads () =
     true
     (!write_done_at > 0 && at >= !write_done_at);
   Alcotest.(check bool) "the crashed read is never answered" false !stranded;
-  Alcotest.(check (option string)) "floor at the end" None
+  Alcotest.(check (option string)) "safety invariants" None
     (Raft.invariant_violation t)
 
 (* Minor words per committed write of a fixed-seed Raft*-PQL run in
