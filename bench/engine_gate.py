@@ -9,8 +9,8 @@ committed BENCH_engine.json.  `sim_events`, `ops`, `throughput_ops`,
 the binary and the seed, so any difference means the simulated
 behaviour or its allocation changed and the artifact must be
 regenerated in the same change.  The events/s floor cannot catch this:
-wasted events raise it.  Exits 1 on a mismatch, a missing row or an
-extra row.
+wasted events raise it.  Exits 1 on a mismatch, a missing row, an
+extra row or a row that appears twice in either artifact.
 
 Each row runs in a fresh process of `bench/main.exe` (its
 `--engine-row I` mode) and starts from `Gc.full_major`.  A row's
@@ -34,17 +34,22 @@ FIELDS = (
 )
 
 
-def rows(path):
+def rows(path, label, problems):
     with open(path) as f:
         runs = json.load(f)["runs"]
-    return {
-        (r["protocol"], json.dumps(r["config"], sort_keys=True)): r for r in runs
-    }
+    keyed = {}
+    for r in runs:
+        key = (r["protocol"], json.dumps(r["config"], sort_keys=True))
+        if key in keyed:
+            problems.append(f"{key[0]} {key[1]}: twice in the {label}")
+        keyed[key] = r
+    return keyed
 
 
 def main(committed_path, fresh_path):
-    committed, fresh = rows(committed_path), rows(fresh_path)
     problems = []
+    committed = rows(committed_path, "committed artifact", problems)
+    fresh = rows(fresh_path, "fresh run", problems)
     for key in sorted(committed.keys() | fresh.keys()):
         name = f"{key[0]} {key[1]}"
         if key not in fresh:

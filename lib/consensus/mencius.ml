@@ -273,9 +273,9 @@ let[@perf.hot] push_waiting q inst cmd =
       (* Doubling growth, only once live entries fill more than half the
          array: the copy amortises to O(1) per push. *)
       let cap = max 16 (2 * q.tail) in
-      let w_inst = (Array.make cap 0 [@perf.allow "alloc-in-handler"])
-      and w_cmd = (Array.make cap no_cmd [@perf.allow "alloc-in-handler"])
-      and w_block = (Array.make cap 0 [@perf.allow "alloc-in-handler"]) in
+      let w_inst = Array.make cap 0
+      and w_cmd = Array.make cap no_cmd
+      and w_block = Array.make cap 0 in
       Array.blit q.w_inst q.head w_inst 0 live;
       Array.blit q.w_cmd q.head w_cmd 0 live;
       Array.blit q.w_block q.head w_block 0 live;
@@ -495,7 +495,7 @@ and handle t srv msg =
     | MAppend { from; items } ->
         (* One CPU charge, one own-turn skip walk and one ack for the
            whole list; bounded by the sender's batch_size. *)
-        let k = (List.length items [@perf.allow "length-in-hot-path"]) in
+        let k = (List.length items [@lint.allow "length-in-hot-path"]) in
         Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
           (fun () ->
             if not srv.down then begin

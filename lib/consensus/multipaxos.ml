@@ -339,7 +339,7 @@ and handle t srv msg =
           srv.last_leader_sign <- Engine.now t.engine;
           (* One CPU charge and one ack for the whole list; the walk is
              bounded by the leader's batch_size. *)
-          let k = (List.length items [@perf.allow "length-in-hot-path"]) in
+          let k = (List.length items [@lint.allow "length-in-hot-path"]) in
           Cpu.exec srv.node.cpu ~cost_us:(max 1 (k * (p t).cpu_follower_op_us))
             (fun () ->
               if not srv.down then begin

@@ -823,7 +823,7 @@ and handle t srv msg =
           reset_election_timer t srv;
           (* Wire batches are bounded by [max_batch]; the walk is the
              same O(batch) the accept loop pays anyway. *)
-          let k = (List.length entries [@perf.allow "length-in-hot-path"]) in
+          let k = (List.length entries [@lint.allow "length-in-hot-path"]) in
           let cost = max 1 (k * (p t).cpu_follower_op_us) in
           (* The consistency check runs in processing order (inside the CPU
              queue): an earlier batch's log write may still be queued, and

@@ -11,7 +11,7 @@ let[@perf.hot] push v x =
   if v.len = Array.length v.data then begin
     let cap = max 8 (2 * v.len) in
     (* Doubling growth: the copy amortises to O(1) per push. *)
-    let data = (Array.make cap x [@perf.allow "alloc-in-handler"]) in
+    let data = Array.make cap x in
     Array.blit v.data 0 data 0 v.len;
     v.data <- data
   end;

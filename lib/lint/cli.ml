@@ -35,8 +35,10 @@ let main () =
   let results =
     List.map
       (fun (p : Registry.pass) ->
-        let roots = match paths with [] -> p.default_paths | ps -> ps in
-        (p.tool, List.length (p.collect roots), p.lint_paths roots))
+        let sources =
+          Lint.sources (match paths with [] -> p.default_paths | ps -> ps)
+        in
+        (p.tool, List.length sources, p.lint sources))
       Registry.passes
   in
   let findings =

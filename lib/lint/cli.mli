@@ -4,7 +4,7 @@
     explicit paths when any are given.  The findings of all passes are
     merged, sorted and printed, followed by one summary line per pass.
     Any finding fails: there is no grandfathering, so a site is either
-    fixed or carries a reasoned [[@lint.allow]]/[[@perf.allow]]. *)
+    fixed or carries a reasoned [[@lint.allow]]. *)
 
 val main : unit -> unit
 (** Parse [Sys.argv], lint, report, and [exit] 0 when no pass has a

@@ -1,23 +1,22 @@
-(* detlint: an AST pass over the surface syntax (Parsetree, via
-   compiler-libs — no typing, so every judgement here is syntactic and
+(* The per-file lint driver, and detlint's rules.
+
+   Every per-file rule — detlint's four here, perflint's in perflint.ml
+   — runs on one walk of each file's surface syntax (Parsetree, via
+   compiler-libs: no typing, so every judgement is syntactic and
    deliberately conservative: when the analysis cannot prove a site
    harmless it flags it, and the site either gets fixed or carries an
-   explicit [@lint.allow] with its justification).
+   explicit [@lint.allow] with its justification).  A rule is data: its
+   [check] looks at one site and returns the finding's message; the
+   walk keeps the context (ancestors, enclosing bindings, suppressions)
+   and files the finding.
 
-   The invariant being enforced: the simulator and every protocol
-   runtime are bit-deterministic under a seed.  nemesis trace replay,
-   mcheck choice schedules, telemetry snapshots and the state
-   fingerprints all compare bytes across runs, so one unordered
-   Hashtbl.fold or one wall-clock read silently breaks all four. *)
+   detlint's invariant: the simulator and every protocol runtime are
+   bit-deterministic under a seed.  nemesis trace replay, mcheck choice
+   schedules, telemetry snapshots and the state fingerprints all compare
+   bytes across runs, so one unordered Hashtbl.fold or one wall-clock
+   read silently breaks all four. *)
 
 open Parsetree
-
-type rule = {
-  id : string;
-  severity : Finding.severity;
-  summary : string;
-  applies : string -> bool;
-}
 
 let normalize_path p =
   let p = String.map (fun c -> if c = '\\' then '/' else c) p in
@@ -36,60 +35,12 @@ let in_lib path = has_segment ~seg:"lib" path
 let in_consensus path = in_lib path && has_segment ~seg:"consensus" path
 let everywhere _ = true
 
-let r_forbidden = "forbidden-effects"
-let r_unordered = "unordered-iteration"
-let r_polycmp = "polymorphic-compare"
-let r_escaping = "escaping-mutable-state"
-let r_parse = "parse-error"
-
-let rules =
-  [
-    {
-      id = r_forbidden;
-      severity = Finding.Error;
-      summary =
-        "Random/Unix/Sys.time/Hashtbl.hash/Domain/Thread under lib/: the \
-         sim clock and the seeded Rng are the only time and entropy \
-         sources";
-      applies = in_lib;
-    };
-    {
-      id = r_unordered;
-      severity = Finding.Error;
-      summary =
-        "Hashtbl.iter/fold/to_seq whose result is not provably \
-         order-insensitive (sorted, set-collected, or a commutative \
-         fold): iteration order is seed-dependent and breaks replay";
-      applies = everywhere;
-    };
-    {
-      id = r_polycmp;
-      severity = Finding.Warning;
-      summary =
-        "bare polymorphic compare (or =/< on a function value): use a \
-         monomorphic comparator (Int.compare, String.compare, a \
-         dedicated one) — crash-proof and faster in hot sorts";
-      applies = everywhere;
-    };
-    {
-      id = r_escaping;
-      severity = Finding.Error;
-      summary =
-        "top-level mutable state in a lib/ module: it survives across \
-         runs in one process and poisons replays unless it is on the \
-         engine reset path";
-      applies = in_lib;
-    };
-  ]
-
-let rule_by_id id = List.find_opt (fun r -> r.id = id) rules
-
 (* ---- small Parsetree helpers ---- *)
 
+let flatten lid = try Longident.flatten lid with _ -> []
+
 let path_of_expr e =
-  match e.pexp_desc with
-  | Pexp_ident lid -> ( try Longident.flatten lid.txt with _ -> [])
-  | _ -> []
+  match e.pexp_desc with Pexp_ident lid -> flatten lid.txt | _ -> []
 
 let strip_stdlib = function
   | "Stdlib" :: (_ :: _ as rest) -> rest
@@ -109,23 +60,15 @@ let ends_with ~suffix s =
   let sl = String.length s and xl = String.length suffix in
   sl >= xl && String.sub s (sl - xl) xl = suffix
 
-let const_string e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_string (s, _, _)) -> Some s
-  | _ -> None
-
 (* ---- suppression ---- *)
 
 let rec strings_of_expr e =
-  match const_string e with
-  | Some s -> [ s ]
-  | None -> (
-      match e.pexp_desc with
-      | Pexp_tuple es -> List.concat_map strings_of_expr es
-      | Pexp_apply (f, args) ->
-          strings_of_expr f
-          @ List.concat_map (fun (_, a) -> strings_of_expr a) args
-      | _ -> [])
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_string (s, _, _)) -> [ s ]
+  | Pexp_tuple es -> List.concat_map strings_of_expr es
+  | Pexp_apply (f, args) ->
+      strings_of_expr f @ List.concat_map (fun (_, a) -> strings_of_expr a) args
+  | _ -> []
 
 let allows_of_attrs (attrs : attributes) =
   List.concat_map
@@ -143,36 +86,27 @@ let allows_of_attrs (attrs : attributes) =
         | _ -> [])
     attrs
 
-(* ---- per-file context ---- *)
+(* ---- sites, context, rules ---- *)
+
+type site =
+  | Expr of expression
+  | Top_value of value_binding
+  | Module of module_expr
 
 type ctx = {
   file : string;
-  mutable findings : Finding.t list;
-  mutable allow_stack : string list list;
-  mutable file_allows : string list list;  (* consed, one per attribute *)
-  mutable ancestors : expression list;  (* innermost first *)
-  mutable compare_shadowed : bool;
+  compare_shadowed : bool;
+  mutable ancestors : expression list;
+  mutable bindings : value_binding list;
 }
 
-let suppressed ctx rule_id =
-  let matches l = List.mem rule_id l || List.mem "all" l in
-  List.exists matches ctx.file_allows || List.exists matches ctx.allow_stack
-
-let report ctx rule_id ~(loc : Location.t) message =
-  match rule_by_id rule_id with
-  | Some r when r.applies ctx.file && not (suppressed ctx rule_id) ->
-      let p = loc.loc_start in
-      ctx.findings <-
-        {
-          Finding.file = ctx.file;
-          line = p.pos_lnum;
-          col = p.pos_cnum - p.pos_bol;
-          rule = rule_id;
-          severity = r.severity;
-          message;
-        }
-        :: ctx.findings
-  | _ -> ()
+type rule = {
+  id : string;
+  severity : Finding.severity;
+  summary : string;
+  applies : string -> bool;
+  check : ctx -> site -> string option;
+}
 
 (* ---- rule 1: forbidden effects ---- *)
 
@@ -188,16 +122,23 @@ let forbidden_effect path =
       Some "real parallelism has no place under the deterministic sim"
   | _ -> None
 
-let check_forbidden ctx e =
-  match path_of_expr e with
-  | [] -> ()
-  | path -> (
-      match forbidden_effect path with
-      | Some why ->
-          report ctx r_forbidden ~loc:e.pexp_loc
-            (Printf.sprintf "forbidden effect `%s': %s"
-               (String.concat "." path) why)
-      | None -> ())
+let check_forbidden _ = function
+  | Expr e ->
+      let path = path_of_expr e in
+      Option.map
+        (Printf.sprintf "forbidden effect `%s': %s" (String.concat "." path))
+        (forbidden_effect path)
+  | Module { pmod_desc = Pmod_ident lid; _ } -> (
+      let path = flatten lid.txt in
+      match (forbidden_effect path, strip_stdlib path) with
+      | None, [ ("Random" | "Unix" | "Domain" | "Thread" | "Mutex" | "Condition") as m ]
+        ->
+          Some
+            (Printf.sprintf
+               "module %s aliased/opened: its effects are forbidden under lib/"
+               m)
+      | _ -> None)
+  | _ -> None
 
 (* ---- rule 2: unordered iteration ---- *)
 
@@ -342,56 +283,54 @@ let rec climb child = function
           child != scrutinee && climb anc rest
       | _ -> false)
 
-let check_unordered ctx e =
-  match hashtbl_iteration e with
-  | None -> ()
-  | Some (m, args) ->
-      let sanctioned =
-        match (m, args) with
-        | "fold", (Asttypes.Nolabel, fn) :: _ when commutative_fold_fn fn ->
-            true
-        | "iter", _ -> false
-        | _ -> climb e ctx.ancestors
-      in
-      if not sanctioned then
-        report ctx r_unordered ~loc:e.pexp_loc
-          (Printf.sprintf
-             "Hashtbl.%s order is seed/layout-dependent; sort the result \
-              (List.sort), fold commutatively, or collect into a set — \
-              unordered iteration silently breaks fingerprints and replay"
-             m)
+let check_unordered ctx = function
+  | Expr e -> (
+      match hashtbl_iteration e with
+      | None -> None
+      | Some (m, args) ->
+          let sanctioned =
+            match (m, args) with
+            | "fold", (Asttypes.Nolabel, fn) :: _ when commutative_fold_fn fn ->
+                true
+            | "iter", _ -> false
+            | _ -> climb e ctx.ancestors
+          in
+          if sanctioned then None
+          else
+            Some
+              (Printf.sprintf
+                 "Hashtbl.%s order is seed/layout-dependent; sort the result \
+                  (List.sort), fold commutatively, or collect into a set — \
+                  unordered iteration silently breaks fingerprints and replay"
+                 m))
+  | _ -> None
 
 (* ---- rule 3: polymorphic compare ---- *)
 
-let check_polycmp ctx e =
-  (match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident "compare"; _ }
+let compares = [ "="; "<>"; "<"; ">"; "<="; ">="; "compare"; "min"; "max" ]
+
+let is_fun a =
+  match a.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
+
+let check_polycmp ctx = function
+  | Expr { pexp_desc = Pexp_ident { txt = Longident.Lident "compare"; _ }; _ }
     when not ctx.compare_shadowed ->
-      report ctx r_polycmp ~loc:e.pexp_loc
+      Some
         "bare polymorphic `compare': use Int.compare / String.compare / a \
          dedicated comparator (monomorphic is crash-proof on closures and \
          faster in hot sorts)"
-  | Pexp_ident lid -> (
-      match (try Longident.flatten lid.txt with _ -> []) with
+  | Expr { pexp_desc = Pexp_ident lid; _ } -> (
+      match flatten lid.txt with
       | [ "Stdlib"; "compare" ] | [ "Pervasives"; "compare" ] ->
-          report ctx r_polycmp ~loc:e.pexp_loc
-            "Stdlib.compare is polymorphic; use a monomorphic comparator"
-      | _ -> ())
-  | _ -> ());
-  match e.pexp_desc with
-  | Pexp_apply (f, args)
-    when List.mem (last (path_of_expr f))
-           [ "="; "<>"; "<"; ">"; "<="; ">="; "compare"; "min"; "max" ]
-         && List.exists
-              (fun (_, a) ->
-                match a.pexp_desc with
-                | Pexp_fun _ | Pexp_function _ -> true
-                | _ -> false)
-              args ->
-      report ctx r_polycmp ~loc:e.pexp_loc
+          Some "Stdlib.compare is polymorphic; use a monomorphic comparator"
+      | _ -> None)
+  | Expr { pexp_desc = Pexp_apply (f, args); _ }
+    when List.mem (last (path_of_expr f)) compares
+         && List.exists (fun (_, a) -> is_fun a) args ->
+      Some
         "structural comparison applied to a function value raises at \
          runtime"
-  | _ -> ()
+  | _ -> None
 
 (* ---- rule 4: escaping mutable state ---- *)
 
@@ -421,7 +360,7 @@ let find_mutable_creator e =
           | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
           | Pexp_apply (f, _) -> (
               (match mutable_creator (path_of_expr f) with
-              | Some name when !found = None -> found := Some (name, e.pexp_loc)
+              | Some name when !found = None -> found := Some name
               | _ -> ());
               Ast_iterator.default_iterator.expr it e)
           | _ -> Ast_iterator.default_iterator.expr it e);
@@ -440,176 +379,222 @@ let rec binds_var p =
 let bound_name p =
   match p.ppat_desc with Ppat_var v -> v.txt | _ -> "_"
 
-let check_escaping ctx vb =
-  match vb.pvb_expr.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> ()
-  | _ ->
-      if binds_var vb.pvb_pat then (
-        match find_mutable_creator vb.pvb_expr with
-        | Some (creator, _) ->
-            report ctx r_escaping ~loc:vb.pvb_pat.ppat_loc
-              (Printf.sprintf
-                 "top-level mutable `%s' (%s) survives across runs and \
-                  poisons replays; move it into per-run state or annotate \
-                  the deliberate exception"
-                 (bound_name vb.pvb_pat) creator)
-        | None -> ())
+let check_escaping _ = function
+  | Top_value vb -> (
+      match vb.pvb_expr.pexp_desc with
+      | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> None
+      | _ when not (binds_var vb.pvb_pat) -> None
+      | _ ->
+          Option.map
+            (fun creator ->
+              Printf.sprintf
+                "top-level mutable `%s' (%s) survives across runs and \
+                 poisons replays; move it into per-run state or annotate \
+                 the deliberate exception"
+                (bound_name vb.pvb_pat) creator)
+            (find_mutable_creator vb.pvb_expr))
+  | _ -> None
 
-(* ---- prepass: compare shadowing ---- *)
+let rules =
+  [
+    {
+      id = "forbidden-effects";
+      severity = Finding.Error;
+      summary =
+        "Random/Unix/Sys.time/Hashtbl.hash/Domain/Thread under lib/: the \
+         sim clock and the seeded Rng are the only time and entropy \
+         sources";
+      applies = in_lib;
+      check = check_forbidden;
+    };
+    {
+      id = "unordered-iteration";
+      severity = Finding.Error;
+      summary =
+        "Hashtbl.iter/fold/to_seq whose result is not provably \
+         order-insensitive (sorted, set-collected, or a commutative \
+         fold): iteration order is seed-dependent and breaks replay";
+      applies = everywhere;
+      check = check_unordered;
+    };
+    {
+      id = "polymorphic-compare";
+      severity = Finding.Warning;
+      summary =
+        "bare polymorphic compare (or =/< on a function value): use a \
+         monomorphic comparator (Int.compare, String.compare, a \
+         dedicated one) — crash-proof and faster in hot sorts";
+      applies = everywhere;
+      check = check_polycmp;
+    };
+    {
+      id = "escaping-mutable-state";
+      severity = Finding.Error;
+      summary =
+        "top-level mutable state in a lib/ module: it survives across \
+         runs in one process and poisons replays unless it is on the \
+         engine reset path";
+      applies = in_lib;
+      check = check_escaping;
+    };
+  ]
 
-let prepass ctx structure =
+(* ---- the walk ---- *)
+
+(* File-wide facts, gathered before the walk: whether a [compare] is
+   bound anywhere (a local one sanctions bare [compare]), and the
+   floating [@@@lint.allow]s, which exempt the whole file wherever they
+   sit. *)
+let prepass structure =
+  let shadowed = ref false and floating = ref [] in
+  let super = Ast_iterator.default_iterator in
   let it =
     {
-      Ast_iterator.default_iterator with
+      super with
       value_binding =
         (fun it vb ->
           (match vb.pvb_pat.ppat_desc with
-          | Ppat_var { txt = "compare"; _ } -> ctx.compare_shadowed <- true
+          | Ppat_var { txt = "compare"; _ } -> shadowed := true
           | _ -> ());
-          Ast_iterator.default_iterator.value_binding it vb);
+          super.value_binding it vb);
+      structure_item =
+        (fun it item ->
+          (match item.pstr_desc with
+          | Pstr_attribute a -> floating := allows_of_attrs [ a ] :: !floating
+          | _ -> ());
+          super.structure_item it item);
     }
   in
-  it.structure it structure
+  it.structure it structure;
+  (!shadowed, List.concat !floating)
 
-(* ---- main traversal ---- *)
-
-let main_iterator ctx =
+(* One walk runs every rule at every site, and returns the findings
+   no enclosing [lint.allow] suppresses.  [allows] starts with the
+   file's floating ones. *)
+let walk ctx rules ~allows structure =
+  let allows = ref [ allows ] and findings = ref [] in
+  let suppressed id =
+    List.exists (fun l -> List.mem id l || List.mem "all" l) !allows
+  in
+  let report site (loc : Location.t) =
+    List.iter
+      (fun r ->
+        if not (suppressed r.id) then
+          match r.check ctx site with
+          | Some message ->
+              let p = loc.loc_start in
+              findings :=
+                {
+                  Finding.file = ctx.file;
+                  line = p.pos_lnum;
+                  col = p.pos_cnum - p.pos_bol;
+                  rule = r.id;
+                  severity = r.severity;
+                  message;
+                }
+                :: !findings
+          | None -> ())
+      rules
+  in
+  let allowing attrs f =
+    allows := allows_of_attrs attrs :: !allows;
+    f ();
+    allows := List.tl !allows
+  in
   let super = Ast_iterator.default_iterator in
-  let push allows = ctx.allow_stack <- allows :: ctx.allow_stack in
-  let pop () = ctx.allow_stack <- List.tl ctx.allow_stack in
-  {
-    super with
-    expr =
-      (fun it e ->
-        push (allows_of_attrs e.pexp_attributes);
-        check_forbidden ctx e;
-        check_unordered ctx e;
-        check_polycmp ctx e;
-        ctx.ancestors <- e :: ctx.ancestors;
-        super.expr it e;
-        ctx.ancestors <- List.tl ctx.ancestors;
-        pop ());
-    value_binding =
-      (fun it vb ->
-        push (allows_of_attrs vb.pvb_attributes);
-        super.value_binding it vb;
-        pop ());
-    module_binding =
-      (fun it mb ->
-        push (allows_of_attrs mb.pmb_attributes);
-        super.module_binding it mb;
-        pop ());
-    module_expr =
-      (fun it me ->
-        (match me.pmod_desc with
-        | Pmod_ident lid -> (
-            match
-              forbidden_effect (try Longident.flatten lid.txt with _ -> [])
-            with
-            | Some _ -> ()
-            | None -> (
-                match strip_stdlib (try Longident.flatten lid.txt with _ -> []) with
-                | [ ("Random" | "Unix" | "Domain" | "Thread" | "Mutex" | "Condition") as m ]
-                  ->
-                    report ctx r_forbidden ~loc:me.pmod_loc
-                      (Printf.sprintf
-                         "module %s aliased/opened: its effects are \
-                          forbidden under lib/"
-                         m)
-                | _ -> ()))
-        | _ -> ());
-        super.module_expr it me);
-    structure_item =
-      (fun it item ->
-        (match item.pstr_desc with
-        | Pstr_attribute a ->
-            if a.attr_name.txt = "lint.allow" then
-              ctx.file_allows <- allows_of_attrs [ a ] :: ctx.file_allows
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                push (allows_of_attrs vb.pvb_attributes);
-                check_escaping ctx vb;
-                pop ())
-              vbs
-        | _ -> ());
-        super.structure_item it item);
-  }
+  let it =
+    {
+      super with
+      expr =
+        (fun it e ->
+          allowing e.pexp_attributes (fun () ->
+              report (Expr e) e.pexp_loc;
+              ctx.ancestors <- e :: ctx.ancestors;
+              super.expr it e;
+              ctx.ancestors <- List.tl ctx.ancestors));
+      value_binding =
+        (fun it vb ->
+          allowing vb.pvb_attributes (fun () ->
+              ctx.bindings <- vb :: ctx.bindings;
+              super.value_binding it vb;
+              ctx.bindings <- List.tl ctx.bindings));
+      module_binding =
+        (fun it mb ->
+          allowing mb.pmb_attributes (fun () -> super.module_binding it mb));
+      module_expr =
+        (fun it me ->
+          report (Module me) me.pmod_loc;
+          super.module_expr it me);
+      structure_item =
+        (fun it item ->
+          (match item.pstr_desc with
+          | Pstr_value (_, vbs) ->
+              List.iter
+                (fun vb ->
+                  allowing vb.pvb_attributes (fun () ->
+                      report (Top_value vb) vb.pvb_pat.ppat_loc))
+                vbs
+          | _ -> ());
+          super.structure_item it item);
+    }
+  in
+  it.structure it structure;
+  !findings
 
 (* ---- entry points ---- *)
 
-let lint_string ~filename source =
-  let file = normalize_path filename in
-  let ctx =
-    {
-      file;
-      findings = [];
-      allow_stack = [];
-      file_allows = [];
-      ancestors = [];
-      compare_shadowed = false;
-    }
-  in
-  match
-    let lb = Lexing.from_string source in
-    Location.init lb file;
-    Parse.implementation lb
-  with
-  | structure ->
-      (* Floating [@@@lint.allow] anywhere in the file exempts the whole
-         file, so collect those (and the prepass facts) before checking. *)
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_attribute a when a.attr_name.txt = "lint.allow" ->
-              ctx.file_allows <- allows_of_attrs [ a ] :: ctx.file_allows
-          | _ -> ())
-        structure;
-      prepass ctx structure;
-      let it = main_iterator ctx in
-      it.structure it structure;
-      List.sort Finding.compare ctx.findings
+let parse ~file source =
+  let lb = Lexing.from_string source in
+  Location.init lb file;
+  match Parse.implementation lb with
+  | structure -> Ok structure
   | exception exn ->
       let line, col =
         match exn with
         | Syntaxerr.Error err ->
-            let loc = Syntaxerr.location_of_error err in
-            (loc.loc_start.pos_lnum, loc.loc_start.pos_cnum - loc.loc_start.pos_bol)
+            let p = (Syntaxerr.location_of_error err).loc_start in
+            (p.pos_lnum, p.pos_cnum - p.pos_bol)
         | _ -> (1, 0)
       in
-      [
+      Error
         {
           Finding.file;
           line;
           col;
-          rule = r_parse;
+          rule = "parse-error";
           severity = Finding.Error;
           message = "source does not parse: " ^ Printexc.to_string exn;
-        };
-      ]
+        }
 
-let lint_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  lint_string ~filename:path source
+let lint_string rules ~filename source =
+  let file = normalize_path filename in
+  match parse ~file source with
+  | Error f -> [ f ]
+  | Ok structure ->
+      let compare_shadowed, allows = prepass structure in
+      let ctx = { file; compare_shadowed; ancestors = []; bindings = [] } in
+      walk ctx (List.filter (fun r -> r.applies file) rules) ~allows structure
+      |> List.sort Finding.compare
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [lint_fixtures] holds corpora that break rules on purpose (the
+   parlint_broken tree would pollute the real tree's fact base), so it
+   is skipped below a root; a root itself is never filtered. *)
 let rec collect_into acc path =
   if Sys.is_directory path then
     Array.fold_left
       (fun acc entry ->
-        if entry = "" || entry.[0] = '.' || entry = "_build" then acc
+        if
+          entry = "" || entry.[0] = '.' || entry = "_build"
+          || entry = "lint_fixtures"
+        then acc
         else collect_into acc (Filename.concat path entry))
       acc (Sys.readdir path)
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-let collect_files paths =
-  List.sort String.compare
-    (List.fold_left collect_into [] (List.map normalize_path paths))
-
-let lint_paths paths =
-  collect_files paths
-  |> List.concat_map lint_file
-  |> List.sort Finding.compare
+let sources roots =
+  List.fold_left collect_into [] (List.map normalize_path roots)
+  |> List.sort String.compare
+  |> List.map (fun p -> (p, read_file p))

@@ -1,34 +1,49 @@
-(** detlint — determinism & protocol-discipline static analysis.
+(** The per-file lint driver, and detlint's rules.
 
-    An AST-driven pass over [.ml] sources (via compiler-libs' parser; no
-    type information) enforcing the discipline the replay/fingerprint
-    subsystems assume.  See DESIGN.md "Determinism discipline" for the
-    rules' rationale; each rule's [summary] is the one-line version.
+    One walk of each [.ml] file's surface syntax (compiler-libs' parser;
+    no type information) runs every per-file rule it is given: detlint's
+    four ({!rules}, determinism; DESIGN.md "Determinism discipline") and
+    perflint's four ({!Perflint.rules}, hot-path cost).  A rule's
+    [check] judges one {!site} and returns the finding's message; the
+    walk keeps the {!ctx} and files the finding.
 
-    Suppression: attach [[@lint.allow "rule-id"]] to an expression,
-    [[@@lint.allow "rule-id"]] to a value binding, or a floating
-    [[@@@lint.allow "rule-id"]] anywhere in a module to exempt the whole
-    file.  Multiple ids may be given ([[@lint.allow "a" "b"]]); the id
-    ["all"] matches every rule.  There is no baseline: every
-    unsuppressed finding fails the gate. *)
+    Suppression is one attribute for every rule: [[@lint.allow
+    "rule-id"]] on an expression, [[@@lint.allow "rule-id"]] on a
+    binding, or a floating [[@@@lint.allow "rule-id"]] anywhere in a
+    file to exempt the whole file.  Multiple ids may be given
+    ([[@lint.allow "a" "b"]]); the id ["all"] matches every rule.
+    There is no baseline: every unsuppressed finding fails the gate. *)
+
+type site =
+  | Expr of Parsetree.expression
+  | Top_value of Parsetree.value_binding  (** a structure-level binding *)
+  | Module of Parsetree.module_expr
+
+type ctx = private {
+  file : string;  (** the normalized path *)
+  compare_shadowed : bool;  (** is a [compare] bound anywhere in the file? *)
+  mutable ancestors : Parsetree.expression list;  (** innermost first *)
+  mutable bindings : Parsetree.value_binding list;
+      (** the enclosing bindings, innermost first *)
+}
 
 type rule = {
   id : string;
   severity : Finding.severity;
   summary : string;
   applies : string -> bool;  (** does the rule run on this (normalized) path? *)
+  check : ctx -> site -> string option;  (** the message of a finding here *)
 }
 
 val rules : rule list
-(** All rules, in the order they are documented. *)
+(** detlint's rules, in the order they are documented. *)
 
 val normalize_path : string -> string
 (** '\\' to '/', strip a leading ["./"]. *)
 
 val has_segment : seg:string -> string -> bool
 (** Does the normalized path contain [seg] as a whole '/'-separated
-    segment?  Shared by the path-scoping predicates of all the lint
-    passes. *)
+    segment?  Shared by the path-scoping predicates of all the rules. *)
 
 val in_lib : string -> bool
 val in_consensus : string -> bool
@@ -36,10 +51,10 @@ val in_consensus : string -> bool
 val everywhere : string -> bool
 (** [applies] predicate for rules with no path scoping. *)
 
-val contains_sub : string -> string -> bool
-(** [contains_sub hay needle]: substring containment. *)
+val path_of_expr : Parsetree.expression -> string list
+(** The flattened path of an identifier, [[]] for any other expression. *)
 
-val ends_with : suffix:string -> string -> bool
+val strip_stdlib : string list -> string list
 
 val last : string list -> string
 (** Last element, or [""] on an empty list. *)
@@ -49,16 +64,16 @@ val allows_of_attrs : Parsetree.attributes -> string list
     strings; extra strings such as human reasons pass through
     harmlessly). *)
 
-val lint_string : filename:string -> string -> Finding.t list
-(** Lint source text.  [filename] determines rule scoping (rules look
-    for [lib/] and [lib/consensus] segments) and appears in findings.
-    A syntax error yields a single [parse-error] finding. *)
+val parse : file:string -> string -> (Parsetree.structure, Finding.t) result
+(** Parse source text; a syntax error is one [parse-error] finding. *)
 
-val lint_file : string -> Finding.t list
+val lint_string : rule list -> filename:string -> string -> Finding.t list
+(** Run [rules] over source text in one walk.  [filename] determines
+    rule scoping (rules look for [lib/] and [lib/consensus] segments)
+    and appears in findings. *)
 
-val collect_files : string list -> string list
-(** Expand files/directories into a sorted list of [.ml] files,
-    skipping [_build], [.git] and other dot-directories. *)
-
-val lint_paths : string list -> Finding.t list
-(** [collect_files] then [lint_file] on each, findings sorted. *)
+val sources : string list -> (string * string) list
+(** Expand files/directories into the sorted [.ml] files under them,
+    each with its contents, skipping [_build], dot-directories and,
+    below a given root, [lint_fixtures].  Every pass reads its corpus
+    here. *)

@@ -21,7 +21,6 @@ open Parsetree
 module SSet = Set.Make (String)
 
 let r_knob = "knob-threading"
-let r_parse = "parse-error"
 
 let rules : Lint.rule list =
   [
@@ -33,6 +32,7 @@ let rules : Lint.rule list =
          surface: Harness.config, Shard.config + its JSON emitter, \
          Nemesis.config, and bench/main.ml";
       applies = Lint.everywhere;
+      check = (fun _ _ -> None) (* judged across files: [knob_findings] *);
     };
   ]
 
@@ -115,33 +115,13 @@ let extract ~filename source =
       ff_allows = [];
     }
   in
-  match
-    let lb = Lexing.from_string source in
-    Location.init lb file;
-    Parse.implementation lb
-  with
-  | structure ->
+  Result.map
+    (fun structure ->
       let it = collector ff in
       it.structure it structure;
       ff.ff_params <- List.rev ff.ff_params;
-      Ok ff
-  | exception exn ->
-      let line, col =
-        match exn with
-        | Syntaxerr.Error err ->
-            let loc = Syntaxerr.location_of_error err in
-            (loc.loc_start.pos_lnum, loc.loc_start.pos_cnum - loc.loc_start.pos_bol)
-        | _ -> (1, 0)
-      in
-      Error
-        {
-          Finding.file;
-          line;
-          col;
-          rule = r_parse;
-          severity = Finding.Error;
-          message = "source does not parse: " ^ Printexc.to_string exn;
-        }
+      ff)
+    (Lint.parse ~file source)
 
 (* ---- file roles ----
 
@@ -232,38 +212,3 @@ let lint_sources sources =
       sources
   in
   List.sort Finding.compare (parse_failures @ knob_findings facts)
-
-let lint_string ~filename source = lint_sources [ (filename, source) ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  source
-
-(* Like Lint.collect_files, but also skips lint_fixtures corpora: the
-   broken fixture tree deliberately violates the rule and must not
-   pollute the real tree's fact base.  An explicitly given root is never
-   filtered, so `parlint test/lint_fixtures/parlint_broken` still works. *)
-let rec collect_into_skipping acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if
-          entry = "" || entry.[0] = '.' || entry = "_build"
-          || entry = "lint_fixtures"
-        then acc
-        else collect_into_skipping acc (Filename.concat path entry))
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let collect_files paths =
-  List.sort String.compare
-    (List.fold_left collect_into_skipping []
-       (List.map Lint.normalize_path paths))
-
-let lint_paths paths =
-  lint_sources
-    (List.map (fun p -> (p, read_file p)) (collect_files paths))

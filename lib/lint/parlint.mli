@@ -1,6 +1,6 @@
 (** parlint — cross-file knob-threading static analysis.
 
-    The third pass on the compiler-libs AST driver.  Unlike {!Lint}
+    The cross-file pass.  Unlike the per-file rules of {!Lint}
     (detlint) and {!Perflint}, which judge one file at a time, parlint
     parses the whole scanned corpus into a fact base (the [params]
     declaration, plus identifiers and string literals per file) and
@@ -26,17 +26,6 @@ val rule_by_id : string -> Lint.rule option
 val lint_sources : (string * string) list -> Finding.t list
 (** Cross-reference a corpus given as [(filename, source)] pairs.
     Files that fail to parse yield a [parse-error] finding each and are
-    excluded from the fact base. *)
-
-val lint_string : filename:string -> string -> Finding.t list
-(** Single-file corpus: every surface is absent, so only parse errors
-    can surface. *)
-
-val collect_files : string list -> string list
-(** Like {!Lint.collect_files}, but also skips [lint_fixtures]
-    directories: the broken fixture corpus deliberately violates the
-    rule and must not pollute the real tree's fact base.  Explicitly
-    given roots are never filtered. *)
-
-val lint_paths : string list -> Finding.t list
-(** [collect_files], then one {!lint_sources} run over the lot. *)
+    excluded from the fact base.  A corpus of one file has every
+    surface absent, so only a parse error can surface.  {!Lint.sources}
+    reads a tree into a corpus. *)

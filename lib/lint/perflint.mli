@@ -1,34 +1,25 @@
-(** perflint — hot-path cost & allocation static analysis.
+(** perflint — hot-path cost rules, run on {!Lint}'s per-file walk.
 
-    The cost-discipline sibling of {!Lint} (detlint): the same
-    compiler-libs AST driver, but the rules target per-message and
-    per-event code.  See DESIGN.md "Cost discipline" for the rationale;
-    each rule's [summary] is the one-line version.
+    The cost-discipline sibling of detlint: the rules target
+    per-message and per-event code that walks or scans what it could
+    index (see DESIGN.md "Cost discipline"; each rule's [summary] is the
+    one-line version).  Allocation is measured instead of guessed: the
+    engine bench's exact [minor_words_per_op] and
+    [promoted_words_per_op] rows gate it per core.
 
     Hot paths are declared rather than inferred: a [[@perf.hot]]
-    attribute on a binding marks it (and nested bindings) hot, and a
-    small built-in table marks the known dispatch spines (lib/consensus
-    message handlers, the lib/sim engine, the lib/kvstore apply path)
-    hot by name.  The allocation rule ([alloc-in-handler]) fires only
-    inside explicitly attributed functions — it is too noisy for
-    name-matched ones.
-
-    Suppression mirrors detlint with its own namespace:
-    [[@perf.allow "rule-id"]] on an expression, [[@@perf.allow ...]] on
-    a binding, or a floating [[@@@perf.allow ...]] for the whole file;
-    the id ["all"] matches every rule.  There is no baseline: every
-    unsuppressed finding fails the gate. *)
+    attribute on a binding marks it (and nested bindings) hot, and
+    {!hot_names} marks the per-message spines hot by name.  Suppression
+    is {!Lint}'s: [[@lint.allow "rule-id"]]. *)
 
 val rules : Lint.rule list
-(** All rules, in the order they are documented. *)
+(** All rules, in the order they are documented.  They run under
+    [lib/]. *)
 
-val lint_string : filename:string -> string -> Finding.t list
-(** Lint source text.  [filename] determines rule scoping (rules run
-    under [lib/]; default-hot name tables key off [consensus]/[sim]/
-    [kvstore] segments) and appears in findings.  A syntax error yields
-    a single [parse-error] finding. *)
+val hot_names : (string * string list) list
+(** Per library path segment ([consensus], [sim], [kvstore]), the
+    function names that are hot without an attribute. *)
 
-val lint_file : string -> Finding.t list
-
-val lint_paths : string list -> Finding.t list
-(** {!Lint.collect_files} then [lint_file] on each, findings sorted. *)
+val is_function : Parsetree.expression -> bool
+(** Is the bound expression a function (through type constraints and
+    locally abstract types)?  Only a function binding is hot. *)

@@ -1,36 +1,29 @@
-(* The pass registry: one record per static-analysis pass, so the
-   driver iterates data instead of duplicating flag plumbing — adding a
-   fourth pass is one record here. *)
+(* The pass registry: one record per lint pass, so the driver iterates
+   data instead of duplicating flag plumbing. *)
 
 type pass = {
   tool : string;
   default_paths : string list;
   rules : Lint.rule list;
-  lint_paths : string list -> Finding.t list;
-  collect : string list -> string list;
+  lint : (string * string) list -> Finding.t list;
 }
+
+let per_file = Lint.rules @ Perflint.rules
 
 let passes =
   [
     {
-      tool = "detlint";
+      tool = "lint";
       default_paths = [ "lib"; "bin"; "bench" ];
-      rules = Lint.rules;
-      lint_paths = Lint.lint_paths;
-      collect = Lint.collect_files;
-    };
-    {
-      tool = "perflint";
-      default_paths = [ "lib" ];
-      rules = Perflint.rules;
-      lint_paths = Perflint.lint_paths;
-      collect = Lint.collect_files;
+      rules = per_file;
+      lint =
+        List.concat_map (fun (filename, source) ->
+            Lint.lint_string per_file ~filename source);
     };
     {
       tool = "parlint";
       default_paths = [ "lib"; "bench" ];
       rules = Parlint.rules;
-      lint_paths = Parlint.lint_paths;
-      collect = Parlint.collect_files;
+      lint = Parlint.lint_sources;
     };
   ]

@@ -7,4 +7,4 @@ let[@perf.hot] scan xs p = List.find_opt p xs
 let cold tbl k = List.assoc k tbl
 
 let[@perf.hot] lookup_allowed tbl k =
-  (List.assoc k tbl [@perf.allow "assoc-scan"])
+  (List.assoc k tbl [@lint.allow "assoc-scan"])

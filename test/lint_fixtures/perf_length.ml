@@ -12,4 +12,4 @@ let handle _st xs = List.nth xs 0
 let cluster_size net = List.length (Net.nodes net)
 
 let[@perf.hot] tally_allowed xs =
-  (List.length xs [@perf.allow "length-in-hot-path"])
+  (List.length xs [@lint.allow "length-in-hot-path"])

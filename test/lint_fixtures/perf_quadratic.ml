@@ -12,7 +12,7 @@ let note t x = t.acc <- [ x ] @ t.acc
 let note_ok t x = t.acc <- x :: t.acc
 
 let absorb_allowed extras =
-  ((gathered := extras @ !gathered) [@perf.allow "quadratic-accumulate"])
+  ((gathered := extras @ !gathered) [@lint.allow "quadratic-accumulate"])
 
-let[@perf.allow "quadratic-accumulate"] note_allowed t x =
+let[@lint.allow "quadratic-accumulate"] note_allowed t x =
   t.acc <- [ x ] @ t.acc

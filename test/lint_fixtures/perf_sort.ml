@@ -11,4 +11,4 @@ let busy xs n =
 let cold xs = List.sort Int.compare xs
 
 let[@perf.hot] frontier_allowed xs =
-  (List.sort Int.compare xs [@perf.allow "sort-in-loop"])
+  (List.sort Int.compare xs [@lint.allow "sort-in-loop"])

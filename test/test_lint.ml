@@ -1,4 +1,5 @@
-(* Tests for the detlint static-analysis pass (lib/lint).
+(* Tests for detlint's rules, the per-file driver that runs them with
+   perflint's (lib/lint), and the bin/lint.exe command.
 
    Each fixture under lint_fixtures/ is linted with a synthetic filename
    that puts the rule under test in scope (rules are path-scoped, e.g.
@@ -7,7 +8,16 @@
    detection and every suppression mechanism. *)
 
 module Lint = Raftpax_lint.Lint
+module Perflint = Raftpax_lint.Perflint
 module Finding = Raftpax_lint.Finding
+
+(* Every per-file rule, as the driver runs them. *)
+let per_file = Lint.rules @ Perflint.rules
+
+let lint_tree roots =
+  List.concat_map
+    (fun (filename, source) -> Lint.lint_string per_file ~filename source)
+    (Lint.sources roots)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -22,7 +32,8 @@ let fixture_dir =
   else Filename.concat "test" "lint_fixtures"
 
 let lint_fixture ~filename name =
-  Lint.lint_string ~filename (read_file (Filename.concat fixture_dir name))
+  Lint.lint_string per_file ~filename
+    (read_file (Filename.concat fixture_dir name))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -69,7 +80,7 @@ let test_polycmp () =
 let test_polycmp_shadowed () =
   (* A local [compare] binding sanctions bare [compare] file-wide. *)
   let src = "let compare a b = Int.compare a b\nlet f xs = List.sort compare xs\n" in
-  let fs = Lint.lint_string ~filename:"lib/shadow.ml" src in
+  let fs = Lint.lint_string per_file ~filename:"lib/shadow.ml" src in
   check_rule_count ~rule:"polymorphic-compare" ~expect:0 fs
 
 let test_socket_effects () =
@@ -98,12 +109,12 @@ let test_allow_all () =
   let hit = "let f () = Random.int 3\n" in
   let suppressed = "let f () = (Random.int 3 [@lint.allow \"all\"])\n" in
   check_rule_count ~rule:"forbidden-effects" ~expect:1
-    (Lint.lint_string ~filename:"lib/a.ml" hit);
+    (Lint.lint_string per_file ~filename:"lib/a.ml" hit);
   check_rule_count ~rule:"forbidden-effects" ~expect:0
-    (Lint.lint_string ~filename:"lib/a.ml" suppressed)
+    (Lint.lint_string per_file ~filename:"lib/a.ml" suppressed)
 
 let test_parse_error () =
-  let fs = Lint.lint_string ~filename:"lib/broken.ml" "let let = in" in
+  let fs = Lint.lint_string per_file ~filename:"lib/broken.ml" "let let = in" in
   check_rule_count ~rule:"parse-error" ~expect:1 fs;
   Alcotest.(check int) "only the parse error" 1 (List.length fs)
 
@@ -123,7 +134,7 @@ let test_rule_registry () =
     ids
 
 let test_render_format () =
-  match Lint.lint_string ~filename:"lib/a.ml" "let f () = Random.int 3\n" with
+  match Lint.lint_string per_file ~filename:"lib/a.ml" "let f () = Random.int 3\n" with
   | [ f ] ->
       Alcotest.(check bool)
         "render prefix" true
@@ -142,7 +153,7 @@ let test_clean_tree () =
       [ "../lib"; "../bin" ]
   in
   if dirs <> [] then begin
-    let findings = Lint.lint_paths dirs in
+    let findings = lint_tree dirs in
     Alcotest.(check string)
       "no findings in the tree" ""
       (String.concat "\n" (List.map Finding.render findings))
@@ -163,7 +174,7 @@ let test_netcore_pure () =
      select lives in bin/ (the netshell transport, and repro/bench). *)
   if Sys.file_exists "../lib/netcore" && Sys.is_directory "../lib/netcore"
   then begin
-    let findings = Lint.lint_paths [ "../lib/netcore" ] in
+    let findings = lint_tree [ "../lib/netcore" ] in
     Alcotest.(check string)
       "netcore lint-clean" ""
       (String.concat "\n" (List.map Finding.render findings));
@@ -205,23 +216,21 @@ let test_driver_ok () =
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check (list string))
     "summaries only"
-    [ "detlint: 0 finding(s)"; "perflint: 0 finding(s)"; "parlint: 0 finding(s)" ]
+    [ "lint: 0 finding(s)"; "parlint: 0 finding(s)" ]
     (List.map summary lines)
 
 let test_driver_broken () =
   let code, lines = run_lint (corpus "parlint_broken") in
   Alcotest.(check int) "exit code" 1 code;
   match lines with
-  | [ finding; det; perf; par ] ->
+  | [ finding; per_file; par ] ->
       Alcotest.(check bool)
         "the one finding is knob-threading" true
         (contains ~sub:"[knob-threading] params field new_knob" finding);
       Alcotest.(check (list string))
         "per-pass summaries"
-        [
-          "detlint: 0 finding(s)"; "perflint: 0 finding(s)"; "parlint: 1 finding(s)";
-        ]
-        (List.map summary [ det; perf; par ])
+        [ "lint: 0 finding(s)"; "parlint: 1 finding(s)" ]
+        (List.map summary [ per_file; par ])
   | _ -> Alcotest.failf "unexpected report:\n%s" (String.concat "\n" lines)
 
 let test_driver_list_rules () =
@@ -242,16 +251,14 @@ let test_driver_list_rules () =
   Alcotest.(check (list string))
     "every rule exactly once"
     [
-      "detlint forbidden-effects";
-      "detlint unordered-iteration";
-      "detlint polymorphic-compare";
-      "detlint escaping-mutable-state";
-      "perflint quadratic-accumulate";
-      "perflint length-in-hot-path";
-      "perflint assoc-scan";
-      "perflint alloc-in-handler";
-      "perflint sort-in-loop";
-      "perflint string-build-in-hot-path";
+      "lint forbidden-effects";
+      "lint unordered-iteration";
+      "lint polymorphic-compare";
+      "lint escaping-mutable-state";
+      "lint quadratic-accumulate";
+      "lint length-in-hot-path";
+      "lint assoc-scan";
+      "lint sort-in-loop";
       "parlint knob-threading";
     ]
     listed
@@ -276,15 +283,15 @@ let test_driver_json () =
 
 let test_driver_detlint_fixture () =
   (* unordered-iteration is not path-scoped, so the fixture fires where
-     it lies; no other pass reports anything on it. *)
+     it lies; no other rule reports anything on it. *)
   let code, lines = run_lint (corpus "unordered_iteration.ml") in
   Alcotest.(check int) "exit code" 1 code;
   Alcotest.(check int) "unordered-iteration" 2 (rule_hits "unordered-iteration" lines);
-  Alcotest.(check int) "lines" 5 (List.length lines)
+  Alcotest.(check int) "lines" 4 (List.length lines)
 
 let test_driver_perflint_fixture () =
-  (* perflint only scans lib/ files, so the fixture is copied into a
-     lib/ directory of its own, as a regression would land. *)
+  (* perflint's rules only run on lib/ files, so the fixture is copied
+     into a lib/ directory of its own, as a regression would land. *)
   let root = Filename.temp_file "lint_test" ".d" in
   Sys.remove root;
   let lib = Filename.concat root "lib" in
@@ -305,7 +312,7 @@ let test_driver_perflint_fixture () =
   Alcotest.(check int) "sort-in-loop" 2 (rule_hits "sort-in-loop" lines);
   Alcotest.(check (list string))
     "per-pass summaries"
-    [ "detlint: 0 finding(s)"; "perflint: 2 finding(s)"; "parlint: 0 finding(s)" ]
+    [ "lint: 2 finding(s)"; "parlint: 0 finding(s)" ]
     (List.map summary (List.filteri (fun i _ -> i >= 2) lines))
 
 let test_driver_retired_flags () =

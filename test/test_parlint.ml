@@ -21,7 +21,8 @@ let fixture_dir =
   if Sys.file_exists "lint_fixtures" then "lint_fixtures"
   else Filename.concat "test" "lint_fixtures"
 
-let corpus name = Parlint.lint_paths [ Filename.concat fixture_dir name ]
+let corpus name =
+  Parlint.lint_sources (Lint.sources [ Filename.concat fixture_dir name ])
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -76,10 +77,10 @@ let test_self_gate () =
   in
   Alcotest.(check int)
     "no findings without surfaces" 0
-    (List.length (Parlint.lint_string ~filename:"lib/consensus/types.ml" src))
+    (List.length (Parlint.lint_sources [ ("lib/consensus/types.ml", src) ]))
 
 let test_parse_error () =
-  let fs = Parlint.lint_string ~filename:"lib/broken.ml" "let let = in" in
+  let fs = Parlint.lint_sources [ ("lib/broken.ml", "let let = in") ] in
   check_rule_count ~rule:"parse-error" ~expect:1 fs;
   Alcotest.(check int) "only the parse error" 1 (List.length fs)
 
@@ -99,9 +100,11 @@ let test_rule_registry () =
 let test_clean_tree () =
   if Sys.file_exists "../lib" && Sys.is_directory "../lib" then begin
     (* test/ holds no surface, but scanning it checks that
-       collect_files skips lint_fixtures/: the broken corpus above
+       Lint.sources skips lint_fixtures/: the broken corpus above
        must not pollute the real tree's fact base. *)
-    let findings = Parlint.lint_paths [ "../lib"; "../bench"; "../test" ] in
+    let findings =
+      Parlint.lint_sources (Lint.sources [ "../lib"; "../bench"; "../test" ])
+    in
     Alcotest.(check string)
       "no parlint findings in the tree" ""
       (String.concat "\n" (List.map Finding.render findings))

@@ -1,9 +1,11 @@
-(* Tests for the perflint cost-discipline pass (lib/lint/perflint).
+(* Tests for perflint's cost rules (lib/lint/perflint).
 
    Mirrors test_lint.ml: each fixture under lint_fixtures/ pairs positive
    sites with cold copies and suppressed negatives, linted under a
-   synthetic filename that chooses the path scope (hot-by-name tables key
-   off lib/consensus, lib/sim, lib/kvstore). *)
+   synthetic filename that chooses the path scope (the hot-by-name table
+   keys off lib/consensus, lib/sim, lib/kvstore).  Suppression and parse
+   errors are the driver's; the cases here check them for perflint's
+   rules. *)
 
 module Perflint = Raftpax_lint.Perflint
 module Lint = Raftpax_lint.Lint
@@ -20,7 +22,8 @@ let fixture_dir =
   else Filename.concat "test" "lint_fixtures"
 
 let lint_fixture ~filename name =
-  Perflint.lint_string ~filename (read_file (Filename.concat fixture_dir name))
+  Lint.lint_string Perflint.rules ~filename
+    (read_file (Filename.concat fixture_dir name))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -70,45 +73,61 @@ let test_assoc () =
   let fs = lint_fixture ~filename:"lib/fx_assoc.ml" "perf_assoc.ml" in
   check_rule_count ~rule:"assoc-scan" ~expect:3 fs
 
-let test_alloc () =
-  (* Even under lib/consensus/ (where [handle] is hot by name), the
-     allocation rule fires only inside [@perf.hot]-attributed functions:
-     List.map, the anonymous closure, and the tuple in [broadcast]. *)
-  let fs = lint_fixture ~filename:"lib/consensus/fx_alloc.ml" "perf_alloc.ml" in
-  check_rule_count ~rule:"alloc-in-handler" ~expect:3 fs
-
 let test_sort () =
   let fs = lint_fixture ~filename:"lib/fx_sort.ml" "perf_sort.ml" in
   check_rule_count ~rule:"sort-in-loop" ~expect:2 fs
 
-let test_string () =
-  (* The builder inside the ~info closure (the sanctioned lazy-render
-     pattern) must stay silent — for the string rule and the alloc
-     rule both. *)
-  let fs = lint_fixture ~filename:"lib/fx_str.ml" "perf_string.ml" in
-  check_rule_count ~rule:"string-build-in-hot-path" ~expect:3 fs;
-  check_rule_count ~rule:"alloc-in-handler" ~expect:0 fs
+let test_hot_by_name () =
+  (* The per-message spines of the net, CPU and replica base are hot by
+     name in their own library, and cold under any other. *)
+  let src = "let post t xs = ignore t; List.length xs\n" in
+  check_rule_count ~rule:"length-in-hot-path" ~expect:1
+    (Lint.lint_string Perflint.rules ~filename:"lib/sim/fx_net.ml" src);
+  check_rule_count ~rule:"length-in-hot-path" ~expect:0
+    (Lint.lint_string Perflint.rules ~filename:"lib/kvstore/fx_net.ml" src);
+  let src = "let complete t xs = ignore t; List.nth xs 0\n" in
+  check_rule_count ~rule:"length-in-hot-path" ~expect:1
+    (Lint.lint_string Perflint.rules ~filename:"lib/consensus/fx_rep.ml" src);
+  check_rule_count ~rule:"length-in-hot-path" ~expect:0
+    (Lint.lint_string Perflint.rules ~filename:"lib/sim/fx_rep.ml" src)
 
 (* --- suppression and plumbing --- *)
 
 let test_file_level_allow () =
-  let fs = lint_fixture ~filename:"lib/fx_allow.ml" "perf_file_allow.ml" in
-  Alcotest.(check int) "whole file silenced" 0 (List.length fs)
+  (* The merged fixture silences perflint's rules with the same floating
+     [@@@lint.allow] as detlint's; without those lines they fire. *)
+  let source = read_file (Filename.concat fixture_dir "file_level_allow.ml") in
+  Alcotest.(check int)
+    "whole file silenced" 0
+    (List.length
+       (Lint.lint_string Perflint.rules ~filename:"lib/fx_allow.ml" source));
+  let unsilenced =
+    String.split_on_char '\n' source
+    |> List.filter (fun l ->
+           not (String.starts_with ~prefix:"[@@@lint.allow" l))
+    |> String.concat "\n"
+  in
+  let fs = Lint.lint_string Perflint.rules ~filename:"lib/fx_allow.ml" unsilenced in
+  check_rule_count ~rule:"quadratic-accumulate" ~expect:1 fs;
+  check_rule_count ~rule:"length-in-hot-path" ~expect:1 fs
 
 let test_allow_all () =
   let hit = "let x = ref []\nlet f e = x := e @ !x\n" in
   let suppressed =
-    "let x = ref []\nlet f e = ((x := e @ !x) [@perf.allow \"all\"])\n"
+    "let x = ref []\nlet f e = ((x := e @ !x) [@lint.allow \"all\"])\n"
   in
   check_rule_count ~rule:"quadratic-accumulate" ~expect:1
-    (Perflint.lint_string ~filename:"lib/a.ml" hit);
+    (Lint.lint_string Perflint.rules ~filename:"lib/a.ml" hit);
   check_rule_count ~rule:"quadratic-accumulate" ~expect:0
-    (Perflint.lint_string ~filename:"lib/a.ml" suppressed)
+    (Lint.lint_string Perflint.rules ~filename:"lib/a.ml" suppressed)
 
 let test_parse_error () =
-  let fs = Perflint.lint_string ~filename:"lib/broken.ml" "let let = in" in
+  let fs =
+    Lint.lint_string Perflint.rules ~filename:"lib/broken.ml" "let let = in"
+  in
   check_rule_count ~rule:"parse-error" ~expect:1 fs;
   Alcotest.(check int) "only the parse error" 1 (List.length fs)
+
 
 let test_rule_registry () =
   let ids =
@@ -121,14 +140,12 @@ let test_rule_registry () =
          "quadratic-accumulate";
          "length-in-hot-path";
          "assoc-scan";
-         "alloc-in-handler";
          "sort-in-loop";
-         "string-build-in-hot-path";
        ])
     ids
 
 let test_json_render () =
-  (match Perflint.lint_string ~filename:"lib/a.ml"
+  (match Lint.lint_string Perflint.rules ~filename:"lib/a.ml"
            "let x = ref []\nlet f e = x := e @ !x\n"
    with
   | [ f ] ->
@@ -160,15 +177,82 @@ let test_json_render () =
     "escaped" true
     (contains ~sub:{|say \"hi\"\nand \\ more|} (Finding.to_json f))
 
+(* --- the hot-by-name table names live functions --- *)
+
+(* The names bound to functions, at any depth, in lib/<library>. *)
+let functions_in library =
+  let names = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      value_binding =
+        (fun it vb ->
+          (match vb.pvb_pat.ppat_desc with
+          | Ppat_var v when Perflint.is_function vb.pvb_expr ->
+              names := v.txt :: !names
+          | _ -> ());
+          super.value_binding it vb);
+    }
+  in
+  List.iter
+    (fun (file, source) ->
+      match Lint.parse ~file source with
+      | Ok structure -> it.structure it structure
+      | Error f -> Alcotest.fail (Finding.render f))
+    (Lint.sources [ Filename.concat "../lib" library ]);
+  !names
+
+let test_hot_names_live () =
+  (* A renamed spine would otherwise turn cold without a sound. *)
+  if Sys.file_exists "../lib" && Sys.is_directory "../lib" then
+    List.iter
+      (fun (library, names) ->
+        let bound = functions_in library in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s binds a function in lib/%s" name library)
+              true (List.mem name bound))
+          names)
+      Perflint.hot_names
+
 (* --- the tree itself must be clean --- *)
 
+(* [@perf.allow] suppresses nothing any more; one left behind would be
+   dead text claiming a waiver. *)
+let perf_allows structure =
+  let n = ref 0 in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      attribute =
+        (fun it a ->
+          if String.equal a.attr_name.txt "perf.allow" then incr n;
+          super.attribute it a);
+    }
+  in
+  it.structure it structure;
+  !n
+
 let test_clean_tree () =
-  if Sys.file_exists "../lib" && Sys.is_directory "../lib" then begin
-    let findings = Perflint.lint_paths [ "../lib" ] in
-    Alcotest.(check string)
-      "no perflint findings in lib/" ""
-      (String.concat "\n" (List.map Finding.render findings))
-  end
+  if Sys.file_exists "../lib" && Sys.is_directory "../lib" then
+    List.iter
+      (fun (filename, source) ->
+        Alcotest.(check string)
+          ("no perflint findings in " ^ filename)
+          ""
+          (String.concat "\n"
+             (List.map Finding.render
+                (Lint.lint_string Perflint.rules ~filename source)));
+        match Lint.parse ~file:filename source with
+        | Ok structure ->
+            Alcotest.(check int)
+              ("no [@perf.allow] in " ^ filename)
+              0 (perf_allows structure)
+        | Error f -> Alcotest.fail (Finding.render f))
+      (Lint.sources [ "../lib" ])
 
 let () =
   Alcotest.run "perflint"
@@ -183,9 +267,8 @@ let () =
           Alcotest.test_case "length-in-hot-path (elsewhere)" `Quick
             test_length_elsewhere;
           Alcotest.test_case "assoc-scan" `Quick test_assoc;
-          Alcotest.test_case "alloc-in-handler" `Quick test_alloc;
           Alcotest.test_case "sort-in-loop" `Quick test_sort;
-          Alcotest.test_case "string-build-in-hot-path" `Quick test_string;
+          Alcotest.test_case "hot by name" `Quick test_hot_by_name;
         ] );
       ( "suppression",
         [
@@ -199,5 +282,9 @@ let () =
           Alcotest.test_case "json render" `Quick test_json_render;
         ] );
       ( "tree",
-        [ Alcotest.test_case "clean tree" `Quick test_clean_tree ] );
+        [
+          Alcotest.test_case "clean tree" `Quick test_clean_tree;
+          Alcotest.test_case "hot names bind functions" `Quick
+            test_hot_names_live;
+        ] );
     ]
